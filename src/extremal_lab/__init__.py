@@ -3,7 +3,7 @@
 The package computes the energy functional over Kahler classes with exact
 rational arithmetic, certifies the critical classes of the one- and two-point
 families with Sturm brackets, and scans the symmetric three-point slice with
-interchangeable numba / numpy kernels.
+a vectorized numpy kernel.
 """
 
 from .exactpoly import (

@@ -1,119 +1,33 @@
-"""Grid evaluation kernels: numba JIT with a pure-numpy fallback.
+"""Grid evaluation of the beta = 1 slice polynomials.
 
-Both backends walk the same term tables in the same order and build every
-intermediate with the same expression tree, so their float64 outputs are
-bit-identical.  EXTREMAL_LAB_BACKEND picks the backend ("numba" or
-"numpy"); it defaults to numba when importable.
+A slice polynomial p(alpha, delta) has degree at most 6 in each variable, so
+it is a 7x7 coefficient matrix C with p = sum C[i, j] alpha^i delta^j.  Its
+values on the whole alpha x delta grid are one product Pa @ C @ Pd^T, where
+Pa and Pd are the increasing Vandermonde matrices of the two grid axes.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Optional
-
 import numpy as np
 
-try:
-    import numba
-    from numba import njit, prange
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only where numba is absent
-    HAVE_NUMBA = False
-
-ENV_BACKEND = "EXTREMAL_LAB_BACKEND"
+#: powers alpha^0..alpha^6 and delta^0..delta^6 span the slice polynomials
+POWERS = 7
 
 
-def resolve_backend(name: Optional[str] = None) -> str:
-    """Validate a backend name, falling back to the environment then numba."""
-    if name is None:
-        name = os.environ.get(ENV_BACKEND, "").strip() or None
-    if name is None:
-        return "numba" if HAVE_NUMBA else "numpy"
-    name = name.lower()
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r}: expected 'numba' or 'numpy'")
-    if name == "numba" and not HAVE_NUMBA:
-        raise ValueError("numba backend requested but numba is not importable")
-    return name
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _eval_terms(codes, coefs, pa, pd):
-        acc = 0.0
-        for t in range(codes.shape[0]):
-            acc = acc + coefs[t] * (pa[codes[t] >> 3] * pd[codes[t] & 7])
-        return acc
-
-    @njit(parallel=True, cache=True)
-    def _scan_numba(alphas, deltas, cn, fn, cd, fd, cna, fna, cda, fda,
-                    cnd, fnd, cdd, fdd, values, gnorms):
-        for i in prange(alphas.shape[0]):
-            pa = np.empty(7)
-            pa[0] = 1.0
-            for k in range(1, 7):
-                pa[k] = pa[k - 1] * alphas[i]
-            pd = np.empty(7)
-            for j in range(deltas.shape[0]):
-                pd[0] = 1.0
-                for k in range(1, 7):
-                    pd[k] = pd[k - 1] * deltas[j]
-                n = _eval_terms(cn, fn, pa, pd)
-                d = _eval_terms(cd, fd, pa, pd)
-                n_a = _eval_terms(cna, fna, pa, pd)
-                d_a = _eval_terms(cda, fda, pa, pd)
-                n_d = _eval_terms(cnd, fnd, pa, pd)
-                d_d = _eval_terms(cdd, fdd, pa, pd)
-                values[i, j] = n / d
-                ga = (n_a * d - n * d_a) / (d * d)
-                gd = (n_d * d - n * d_d) / (d * d)
-                gnorms[i, j] = np.sqrt(ga * ga + gd * gd)
-
-
-def _scan_numpy(alphas, deltas, tables):
-    na, nd = alphas.size, deltas.size
-    pa = np.empty((na, 7))
-    pa[:, 0] = 1.0
-    for k in range(1, 7):
-        pa[:, k] = pa[:, k - 1] * alphas
-    pd = np.empty((nd, 7))
-    pd[:, 0] = 1.0
-    for k in range(1, 7):
-        pd[:, k] = pd[:, k - 1] * deltas
-
-    def eval_terms(table):
-        codes, coefs = table
-        acc = np.zeros((na, nd))
-        for t in range(codes.size):
-            code = int(codes[t])
-            acc = acc + coefs[t] * (pa[:, code >> 3, None] * pd[None, :, code & 7])
-        return acc
-
-    n, d, n_a, d_a, n_d, d_d = (eval_terms(t) for t in tables)
-    values = n / d
-    ga = (n_a * d - n * d_a) / (d * d)
-    gd = (n_d * d - n * d_d) / (d * d)
-    return values, np.sqrt(ga * ga + gd * gd)
-
-
-def scan_eval(alphas, deltas, tables, backend: Optional[str] = None,
-              threads: Optional[int] = None):
+def scan_eval(alphas, deltas, matrices):
     """Evaluate value and gradient norm on the alpha x delta grid.
 
-    `tables` holds six (codes, coefs) term tables: numerator, denominator,
-    and their alpha and delta partials.  Returns (values, grad_norms) as
-    float64 arrays of shape (len(alphas), len(deltas)).
+    `matrices` holds six POWERS x POWERS coefficient matrices: numerator,
+    denominator, and their alpha and delta partials.  Returns (values,
+    grad_norms) as float64 arrays of shape (len(alphas), len(deltas)).
+    Cells where float64 overflows come out inf or nan, without a warning;
+    the caller decides what a non-finite cell means.
     """
-    backend = resolve_backend(backend)
-    alphas = np.ascontiguousarray(alphas, dtype=np.float64)
-    deltas = np.ascontiguousarray(deltas, dtype=np.float64)
-    if backend == "numba":
-        available = numba.config.NUMBA_NUM_THREADS
-        numba.set_num_threads(min(threads, available) if threads else available)
-        values = np.empty((alphas.size, deltas.size))
-        gnorms = np.empty_like(values)
-        flat = [part for table in tables for part in table]
-        _scan_numba(alphas, deltas, *flat, values, gnorms)
-        return values, gnorms
-    return _scan_numpy(alphas, deltas, tables)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        pa = np.vander(np.asarray(alphas, dtype=np.float64), POWERS, increasing=True)
+        pd = np.vander(np.asarray(deltas, dtype=np.float64), POWERS, increasing=True)
+        n, d, n_a, d_a, n_d, d_d = (pa @ c @ pd.T for c in matrices)
+        values = n / d
+        ga = (n_a * d - n * d_a) / (d * d)
+        gd = (n_d * d - n * d_d) / (d * d)
+        return values, np.sqrt(ga * ga + gd * gd)

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
 from . import __version__, critical, energy
 from .delpezzo import (
     HexagonParams,
@@ -30,6 +32,14 @@ from .delpezzo import (
 from .exactpoly import Polynomial, fraction_to_decimal
 
 ENV_FAULT = "EXTREMAL_LAB_INJECT_FAULT"
+
+#: cap on --digits.  At 800, verify took 4.2 s and critical --k 2 3.2 s,
+#: and the cost grows faster than linearly in the digits
+MAX_DIGITS = 800
+#: cap on --grid cells per axis.  Peak RSS grows with grid^2; at 1024 scan3
+#: peaked at 118 MiB (table), 360 MiB (csv) and 820 MiB (json) with
+#: Python 3.11 and numpy 2.4 on x86-64 Linux
+MAX_GRID = 1024
 
 PI_SQUARED = math.pi ** 2
 
@@ -56,8 +66,8 @@ def _fraction_arg(text: str) -> Fraction:
 
 
 def _check_digits(digits: int) -> None:
-    if digits < 6:
-        raise UsageError("--digits must be at least 6")
+    if not 6 <= digits <= MAX_DIGITS:
+        raise UsageError(f"--digits must be between 6 and {MAX_DIGITS}")
 
 
 def _emit(args, text: str) -> None:
@@ -324,7 +334,6 @@ def _scan_json(report) -> str:
             "delta_min": g.delta_min, "delta_max": g.delta_max,
             "delta_count": g.delta_count, "delta_spacing": g.delta_spacing,
         },
-        "backend": report.backend,
         "digits": report.digits,
         "global_min": _cell_payload(report.global_min),
         "minima": [_cell_payload(c) for c in report.minima],
@@ -346,7 +355,6 @@ def _scan_summary(report) -> str:
     lines = [
         f"grid: alpha [{g.alpha_min:g}, {g.alpha_max:g}] x {g.alpha_count} ({g.alpha_spacing}), "
         f"delta [{g.delta_min:g}, {g.delta_max:g}] x {g.delta_count} ({g.delta_spacing})",
-        f"backend: {report.backend}",
         f"global minimum: alpha = {m.alpha:.{d}g}, delta = {m.delta:.{d}g}, "
         f"value = {m.value:.{d}g}, grad norm = {m.grad_norm:.{d}g} "
         f"({'boundary' if m.boundary else 'interior'})",
@@ -365,8 +373,11 @@ def _scan_summary(report) -> str:
 
 def cmd_scan3(args) -> int:
     _check_digits(args.digits)
-    if args.grid < 2:
-        raise UsageError("--grid must be at least 2")
+    if not 2 <= args.grid <= MAX_GRID:
+        raise UsageError(f"--grid must be between 2 and {MAX_GRID}")
+    for flag in ("alpha_min", "alpha_max", "delta_max"):
+        if not math.isfinite(getattr(args, flag)):
+            raise UsageError(f"--{flag.replace('_', '-')} must be finite")
     if not 0 < args.alpha_min < args.alpha_max:
         raise UsageError("alpha range must satisfy 0 < --alpha-min < --alpha-max")
     if args.delta_max <= 0:
@@ -377,6 +388,9 @@ def cmd_scan3(args) -> int:
         grid_counts=(args.grid, args.grid),
         digits=args.digits,
     )
+    if not (np.isfinite(report.values).all() and np.isfinite(report.grad_norms).all()):
+        raise UsageError("the scan overflows float64 on this window; "
+                         "lower --alpha-max or --delta-max")
     note = None
     if args.format == "csv":
         path = args.out or "scan3.csv"
@@ -411,7 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"%(prog)s {__version__}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--digits", type=int, default=12,
-                        help="significant digits for printed decimals (>= 6, default 12)")
+                        help=f"significant digits for printed decimals "
+                             f"(6 to {MAX_DIGITS}, default 12)")
     common.add_argument("--format", choices=("table", "json", "csv"),
                         default="table", help="output format (default table)")
     common.add_argument("--out", help="write output to this path instead of stdout")
@@ -439,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan3", parents=[common],
                        help="grid scan of the three-point slice (beta = 1 gauge)")
     p.add_argument("--grid", type=int, default=200,
-                   help="cells per axis (default 200)")
+                   help=f"cells per axis (2 to {MAX_GRID}, default 200)")
     p.add_argument("--alpha-min", type=float, default=0.05)
     p.add_argument("--alpha-max", type=float, default=20.0)
     p.add_argument("--delta-max", type=float, default=10.0)

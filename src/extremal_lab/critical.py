@@ -11,19 +11,20 @@ classes at grid resolution; it is not a proof.
 
 from __future__ import annotations
 
+import functools
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from . import energy
+from . import _kernels, energy
 from .delpezzo import NotKahlerError
 from .exactpoly import (
     RationalFunction,
     RootBracket,
+    _sign,
     cauchy_root_bound,
     count_real_roots,
     fraction_to_decimal,
@@ -34,12 +35,6 @@ from .exactpoly import (
 ZERO_GRAD_THRESHOLD = 1e-9
 #: truncation of (0, infinity) domains; certified by the Cauchy root bound
 DEFAULT_SEARCH_BOUND = 10 ** 4
-
-ENV_THREADS = "EXTREMAL_LAB_THREADS"
-
-
-def _sign(x) -> int:
-    return 0 if x == 0 else (1 if x > 0 else -1)
 
 
 @dataclass(frozen=True)
@@ -170,17 +165,12 @@ def two_point_class(digits: int = 12) -> CriticalClassReport:
 
 # -- exact gradient on the slice ---------------------------------------------
 
-_GRAD_POLYS = None
-
-
+@functools.cache
 def _grad_polys():
-    global _GRAD_POLYS
-    if _GRAD_POLYS is None:
-        se = energy.energy_closed_form()
-        n, d = se.numerator, se.denominator
-        _GRAD_POLYS = (n, d, n.partial("alpha"), d.partial("alpha"),
-                       n.partial("delta"), d.partial("delta"))
-    return _GRAD_POLYS
+    se = energy.energy_closed_form()
+    n, d = se.numerator, se.denominator
+    return (n, d, n.partial("alpha"), d.partial("alpha"),
+            n.partial("delta"), d.partial("delta"))
 
 
 def gradient(alpha, beta, delta) -> tuple[Fraction, Fraction]:
@@ -242,7 +232,6 @@ class ScanReport:
     minima: tuple[ScanCell, ...]
     global_min: ScanCell
     interior_zeros: tuple[PolishedZero, ...]
-    backend: str
     digits: int
 
     @property
@@ -270,59 +259,32 @@ def _geometric_grid(lo: float, hi: float, n: int, anchor: float = 1.0):
     return grid, anchored
 
 
-_TABLES = None
+@functools.cache
+def _term_tables() -> tuple[np.ndarray, ...]:
+    """Read-only coefficient matrices of the beta = 1 slice polynomials (n, d
+    and their alpha and delta partials); entry [i, j] multiplies
+    alpha^i delta^j.  Every coefficient is an integer below 2^53, so float64
+    holds it exactly."""
+    matrices = []
+    for p in _grad_polys():
+        q = p.substitute({"beta": 1})
+        assert q.variables == ("alpha", "delta")
+        c = np.zeros((_kernels.POWERS, _kernels.POWERS))
+        for (i, j), coef in q.terms.items():
+            assert coef.denominator == 1 and abs(coef.numerator) < 2 ** 53
+            c[i, j] = coef.numerator
+        c.flags.writeable = False
+        matrices.append(c)
+    return tuple(matrices)
 
 
-def _term_tables():
-    """Term tables (exponent code, float coefficient) of the beta = 1 slice
-    polynomials, in a fixed deterministic order shared by both backends."""
-    global _TABLES
-    if _TABLES is None:
-        tables = []
-        for p in _grad_polys():
-            q = p.substitute({"beta": 1})
-            rows = []
-            for exps, c in q.terms.items():
-                ea = ed = 0
-                for v, e in zip(q.variables, exps):
-                    if v == "alpha":
-                        ea = e
-                    else:
-                        ed = e
-                assert c.denominator == 1 and abs(c.numerator) < 2 ** 53
-                rows.append((ea * 8 + ed, float(c)))
-            rows.sort()
-            tables.append((np.array([r[0] for r in rows], dtype=np.int64),
-                           np.array([r[1] for r in rows], dtype=np.float64)))
-        _TABLES = tuple(tables)
-    return _TABLES
-
-
-def _threads_from_env() -> Optional[int]:
-    raw = os.environ.get(ENV_THREADS, "").strip()
-    if not raw:
-        return None
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"{ENV_THREADS} must be a non-negative integer, got {raw!r}")
-    if n < 0:
-        raise ValueError(f"{ENV_THREADS} must be a non-negative integer, got {raw!r}")
-    return n or None
-
-
-_HESSIAN = None
-
-
+@functools.cache
 def _hessian_pieces():
-    global _HESSIAN
-    if _HESSIAN is None:
-        v = energy.energy_closed_form().quotient.substitute({"beta": 1})
-        v_a = v.derivative("alpha")
-        v_d = v.derivative("delta")
-        _HESSIAN = (v_a, v_d, v_a.derivative("alpha"),
-                    v_a.derivative("delta"), v_d.derivative("delta"))
-    return _HESSIAN
+    v = energy.energy_closed_form().quotient.substitute({"beta": 1})
+    v_a = v.derivative("alpha")
+    v_d = v.derivative("delta")
+    return (v_a, v_d, v_a.derivative("alpha"),
+            v_a.derivative("delta"), v_d.derivative("delta"))
 
 
 def polish_interior_zero(alpha0: float, delta0: float,
@@ -359,8 +321,7 @@ def polish_interior_zero(alpha0: float, delta0: float,
 
 
 def scan_three_point(alpha_range=(0.05, 20.0), delta_range=(0.0, 10.0),
-                     grid_counts=(200, 200), digits: int = 12,
-                     backend: Optional[str] = None) -> ScanReport:
+                     grid_counts=(200, 200), digits: int = 12) -> ScanReport:
     """Grid scan of the normalized energy on the slice, beta gauged to 1.
 
     alpha runs geometrically (anchored so alpha = 1 is a grid node when in
@@ -372,6 +333,8 @@ def scan_three_point(alpha_range=(0.05, 20.0), delta_range=(0.0, 10.0),
     amin, amax = (float(v) for v in alpha_range)
     dmin, dmax = (float(v) for v in delta_range)
     na, nd = (int(c) for c in grid_counts)
+    if not all(math.isfinite(v) for v in (amin, amax, dmin, dmax)):
+        raise ValueError("alpha and delta ranges must be finite")
     if not (0 < amin < amax):
         raise ValueError("alpha range must satisfy 0 < min < max")
     if not (0 <= dmin < dmax):
@@ -379,14 +342,9 @@ def scan_three_point(alpha_range=(0.05, 20.0), delta_range=(0.0, 10.0),
     if na < 2 or nd < 2:
         raise ValueError("grid counts must be >= 2")
 
-    from . import _kernels  # deferred so exact workflows never pay the JIT import
-
-    backend = _kernels.resolve_backend(backend)
     alphas, anchored = _geometric_grid(amin, amax, na)
     deltas = np.linspace(dmin, dmax, nd)
-    values, grad_norms = _kernels.scan_eval(alphas, deltas, _term_tables(),
-                                            backend=backend,
-                                            threads=_threads_from_env())
+    values, grad_norms = _kernels.scan_eval(alphas, deltas, _term_tables())
 
     def cell(i: int, j: int) -> ScanCell:
         return ScanCell(i=int(i), j=int(j),
@@ -421,4 +379,4 @@ def scan_three_point(alpha_range=(0.05, 20.0), delta_range=(0.0, 10.0),
                     delta_spacing="linear")
     return ScanReport(grid=grid, alphas=alphas, deltas=deltas, values=values,
                       grad_norms=grad_norms, minima=minima, global_min=global_min,
-                      interior_zeros=tuple(zeros), backend=backend, digits=digits)
+                      interior_zeros=tuple(zeros), digits=digits)

@@ -553,7 +553,9 @@ class RootBracket:
 def _decimal_exponent(x: Fraction) -> int:
     """The e with 10^e <= x < 10^(e+1); requires x > 0."""
     n, d = x.numerator, x.denominator
-    e = len(str(n)) - len(str(d))
+    # log10(2) times the bit-length gap is within two of the answer, and the
+    # loops below make it exact; str(n) would fail past 4300 digits
+    e = int((n.bit_length() - d.bit_length()) * 0.30102999566398120)
 
     def ge(k: int) -> bool:
         return n * 10 ** max(0, -k) >= d * 10 ** max(0, k)

@@ -105,6 +105,16 @@ def test_verify_rejects_low_digits(capsys):
     assert "--digits" in err
 
 
+def test_digits_cap_boundary(capsys):
+    code, out, err = run(capsys, "critical", "--k", "1", "--digits", str(cli.MAX_DIGITS))
+    assert code == 0
+    assert "local-min" in out
+    for argv in (("critical", "--k", "1"), ("verify",)):
+        code, out, err = run(capsys, *argv, "--digits", str(cli.MAX_DIGITS + 1))
+        assert code == 2
+        assert err.startswith("error:") and "--digits" in err
+
+
 # -- energy -------------------------------------------------------------------
 
 def test_energy_anticanonical_table(capsys):
@@ -242,7 +252,7 @@ def test_scan3_json_artifact(capsys, tmp_path):
     assert code == 0
     payload = json.loads(path.read_text())
     assert payload["grid"]["alpha_count"] == 8
-    assert payload["backend"] in ("numba", "numpy")
+    assert "backend" not in payload
     gm = payload["global_min"]
     assert (gm["alpha"], gm["delta"], gm["value"]) == (1.0, 0.0, 2.0)
     assert gm["boundary"] is True
@@ -270,6 +280,33 @@ def test_scan3_usage_errors(capsys):
     assert run(capsys, "scan3", "--grid", "1")[0] == 2
     assert run(capsys, "scan3", "--alpha-min", "0")[0] == 2
     assert run(capsys, "scan3", "--delta-max", "0")[0] == 2
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("--alpha-max", "inf"), "--alpha-max"),
+    (("--alpha-min", "nan"), "--alpha-min"),
+    (("--delta-max", "nan"), "--delta-max"),
+    (("--delta-max", "1e300"), "--delta-max"),
+])
+def test_scan3_refuses_non_finite_windows(capsys, tmp_path, argv, flag):
+    path = tmp_path / "cells.csv"
+    code, out, err = run(capsys, "scan3", "--grid", "8", *argv,
+                         "--format", "csv", "--out", str(path))
+    assert code == 2
+    assert err.startswith("error:") and flag in err
+    assert "Traceback" not in err
+    assert out == ""
+    assert not path.exists()
+
+
+def test_scan3_grid_cap_refused_before_scanning(capsys, monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scan ran for an over-cap grid")
+
+    monkeypatch.setattr(cli.critical, "scan_three_point", no_scan)
+    code, out, err = run(capsys, "scan3", "--grid", str(cli.MAX_GRID + 1))
+    assert code == 2
+    assert err.startswith("error:") and "--grid" in err
 
 
 # -- parser -------------------------------------------------------------------

@@ -381,3 +381,9 @@ def test_isolation_matches_sign_sweep_oracle():
 ])
 def test_fraction_to_decimal(value, digits, expected):
     assert fraction_to_decimal(value, digits) == expected
+
+
+def test_fraction_to_decimal_beyond_int_str_limit():
+    # numerators past 4300 digits exceed Python's int-to-str conversion limit
+    assert fraction_to_decimal(Fraction(10 ** 5001 + 7, 3), 10) == "3.333333333e+5000"
+    assert fraction_to_decimal(Fraction(2, 3 * 10 ** 5001), 6) == "6.66667e-5002"

@@ -1,99 +1,41 @@
-"""Backend selection and bit-identical agreement of the scan kernels."""
+"""The scan kernel against exact rational evaluation."""
+
+import math
+from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from extremal_lab import _kernels
-from extremal_lab.critical import _term_tables, scan_three_point
+from extremal_lab.critical import _term_tables, gradient, scan_three_point
+from extremal_lab.energy import energy_closed_form
 
-
-def grids(na, nd):
-    alphas = np.linspace(0.05, 20.0, na)
-    deltas = np.linspace(0.0, 10.0, nd)
-    return alphas, deltas
-
-
-# -- backend resolution -----------------------------------------------------------
-
-def test_default_backend_prefers_numba(monkeypatch):
-    monkeypatch.delenv(_kernels.ENV_BACKEND, raising=False)
-    assert _kernels.HAVE_NUMBA
-    assert _kernels.resolve_backend() == "numba"
-
-
-def test_explicit_backend_names():
-    assert _kernels.resolve_backend("numpy") == "numpy"
-    assert _kernels.resolve_backend("numba") == "numba"
-
-
-def test_env_var_selects_backend(monkeypatch):
-    monkeypatch.setenv(_kernels.ENV_BACKEND, "numpy")
-    assert _kernels.resolve_backend() == "numpy"
-
-
-def test_invalid_backend_name_rejected():
-    with pytest.raises(ValueError, match="backend"):
-        _kernels.resolve_backend("fortran")
-
-
-def test_invalid_env_backend_rejected(monkeypatch):
-    monkeypatch.setenv(_kernels.ENV_BACKEND, "cuda")
-    with pytest.raises(ValueError, match="backend"):
-        _kernels.resolve_backend()
-
-
-def test_numba_unavailable_falls_back(monkeypatch):
-    monkeypatch.delenv(_kernels.ENV_BACKEND, raising=False)
-    monkeypatch.setattr(_kernels, "HAVE_NUMBA", False)
-    assert _kernels.resolve_backend() == "numpy"
-    with pytest.raises(ValueError, match="numba"):
-        _kernels.resolve_backend("numba")
-
-
-# -- kernel agreement --------------------------------------------------------------
-
-def test_backends_agree_bitwise_on_odd_grid():
-    alphas, deltas = grids(13, 9)
-    tables = _term_tables()
-    va, ga = _kernels.scan_eval(alphas, deltas, tables, backend="numba")
-    vb, gb = _kernels.scan_eval(alphas, deltas, tables, backend="numpy")
-    assert va.shape == vb.shape == (13, 9)
-    assert va.tobytes() == vb.tobytes()
-    assert ga.tobytes() == gb.tobytes()
-
-
-def test_single_thread_matches_default():
-    alphas, deltas = grids(11, 7)
-    tables = _term_tables()
-    va, ga = _kernels.scan_eval(alphas, deltas, tables, backend="numba")
-    v1, g1 = _kernels.scan_eval(alphas, deltas, tables, backend="numba", threads=1)
-    assert va.tobytes() == v1.tobytes()
-    assert ga.tobytes() == g1.tobytes()
-
-
-def test_scan_respects_backend_env(monkeypatch):
-    monkeypatch.setenv(_kernels.ENV_BACKEND, "numpy")
-    report = scan_three_point(grid_counts=(8, 8))
-    assert report.backend == "numpy"
-
-
-def test_thread_env_validation(monkeypatch):
-    monkeypatch.setenv("EXTREMAL_LAB_THREADS", "abc")
-    with pytest.raises(ValueError, match="EXTREMAL_LAB_THREADS"):
-        scan_three_point(grid_counts=(4, 4))
-
-
-def test_thread_env_zero_means_auto(monkeypatch):
-    monkeypatch.setenv("EXTREMAL_LAB_THREADS", "0")
-    report = scan_three_point(grid_counts=(8, 8))
-    assert report.global_min.value == 2.0
+#: float64 rounding bound set before measuring: 7x7 products of integer
+#: coefficients below 2^53 lose a few ulps, and the gradient a few more
+RELATIVE_TOLERANCE = 1e-12
 
 
 def test_term_tables_are_exact_integer_coefficients():
-    tables = _term_tables()
-    for codes, coefs in tables:
-        assert codes.dtype == np.int64
-        assert coefs.dtype == np.float64
-        assert np.all(coefs == np.round(coefs))
-        assert np.all(np.abs(coefs) < 2.0 ** 53)
-        assert np.all(np.diff(codes) > 0)
+    matrices = _term_tables()
+    assert len(matrices) == 6
+    for c in matrices:
+        assert c.shape == (_kernels.POWERS, _kernels.POWERS)
+        assert c.dtype == np.float64
+        assert not c.flags.writeable
+        assert np.all(c == np.round(c))
+        assert np.all(np.abs(c) < 2.0 ** 53)
+    assert _term_tables() is matrices
+
+
+def test_scan_cells_match_exact_evaluation():
+    report = scan_three_point(grid_counts=(9, 7))
+    quotient = energy_closed_form().quotient
+    for i, a in enumerate(report.alphas.tolist()):
+        for j, d in enumerate(report.deltas.tolist()):
+            point = {"alpha": Fraction(a), "beta": Fraction(1), "delta": Fraction(d)}
+            value = float(quotient.eval(point))
+            ga, gd = gradient(a, 1, d)
+            norm = math.sqrt(ga * ga + gd * gd)
+            assert math.isclose(report.values[i, j], value,
+                                rel_tol=RELATIVE_TOLERANCE, abs_tol=0.0)
+            assert math.isclose(report.grad_norms[i, j], norm,
+                                rel_tol=RELATIVE_TOLERANCE, abs_tol=0.0)
