@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from extremal_lab import _kernels
 from extremal_lab.critical import _term_tables, gradient, scan_three_point
@@ -24,6 +25,15 @@ def test_term_tables_are_exact_integer_coefficients():
         assert np.all(c == np.round(c))
         assert np.all(np.abs(c) < 2.0 ** 53)
     assert _term_tables() is matrices
+
+
+def test_invalid_backend_name_rejected():
+    # numpy is the only scan path: a backend keyword is refused, not ignored
+    with pytest.raises(TypeError, match="backend"):
+        scan_three_point(grid_counts=(4, 4), backend="fortran")
+    axis = np.linspace(0.5, 2.0, 4)
+    with pytest.raises(TypeError, match="backend"):
+        _kernels.scan_eval(axis, axis, _term_tables(), backend="numpy")
 
 
 def test_scan_cells_match_exact_evaluation():
