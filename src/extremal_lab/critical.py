@@ -59,6 +59,12 @@ def critical_points_of(f: RationalFunction, domain=(0, DEFAULT_SEARCH_BOUND),
     sign change of f').  `ratio_offset`, when given, fills the
     line/exceptional ratio field with root + offset.
     """
+    return _critical_points(f, domain, digits, ratio_offset)[1]
+
+
+def _critical_points(f: RationalFunction, domain, digits: int,
+                     ratio_offset: Optional[Fraction]):
+    """(f'_num, its critical points): `critical_points_of` with the numerator."""
     names = sorted(set(f.numerator.variables) | set(f.denominator.variables))
     if len(names) != 1:
         raise ValueError(f"need a univariate function, got variables {names!r}")
@@ -104,7 +110,7 @@ def critical_points_of(f: RationalFunction, domain=(0, DEFAULT_SEARCH_BOUND),
             classification=klass,
             line_to_exceptional_ratio=ratio,
         ))
-    return results
+    return g, results
 
 
 @dataclass(frozen=True)
@@ -124,15 +130,11 @@ class CriticalClassReport:
 
 
 def _critical_class(k: int, f: RationalFunction, offset: int, digits: int) -> CriticalClassReport:
-    results = critical_points_of(f, (0, DEFAULT_SEARCH_BOUND), digits,
-                                 ratio_offset=Fraction(offset))
+    g, results = _critical_points(f, (0, DEFAULT_SEARCH_BOUND), digits, Fraction(offset))
     if len(results) != 1 or results[0].classification != "local-min":
         raise ArithmeticError(f"expected a unique interior minimum, got {results!r}")
     res = results[0]
     var = res.variable
-    g = (f.numerator.partial(var) * f.denominator
-         - f.numerator * f.denominator.partial(var))
-    count = count_real_roots(g, (0, DEFAULT_SEARCH_BOUND))
     bound = cauchy_root_bound(g)
     if bound > DEFAULT_SEARCH_BOUND:
         raise ArithmeticError("truncation bound does not dominate the root bound")
@@ -147,7 +149,8 @@ def _critical_class(k: int, f: RationalFunction, offset: int, digits: int) -> Cr
         three_times_decimal=fraction_to_decimal(3 * val, digits),
         residual=resid,
         residual_decimal=fraction_to_decimal(resid, digits),
-        root_count=count,
+        # one bracket per distinct root of g in the domain: the Sturm count
+        root_count=len(results),
         search_bound=Fraction(DEFAULT_SEARCH_BOUND),
         derivative_root_bound=bound,
     )

@@ -3,16 +3,19 @@
 Coefficients are `fractions.Fraction`, terms live in a dict keyed by
 exponent tuples, and every ring operation stays exact.  A dense univariate
 layer provides Sturm chains, certified root counting on half-open
-intervals, and bisection brackets whose endpoints remain exact rationals
-while a float-seeded Newton step is only ever used to propose the next
-certified cut point.
+intervals, and bisection brackets whose endpoints remain exact rationals.
+Signs are taken by integer Horner evaluation.  Refinement proposes one
+float Newton bracket, then runs Newton on scaled integers to a root
+enclosure that two exact signs certify; bisection reads the sign of every
+midpoint outside that enclosure from its side, so no float result and no
+unchecked Newton estimate ever decides a bracket.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isfinite
+from math import ceil, gcd, isfinite, lcm, log2
 from typing import Mapping, Union
 
 Scalar = Union[int, Fraction]
@@ -416,10 +419,13 @@ def _u_trim(cs: list[Fraction]) -> list[Fraction]:
     return cs
 
 
-def _u_eval(cs, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(cs):
-        acc = acc * x + c
+def _u_hom(cs, num: int, den: int) -> int:
+    """den^n * p(num / den) for the integer coefficients cs of degree n."""
+    acc = cs[-1]
+    scale = 1
+    for c in cs[-2::-1]:
+        scale *= den
+        acc = acc * num + c * scale
     return acc
 
 
@@ -504,8 +510,17 @@ def _sign(x) -> int:
     return 0 if x == 0 else (1 if x > 0 else -1)
 
 
+def _u_sign(cs, x) -> int:
+    """Sign of the integer-coefficient polynomial cs at the rational x."""
+    return _sign(_u_hom(cs, x.numerator, x.denominator))
+
+
+def _integer_sturm_chain(q) -> list[list[int]]:
+    return [[int(c) for c in cs] for cs in sturm_chain(q)]
+
+
 def _variations(chain, x: Fraction) -> int:
-    signs = [s for s in (_sign(_u_eval(cs, x)) for cs in chain) if s]
+    signs = [s for s in (_u_sign(cs, x) for cs in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -519,7 +534,7 @@ def count_real_roots(p: Polynomial, interval) -> int:
         raise ValueError("root count of the zero polynomial is undefined")
     if len(cs) == 1:
         return 0
-    chain = sturm_chain(_u_squarefree(cs))
+    chain = _integer_sturm_chain(_u_squarefree(cs))
     return _variations(chain, lo) - _variations(chain, hi)
 
 
@@ -640,62 +655,145 @@ def _float_newton(cs, seed: float) -> float | None:
     return x
 
 
-def _refine_tolerance(lo: Fraction, hi: Fraction, digits: int) -> Fraction:
-    m = max(abs(lo), abs(hi))
-    if m == 0:
-        return Fraction(1, 10 ** digits)
-    return Fraction(10) ** (_decimal_exponent(m) - digits)
+def _exact_root(x: Fraction, digits: int) -> RootBracket:
+    return RootBracket(x, x, fraction_to_decimal(x, digits))
 
 
-def _refine_bracket(q, chain, lo: Fraction, hi: Fraction, digits: int) -> RootBracket:
-    """Shrink an isolating interval (lo, hi] of squarefree q to `digits`."""
-    s_hi = _sign(_u_eval(q, hi))
+def _shared_denominator(lo: Fraction, hi: Fraction, den: int = 1) -> tuple[int, int, int]:
+    """(L, H, D) with lo = L/D, hi = H/D and den dividing D."""
+    D = lcm(lo.denominator, hi.denominator, den)
+    return lo.numerator * (D // lo.denominator), hi.numerator * (D // hi.denominator), D
+
+
+#: the integer Newton estimate X / 2^p is certified at X -/+ 2^_GUARD_BITS
+_GUARD_BITS = 24
+
+
+def _newton_enclosure(q, lo: Fraction, hi: Fraction, s_lo: int, s_hi: int,
+                      seed: Fraction, digits: int):
+    """(L, H, el, eh, D): lo = L/D, hi = H/D and an enclosure (el/D, eh/D).
+
+    Newton runs on scaled integers X / 2^p from `seed`, p doubling per step up
+    to the bits that resolve 10^-digits at the root's scale plus a guard, and
+    takes one more step at full precision.  The window (X -/+ 2^24) / 2^p,
+    clipped to (lo, hi), is kept only if q has sign s_lo at its left end and
+    s_hi at its right end; the one root of q in (lo, hi) then lies inside it.
+    Otherwise the enclosure is (lo, hi) itself.  The bracket must exclude 0.
+    """
+    # the stop rule's exponent is never below that of min(|lo|, |hi|)
+    smallest = min(abs(lo), abs(hi))
+    bits = max(1, ceil((digits - _decimal_exponent(smallest)) * log2(10)) + _GUARD_BITS + 8)
+    L, H, D = _shared_denominator(lo, hi, 1 << bits)
+    # Newton doubles the bits relative to the root, so plan them relative to
+    # its size; 16 spare bits per level absorb the curvature and rounding
+    size = hi.numerator.bit_length() - hi.denominator.bit_length()
+    width = hi - lo
+    seed_bits = width.denominator.bit_length() - width.numerator.bit_length() + size
+    plan = [bits]
+    while plan[-1] + size > max(seed_bits, 48):
+        plan.append((plan[-1] + size) // 2 + 16 - size)
+    dq = _u_deriv(q)
+    p = max(plan[-1], 0)
+    x = (seed.numerator << p) // seed.denominator
+    for nxt in [*reversed(plan), bits]:
+        nxt = max(nxt, 0)
+        x <<= nxt - p
+        p = nxt
+        slope = _u_hom(dq, x, 1 << p)
+        if slope == 0:
+            return L, H, L, H, D
+        x -= _u_hom(q, x, 1 << p) // slope
+    guard = 1 << _GUARD_BITS
+    el, eh = (x - guard) * (D >> bits), (x + guard) * (D >> bits)
+    if (eh <= L or el >= H
+            or el > L and _sign(_u_hom(q, x - guard, 1 << bits)) != s_lo
+            or eh < H and _sign(_u_hom(q, x + guard, 1 << bits)) != s_hi):
+        return L, H, L, H, D
+    return L, H, max(el, L), min(eh, H), D
+
+
+def _refine_bracket(q, lo: Fraction, hi: Fraction, digits: int) -> RootBracket:
+    """Shrink an isolating interval (lo, hi] of squarefree q to `digits`.
+
+    q has coprime integer coefficients.  Bisection stops once
+    high - low <= 10^(e - digits), e the decimal exponent of max(|low|, |high|).
+    When the bracket is down to 2^-20 of its size, a float Newton root is
+    tried as the centre of a narrower bracket, kept only if q changes sign
+    across it, and `_newton_enclosure` certifies a much smaller window around
+    the root.  Bisection then goes on to the end: a midpoint left of the
+    window takes the sign at low, one right of it the sign at high, and only
+    a midpoint inside it is evaluated exactly.  Every sign is therefore
+    exact, and the bracket is the one plain bisection returns.  Endpoints are
+    kept as integer numerators over one denominator.
+    """
+    s_hi = _u_sign(q, hi)
     if s_hi == 0:
-        return RootBracket(hi, hi, fraction_to_decimal(hi, digits))
-    s_lo = _sign(_u_eval(q, lo))
+        return _exact_root(hi, digits)
+    s_lo = _u_sign(q, lo)
     while s_lo == 0:
         # lo is a root of q outside (lo, hi]; walk inward until signs split
         mid = (lo + hi) / 2
-        s_mid = _sign(_u_eval(q, mid))
+        s_mid = _u_sign(q, mid)
         if s_mid == 0:
-            return RootBracket(mid, mid, fraction_to_decimal(mid, digits))
+            return _exact_root(mid, digits)
         if s_mid != s_hi:
             lo, s_lo = mid, s_mid
         else:
             hi, s_hi = mid, s_mid
 
+    # lo = L/D, hi = H/D; midpoints strictly inside (el/D, eh/D) are evaluated
+    L, H, D = _shared_denominator(lo, hi)
+    el, eh = L, H
+    exp = None
     tried_newton = False
-    max_iter = 128 + 8 * digits
-    for _ in range(max_iter):
-        target = _refine_tolerance(lo, hi, digits)
-        width = hi - lo
-        if width <= target:
+    for _ in range(128 + 8 * digits):
+        mag = max(abs(L), abs(H))
+        if exp is None or mag * 10 ** max(-exp, 0) < D * 10 ** max(exp, 0):
+            # the bracket was rescaled, or max(|lo|, |hi|) fell below 10^exp;
+            # H - L stays fixed while bisecting, only D doubles
+            exp = _decimal_exponent(Fraction(mag, D))
+            width = (H - L) * 10 ** max(digits - exp, 0)
+            unit = 10 ** max(exp - digits, 0)
+        if width <= D * unit:
             break
-        if not tried_newton and width <= max(abs(lo), abs(hi)) / (1 << 20):
+        if not tried_newton and (H - L) << 20 <= mag:
             tried_newton = True
-            x = _float_newton(q, float((lo + hi) / 2))
+            lo, hi = Fraction(L, D), Fraction(H, D)
+            seed = (lo + hi) / 2
+            x = _float_newton(q, float(seed))
+            jumped = False
             if x is not None:
                 c = Fraction(x)
-                half = max(target, max(abs(lo), abs(hi)) / (1 << 44)) / 2
+                half = max(Fraction(10) ** (exp - digits), Fraction(mag, D << 44)) / 2
                 a, b = c - half, c + half
                 if lo < a and b < hi:
-                    sa = _sign(_u_eval(q, a))
+                    sa = _u_sign(q, a)
                     if sa == 0:
-                        return RootBracket(a, a, fraction_to_decimal(a, digits))
-                    sb = _sign(_u_eval(q, b))
+                        return _exact_root(a, digits)
+                    sb = _u_sign(q, b)
                     if sb == 0:
-                        return RootBracket(b, b, fraction_to_decimal(b, digits))
+                        return _exact_root(b, digits)
                     if sa != sb:
-                        lo, hi, s_lo, s_hi = a, b, sa, sb
-                        continue
-        mid = (lo + hi) / 2
-        s_mid = _sign(_u_eval(q, mid))
-        if s_mid == 0:
-            return RootBracket(mid, mid, fraction_to_decimal(mid, digits))
-        if s_mid == s_lo:
-            lo = mid
+                        lo, hi, s_lo, s_hi, seed, jumped = a, b, sa, sb, c, True
+            L, H, el, eh, D = _newton_enclosure(q, lo, hi, s_lo, s_hi, seed, digits)
+            exp = None
+            if jumped:
+                continue
+        mid = L + H
+        L, H, el, eh, D = L << 1, H << 1, el << 1, eh << 1, D << 1
+        if mid <= el:
+            s_mid = s_lo
+        elif mid >= eh:
+            s_mid = s_hi
         else:
-            hi = mid
+            s_mid = _sign(_u_hom(q, mid, D))
+            if s_mid == 0:
+                return _exact_root(Fraction(mid, D), digits)
+        if s_mid == s_lo:
+            L = mid
+        else:
+            H = mid
+    lo, hi = Fraction(L, D), Fraction(H, D)
     return RootBracket(lo, hi, fraction_to_decimal((lo + hi) / 2, digits))
 
 
@@ -717,8 +815,8 @@ def isolate_real_roots(p: Polynomial, interval, digits: int = 12) -> list[RootBr
         raise ValueError("cannot isolate roots of the zero polynomial")
     if len(cs) == 1:
         return []
-    q = _u_squarefree(cs)
-    chain = sturm_chain(q)
+    q = [int(c) for c in _u_squarefree(cs)]
+    chain = _integer_sturm_chain(q)
     var_cache: dict[Fraction, int] = {}
 
     def variations(x: Fraction) -> int:
@@ -740,4 +838,4 @@ def isolate_real_roots(p: Polynomial, interval, digits: int = 12) -> list[RootBr
         walk(m, b, count - left)
 
     walk(lo, hi, variations(lo) - variations(hi))
-    return [_refine_bracket(q, chain, a, b, digits) for a, b in isolated]
+    return [_refine_bracket(q, a, b, digits) for a, b in isolated]

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, exercised in process through main()."""
 
+import hashlib
 import json
 import math
 
@@ -211,6 +212,16 @@ def test_critical_two_point_json(capsys):
     assert payload["normalized_energy"] == "2.37882482354"
     assert payload["three_times_normalized"] == "7.13647447062"
     assert payload["residual"] == "0.136474470623"
+
+
+def test_critical_deep_json_is_pinned(capsys):
+    # sha256 of the output as plain bisection refined it; any change to
+    # refinement that moves the 310-digit bracket changes these bytes
+    code, out, err = run(capsys, "critical", "--k", "2", "--digits", "310",
+                         "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b3a68bfe9fc272dd59671a9f680fc7983b67ec5db1865e331ac4ae4edf81d19d")
 
 
 def test_critical_table_lists_certificates(capsys):

@@ -75,6 +75,22 @@ def test_critical_bracket_is_sign_certified(builder):
     assert g.eval({var: b.low}) < 0 < g.eval({var: b.high})
 
 
+# 20-digit brackets as plain bisection refined them; a refinement change that
+# moves either bracket fails here
+PINNED_BRACKETS = {
+    page_class: ("346058061380119509884569918729/158456325028528675187087900672",
+                 "173029030690059754942871204677/79228162514264337593543950336"),
+    two_point_class: ("1214045212342527655689911455767/1267650600228229401496703205376",
+                      "607022606171263827845469896321/633825300114114700748351602688"),
+}
+
+
+@pytest.mark.parametrize("builder", [page_class, two_point_class])
+def test_critical_brackets_are_pinned(builder):
+    b = builder(20).critical.bracket
+    assert (str(b.low), str(b.high)) == PINNED_BRACKETS[builder]
+
+
 @pytest.mark.parametrize("builder", [page_class, two_point_class])
 def test_critical_point_is_a_minimum_by_second_derivative(builder):
     rep = builder()

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from extremal_lab import exactpoly
 from extremal_lab.exactpoly import (
     ANY_DEGREE,
     Polynomial,
@@ -362,6 +363,142 @@ def test_isolation_matches_sign_sweep_oracle():
             prev = s
         t += step
     assert sweep_count == len(brackets)
+
+
+# -- refinement against plain bisection -----------------------------------------
+
+def _horner_sign(cs, x: Fraction) -> int:
+    acc = Fraction(0)
+    for c in reversed(cs):
+        acc = acc * x + c
+    return (acc > 0) - (acc < 0)
+
+
+def _plain_refine(q, lo, hi, digits):
+    """Refinement by one Fraction evaluation per bisection step, after one
+    float Newton jump: the reference the certified enclosure must reproduce."""
+    def exact(x):
+        return exactpoly.RootBracket(x, x, fraction_to_decimal(x, digits))
+
+    s_hi = _horner_sign(q, hi)
+    if s_hi == 0:
+        return exact(hi)
+    s_lo = _horner_sign(q, lo)
+    while s_lo == 0:
+        mid = (lo + hi) / 2
+        s_mid = _horner_sign(q, mid)
+        if s_mid == 0:
+            return exact(mid)
+        if s_mid != s_hi:
+            lo, s_lo = mid, s_mid
+        else:
+            hi, s_hi = mid, s_mid
+    tried_newton = False
+    for _ in range(128 + 8 * digits):
+        target = Fraction(10) ** (exactpoly._decimal_exponent(max(abs(lo), abs(hi))) - digits)
+        width = hi - lo
+        if width <= target:
+            break
+        if not tried_newton and width <= max(abs(lo), abs(hi)) / (1 << 20):
+            tried_newton = True
+            x = exactpoly._float_newton(q, float((lo + hi) / 2))
+            if x is not None:
+                c = Fraction(x)
+                half = max(target, max(abs(lo), abs(hi)) / (1 << 44)) / 2
+                a, b = c - half, c + half
+                if lo < a and b < hi:
+                    sa = _horner_sign(q, a)
+                    if sa == 0:
+                        return exact(a)
+                    sb = _horner_sign(q, b)
+                    if sb == 0:
+                        return exact(b)
+                    if sa != sb:
+                        lo, hi, s_lo, s_hi = a, b, sa, sb
+                        continue
+        mid = (lo + hi) / 2
+        s_mid = _horner_sign(q, mid)
+        if s_mid == 0:
+            return exact(mid)
+        if s_mid == s_lo:
+            lo = mid
+        else:
+            hi = mid
+    return exactpoly.RootBracket(lo, hi, fraction_to_decimal((lo + hi) / 2, digits))
+
+
+def _plain_isolate(p, interval, digits):
+    lo, hi = (Fraction(v) for v in interval)
+    q = exactpoly._u_squarefree(exactpoly.univariate_coefficients(p))
+    chain = exactpoly.sturm_chain(q)
+
+    def variations(x):
+        signs = [s for s in (_horner_sign(cs, x) for cs in chain) if s]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    isolated = []
+
+    def walk(a, b, count):
+        if count == 1:
+            isolated.append((a, b))
+        elif count > 1:
+            m = (a + b) / 2
+            left = variations(a) - variations(m)
+            walk(a, m, left)
+            walk(m, b, count - left)
+
+    walk(lo, hi, variations(lo) - variations(hi))
+    return [_plain_refine(q, a, b, digits) for a, b in isolated]
+
+
+# exact dyadic roots, negative ones included; bisection can land on them
+dyadic_roots = st.builds(lambda k, j: Fraction(k, 2 ** j),
+                         st.integers(-40, 40), st.integers(0, 5))
+# roots just off 10^k, where the stop rule's decimal exponent drops mid-run
+near_ten_roots = st.builds(lambda k, s, j: Fraction(10) ** k + Fraction(s, 10 ** j),
+                           st.integers(-1, 2), st.sampled_from((-1, 1)), st.integers(2, 40))
+# x^2 - m: a pair of irrational roots, some of them next to a power of ten
+square_roots = st.one_of(st.integers(2, 2000), near_ten_roots.map(lambda r: r * r))
+
+
+@st.composite
+def refinement_cases(draw):
+    p = Polynomial.constant(draw(st.sampled_from((1, -3, 7))))
+    for r in draw(st.lists(st.one_of(dyadic_roots, near_ten_roots), max_size=3)):
+        p = p * (X - r)
+    for m in draw(st.lists(square_roots, max_size=2)):
+        p = p * (X ** 2 - m)
+    if draw(st.booleans()):
+        # no real roots, but coefficients past float range: the float Newton
+        # jump is never taken and the integer Newton starts from a midpoint
+        p = p * (X ** 2 + 10 ** 350)
+    if p.total_degree() < 1:
+        p = p * (X - Fraction(1, 3))
+    interval = draw(st.sampled_from(((-128, 128), (Fraction(-2000, 3), Fraction(1001, 7)),
+                                     (Fraction(-1, 3), 1000))))
+    return p, interval
+
+
+@pytest.mark.parametrize("digits", [6, 12, 13, 20, 60])
+@settings(max_examples=40, deadline=None)
+@given(case=refinement_cases())
+def test_refinement_matches_plain_bisection(digits, case):
+    p, interval = case
+    assert isolate_real_roots(p, interval, digits) == _plain_isolate(p, interval, digits)
+
+
+def test_newton_enclosure_is_certified_or_the_bracket():
+    q = [-2, 0, 1]  # x^2 - 2
+    lo, hi = Fraction(141, 100), Fraction(142, 100)
+    L, H, el, eh, D = exactpoly._newton_enclosure(q, lo, hi, -1, 1, Fraction(1415, 1000), 30)
+    assert (Fraction(L, D), Fraction(H, D)) == (lo, hi)
+    assert L < el < eh < H
+    assert Fraction(el, D) ** 2 < 2 < Fraction(eh, D) ** 2
+    assert Fraction(eh - el, D) < Fraction(1, 10 ** 31)
+    # a seed in the basin of -sqrt(2) converges outside (lo, hi): no window
+    L, H, el, eh, D = exactpoly._newton_enclosure(q, lo, hi, -1, 1, Fraction(-3, 2), 30)
+    assert (el, eh) == (L, H)
+    assert (Fraction(L, D), Fraction(H, D)) == (lo, hi)
 
 
 # -- decimal formatting --------------------------------------------------------
