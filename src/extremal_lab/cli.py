@@ -38,8 +38,8 @@ ENV_FAULT = "EXTREMAL_LAB_INJECT_FAULT"
 #: the exact work grows faster than linearly in the digits
 MAX_DIGITS = 800
 #: cap on --grid cells per axis.  Peak RSS grows with grid^2; at 1024 scan3
-#: peaked at 118 MiB (table), 360 MiB (csv) and 820 MiB (json) with
-#: Python 3.11 and numpy 2.4 on x86-64 Linux
+#: peaked at 119 MiB for each of table, csv and json (the exports are
+#: streamed row by row) with Python 3.11 and numpy 2.4 on x86-64 Linux
 MAX_GRID = 1024
 
 PI_SQUARED = math.pi ** 2
@@ -318,17 +318,30 @@ def _cell_payload(cell) -> dict:
             "boundary": cell.boundary}
 
 
-def _scan_csv(report) -> str:
-    digits = report.digits
-    lines = ["alpha,delta,value,grad_norm"]
-    for a, d, v, g in report.cells:
-        lines.append(f"{a:.{digits}g},{d:.{digits}g},{v:.{digits}g},{g:.{digits}g}")
-    return "\n".join(lines) + "\n"
+def _scan_csv(report, fh) -> None:
+    """Write the csv export to the open file `fh`, one alpha row at a time.
+
+    Each axis value is formatted once; a row's value and grad_norm cells go
+    through one %-template built for that row.
+    """
+    fmt = f"%.{report.digits}g"
+    fh.write("alpha,delta,value,grad_norm\n")
+    # joining the cells with the row's alpha puts it in front of each of them
+    cells = ["," + fmt % d + f",{fmt},{fmt}\n" for d in report.deltas.tolist()]
+    for alpha, row in zip(report.alphas.tolist(), _interleaved_rows(report)):
+        lead = fmt % alpha
+        fh.write((lead + lead.join(cells)) % row)
 
 
-def _scan_json(report) -> str:
+def _scan_json(report, fh) -> None:
+    """Write the json export to the open file `fh`, one alpha row at a time.
+
+    Everything but "cells" is rendered by json.dumps(indent=2); the cell
+    array follows in the same layout.  Cells are finite, so each prints as
+    float.__repr__, as json writes finite floats.
+    """
     g = report.grid
-    payload = {
+    head = {
         "grid": {
             "alpha_min": g.alpha_min, "alpha_max": g.alpha_max,
             "alpha_count": g.alpha_count, "alpha_spacing": g.alpha_spacing,
@@ -344,9 +357,28 @@ def _scan_json(report) -> str:
              "iterations": z.iterations}
             for z in report.interior_zeros
         ],
-        "cells": [list(row) for row in report.cells],
     }
-    return json.dumps(payload, indent=2) + "\n"
+    # reopen the head's closing "\n}" to append the cell array
+    fh.write(json.dumps(head, indent=2)[:-2] + ',\n  "cells": [\n')
+    # a cell is "    [\n      alpha,\n      delta,\n      value,\n      grad_norm\n    ]"
+    cells = [",\n      " + repr(d) + ",\n      %r,\n      %r\n    ]"
+             for d in report.deltas.tolist()]
+    sep = ""
+    for alpha, row in zip(report.alphas.tolist(), _interleaved_rows(report)):
+        lead = "    [\n      " + repr(alpha)
+        fh.write(sep + (lead + (",\n" + lead).join(cells)) % row)
+        sep = ",\n"
+    fh.write("\n  ]\n}\n")
+
+
+def _interleaved_rows(report):
+    """Per alpha row, the tuple (value, grad_norm, value, grad_norm, ...) of
+    Python floats along delta."""
+    pairs = np.empty(2 * report.deltas.size)
+    for values, grad_norms in zip(report.values, report.grad_norms):
+        pairs[0::2] = values
+        pairs[1::2] = grad_norms
+        yield tuple(pairs.tolist())
 
 
 def _scan_summary(report) -> str:
@@ -396,12 +428,12 @@ def cmd_scan3(args) -> int:
     if args.format == "csv":
         path = args.out or "scan3.csv"
         with open(path, "w", newline="\n") as fh:
-            fh.write(_scan_csv(report))
+            _scan_csv(report, fh)
         note = f"wrote {path} ({args.grid * args.grid} rows)"
     elif args.format == "json":
         path = args.out or "scan3.json"
         with open(path, "w", newline="\n") as fh:
-            fh.write(_scan_json(report))
+            _scan_json(report, fh)
         note = f"wrote {path}"
     summary = _scan_summary(report)
     if args.format == "table" and args.out:

@@ -24,11 +24,13 @@ from .delpezzo import NotKahlerError
 from .exactpoly import (
     RationalFunction,
     RootBracket,
-    _sign,
+    _u_primitive,
+    _u_sign,
     cauchy_root_bound,
     count_real_roots,
     fraction_to_decimal,
     isolate_real_roots,
+    univariate_coefficients,
 )
 
 #: gradient norms below this count as zero candidates on the scan grid
@@ -64,7 +66,8 @@ def critical_points_of(f: RationalFunction, domain=(0, DEFAULT_SEARCH_BOUND),
 
 def _critical_points(f: RationalFunction, domain, digits: int,
                      ratio_offset: Optional[Fraction]):
-    """(f'_num, its critical points): `critical_points_of` with the numerator."""
+    """(f'_num, its critical points, f at each bracket midpoint):
+    `critical_points_of` with the numerator and the exact values."""
     names = sorted(set(f.numerator.variables) | set(f.denominator.variables))
     if len(names) != 1:
         raise ValueError(f"need a univariate function, got variables {names!r}")
@@ -79,11 +82,13 @@ def _critical_points(f: RationalFunction, domain, digits: int,
     if not g:
         raise ValueError("derivative vanishes identically")
     brackets = isolate_real_roots(g, (lo, hi), digits)
+    # g scaled by a positive factor to coprime integers: same signs, integer Horner
+    g_ints = [int(c) for c in _u_primitive(univariate_coefficients(g))]
 
     def g_at(t: Fraction) -> int:
-        return _sign(g.eval({var: t}))
+        return _u_sign(g_ints, t)
 
-    results = []
+    results, values = [], []
     for i, br in enumerate(brackets):
         if br.low < br.high:
             s_left, s_right = g_at(br.low), g_at(br.high)
@@ -103,14 +108,15 @@ def _critical_points(f: RationalFunction, domain, digits: int,
         ratio = None
         if ratio_offset is not None:
             ratio = fraction_to_decimal(mid + ratio_offset, digits)
+        values.append(f.eval({var: mid}))
         results.append(CriticalPointResult(
             variable=var,
             bracket=br,
-            value_at_critical=fraction_to_decimal(f.eval({var: mid}), digits),
+            value_at_critical=fraction_to_decimal(values[-1], digits),
             classification=klass,
             line_to_exceptional_ratio=ratio,
         ))
-    return g, results
+    return g, results, values
 
 
 @dataclass(frozen=True)
@@ -130,16 +136,15 @@ class CriticalClassReport:
 
 
 def _critical_class(k: int, f: RationalFunction, offset: int, digits: int) -> CriticalClassReport:
-    g, results = _critical_points(f, (0, DEFAULT_SEARCH_BOUND), digits, Fraction(offset))
+    g, results, values = _critical_points(f, (0, DEFAULT_SEARCH_BOUND), digits,
+                                          Fraction(offset))
     if len(results) != 1 or results[0].classification != "local-min":
         raise ArithmeticError(f"expected a unique interior minimum, got {results!r}")
     res = results[0]
-    var = res.variable
     bound = cauchy_root_bound(g)
     if bound > DEFAULT_SEARCH_BOUND:
         raise ArithmeticError("truncation bound does not dominate the root bound")
-    mid = res.bracket.midpoint
-    val = f.eval({var: mid})
+    val = values[0]
     resid = energy.gauss_bonnet_residual(k, val)
     return CriticalClassReport(
         k=k,
@@ -240,13 +245,11 @@ class ScanReport:
     @property
     def cells(self) -> list[tuple[float, float, float, float]]:
         """Row-major (alpha outer, delta inner) cell tuples."""
-        out = []
-        for i in range(self.alphas.size):
-            a = float(self.alphas[i])
-            for j in range(self.deltas.size):
-                out.append((a, float(self.deltas[j]),
-                            float(self.values[i, j]), float(self.grad_norms[i, j])))
-        return out
+        deltas = self.deltas.tolist()
+        return [(a, d, v, g)
+                for a, values, grad_norms in zip(self.alphas.tolist(), self.values.tolist(),
+                                                 self.grad_norms.tolist())
+                for d, v, g in zip(deltas, values, grad_norms)]
 
 
 def _geometric_grid(lo: float, hi: float, n: int, anchor: float = 1.0):

@@ -720,9 +720,10 @@ def _refine_bracket(q, lo: Fraction, hi: Fraction, digits: int) -> RootBracket:
     When the bracket is down to 2^-20 of its size, a float Newton root is
     tried as the centre of a narrower bracket, kept only if q changes sign
     across it, and `_newton_enclosure` certifies a much smaller window around
-    the root.  Bisection then goes on to the end: a midpoint left of the
-    window takes the sign at low, one right of it the sign at high, and only
-    a midpoint inside it is evaluated exactly.  Every sign is therefore
+    the root; when it cannot, it is tried once more from the midpoint after
+    20 further halvings.  Bisection then goes on to the end: a midpoint left
+    of the window takes the sign at low, one right of it the sign at high,
+    and only a midpoint inside it is evaluated exactly.  Every sign is therefore
     exact, and the bracket is the one plain bisection returns.  Endpoints are
     kept as integer numerators over one denominator.
     """
@@ -746,6 +747,7 @@ def _refine_bracket(q, lo: Fraction, hi: Fraction, digits: int) -> RootBracket:
     el, eh = L, H
     exp = None
     tried_newton = False
+    retry_in = None  # bisection steps until an uncertified enclosure is retried
     for _ in range(128 + 8 * digits):
         mag = max(abs(L), abs(H))
         if exp is None or mag * 10 ** max(-exp, 0) < D * 10 ** max(exp, 0):
@@ -777,8 +779,18 @@ def _refine_bracket(q, lo: Fraction, hi: Fraction, digits: int) -> RootBracket:
                         lo, hi, s_lo, s_hi, seed, jumped = a, b, sa, sb, c, True
             L, H, el, eh, D = _newton_enclosure(q, lo, hi, s_lo, s_hi, seed, digits)
             exp = None
+            if (el, eh) == (L, H):
+                # Newton went to a root just outside the bracket; retry once
+                # the bracket is 2^20 times smaller, so that root lies
+                # relatively farther from the seed
+                retry_in = 20
             if jumped:
                 continue
+        elif retry_in == 0:
+            retry_in = None
+            lo, hi = Fraction(L, D), Fraction(H, D)
+            L, H, el, eh, D = _newton_enclosure(q, lo, hi, s_lo, s_hi, (lo + hi) / 2, digits)
+            exp = None
         mid = L + H
         L, H, el, eh, D = L << 1, H << 1, el << 1, eh << 1, D << 1
         if mid <= el:
@@ -793,6 +805,8 @@ def _refine_bracket(q, lo: Fraction, hi: Fraction, digits: int) -> RootBracket:
             L = mid
         else:
             H = mid
+        if retry_in:
+            retry_in -= 1
     lo, hi = Fraction(L, D), Fraction(H, D)
     return RootBracket(lo, hi, fraction_to_decimal((lo + hi) / 2, digits))
 

@@ -4,9 +4,11 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from extremal_lab import cli
+from extremal_lab.critical import GridSpec, PolishedZero, ScanCell, ScanReport
 
 EXPECTED_RECORD_NAMES = [
     "energy identity residual",
@@ -318,6 +320,113 @@ def test_scan3_grid_cap_refused_before_scanning(capsys, monkeypatch):
     code, out, err = run(capsys, "scan3", "--grid", str(cli.MAX_GRID + 1))
     assert code == 2
     assert err.startswith("error:") and "--grid" in err
+
+
+# -- scan3 export streaming ------------------------------------------------------
+#
+# The exporters write one alpha row at a time.  These oracles are the earlier
+# string-building exporters, kept to pin the layout byte for byte.
+
+def _oracle_scan_csv(report) -> str:
+    digits = report.digits
+    lines = ["alpha,delta,value,grad_norm"]
+    for a, d, v, g in report.cells:
+        lines.append(f"{a:.{digits}g},{d:.{digits}g},{v:.{digits}g},{g:.{digits}g}")
+    return "\n".join(lines) + "\n"
+
+
+def _oracle_scan_json(report) -> str:
+    g = report.grid
+    payload = {
+        "grid": {
+            "alpha_min": g.alpha_min, "alpha_max": g.alpha_max,
+            "alpha_count": g.alpha_count, "alpha_spacing": g.alpha_spacing,
+            "delta_min": g.delta_min, "delta_max": g.delta_max,
+            "delta_count": g.delta_count, "delta_spacing": g.delta_spacing,
+        },
+        "digits": report.digits,
+        "global_min": cli._cell_payload(report.global_min),
+        "minima": [cli._cell_payload(c) for c in report.minima],
+        "interior_zeros": [
+            {"cell": cli._cell_payload(z.cell), "alpha": z.alpha, "delta": z.delta,
+             "grad_norm": z.grad_norm, "converged": z.converged,
+             "iterations": z.iterations}
+            for z in report.interior_zeros
+        ],
+        "cells": [list(row) for row in report.cells],
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+#: floats whose repr or %g form is easy to get wrong
+AWKWARD_FLOATS = (-0.0, 5e-324, 1e16, 1e-7, 2.0)
+
+
+def _hand_built_report(na: int, nd: int, digits: int, seed: int) -> ScanReport:
+    rng = np.random.default_rng(seed)
+    alphas = np.sort(rng.uniform(0.05, 20.0, na))
+    alphas[0] = 1e-7
+    deltas = np.linspace(0.0, 10.0, nd)
+    deltas[0] = -0.0
+    values = rng.uniform(-1e3, 1e3, (na, nd)) * 10.0 ** rng.integers(-30, 30, (na, nd))
+    grad_norms = rng.uniform(0.0, 5.0, (na, nd))
+    # every shape, 2x2 included, gets each awkward float in a value or gradient cell
+    k = min(values.size, len(AWKWARD_FLOATS))
+    values.ravel()[:k] = AWKWARD_FLOATS[:k]
+    grad_norms.ravel()[-k:] = AWKWARD_FLOATS[::-1][:k]
+
+    def cell(i, j):
+        return ScanCell(i=i, j=j, alpha=float(alphas[i]), delta=float(deltas[j]),
+                        value=float(values[i, j]), grad_norm=float(grad_norms[i, j]),
+                        boundary=j == 0)
+
+    minima = (cell(0, 0), cell(na - 1, nd - 1), cell(na // 2, 1))
+    zeros = (PolishedZero(cell=cell(1, 1), alpha=1.0000000000000002, delta=5e-324,
+                          grad_norm=1e-16, converged=True, iterations=3),
+             PolishedZero(cell=cell(0, nd - 1), alpha=-0.0, delta=1e16,
+                          grad_norm=2.0, converged=False, iterations=40))
+    grid = GridSpec(alpha_min=float(alphas[0]), alpha_max=float(alphas[-1]),
+                    alpha_count=na, alpha_spacing="geometric",
+                    delta_min=0.0, delta_max=10.0, delta_count=nd,
+                    delta_spacing="linear")
+    return ScanReport(grid=grid, alphas=alphas, deltas=deltas, values=values,
+                      grad_norms=grad_norms, minima=minima, global_min=minima[0],
+                      interior_zeros=zeros, digits=digits)
+
+
+@pytest.mark.parametrize("digits", [6, 17])
+@pytest.mark.parametrize("shape", [(2, 2), (2, 9), (9, 2), (5, 7)])
+def test_streamed_exports_match_string_oracle(tmp_path, shape, digits):
+    report = _hand_built_report(*shape, digits=digits, seed=shape[0] * 10 + shape[1])
+    for name, write, oracle in (("cells.csv", cli._scan_csv, _oracle_scan_csv),
+                                ("cells.json", cli._scan_json, _oracle_scan_json)):
+        path = tmp_path / name
+        with open(path, "w", newline="\n") as fh:
+            write(report, fh)
+        assert path.read_bytes() == oracle(report).encode()
+    payload = json.loads((tmp_path / "cells.json").read_text())
+    assert len(payload["interior_zeros"]) == 2 and len(payload["minima"]) == 3
+
+
+# sha256 of the exports as the string-building exporters wrote them
+SCAN3_EXPORT_SHA256 = {
+    ("csv", ()): "fbbaee4afbf88c4246a2aa03046f5f0eae1cfb3fee1124866cf4a6824163cff3",
+    ("json", ()): "83efbb55894121eb948e8bebd686fe8ced3074c5f0d9921761f812ed662fb96f",
+    ("csv", "seeded"): "1ca5038c10d98759ba41f75b1164c44231c2d60f7452d1a4d0485f9f7cf27176",
+    ("json", "seeded"): "c41fae63eae05b1f96655975b3910773e7038087cfd08da67cb493c5b5287a50",
+}
+#: a window drawn like the benchmark's seeded scan windows
+SEEDED_WINDOW = ("--alpha-min", "0.3303", "--alpha-max", "16.13", "--delta-max", "8.362")
+
+
+@pytest.mark.parametrize("fmt, window", list(SCAN3_EXPORT_SHA256))
+def test_scan3_exports_are_pinned(capsys, tmp_path, fmt, window):
+    path = tmp_path / f"cells.{fmt}"
+    argv = SEEDED_WINDOW if window else ()
+    code, out, err = run(capsys, "scan3", "--grid", "37", *argv, "--format", fmt,
+                         "--out", str(path))
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SCAN3_EXPORT_SHA256[fmt, window]
 
 
 # -- parser -------------------------------------------------------------------

@@ -242,6 +242,16 @@ def test_scan_cells_are_row_major():
     assert [c[1] for c in cells[:4]] == report.deltas.tolist()
 
 
+def test_scan_cells_match_indexed_lookup():
+    report = scan_three_point(grid_counts=(6, 5))
+    expected = [(float(report.alphas[i]), float(report.deltas[j]),
+                 float(report.values[i, j]), float(report.grad_norms[i, j]))
+                for i in range(6) for j in range(5)]
+    cells = report.cells
+    assert cells == expected
+    assert all(type(x) is float for cell in cells for x in cell)
+
+
 def test_scan_grid_values_match_exact_evaluation():
     report = scan_three_point(grid_counts=(7, 7))
     i, j = 3, 5

@@ -501,6 +501,26 @@ def test_newton_enclosure_is_certified_or_the_bracket():
     assert (Fraction(L, D), Fraction(H, D)) == (lo, hi)
 
 
+def test_uncertified_enclosure_is_retried(monkeypatch):
+    # roots 10 -/+ 10^-5: the first enclosure of the lower root certifies no
+    # window; the retry from the midpoint of a bracket 2^20 times smaller does
+    calls = []
+    enclosure = exactpoly._newton_enclosure
+
+    def recording(q, lo, hi, *args):
+        L, H, el, eh, D = enclosure(q, lo, hi, *args)
+        calls.append((lo, hi, (el, eh) != (L, H)))
+        return L, H, el, eh, D
+
+    monkeypatch.setattr(exactpoly, "_newton_enclosure", recording)
+    p = (X - (10 - Fraction(1, 10 ** 5))) * (X - (10 + Fraction(1, 10 ** 5)))
+    interval = (Fraction(-1, 3), 1000)
+    assert isolate_real_roots(p, interval, 60) == _plain_isolate(p, interval, 60)
+    (lo0, hi0, certified0), (lo1, hi1, certified1) = calls[:2]
+    assert not certified0 and certified1
+    assert lo0 <= lo1 < hi1 <= hi0 and (hi1 - lo1) * 2 ** 20 <= hi0 - lo0
+
+
 # -- decimal formatting --------------------------------------------------------
 
 @pytest.mark.parametrize("value, digits, expected", [
