@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
 from . import __version__, critical, energy
 from .delpezzo import (
     HexagonParams,
@@ -33,7 +31,7 @@ from .exactpoly import Polynomial, fraction_to_decimal
 
 ENV_FAULT = "EXTREMAL_LAB_INJECT_FAULT"
 
-#: cap on --digits.  At 800, verify took 0.35 s and critical --k 2 0.33 s end
+#: cap on --digits.  At 800, verify took 0.18 s and critical --k 2 0.12 s end
 #: to end (Python 3.11, x86-64 Linux), mostly interpreter start and imports;
 #: the exact work grows faster than linearly in the digits
 MAX_DIGITS = 800
@@ -328,7 +326,7 @@ def _scan_csv(report, fh) -> None:
     fh.write("alpha,delta,value,grad_norm\n")
     # joining the cells with the row's alpha puts it in front of each of them
     cells = ["," + fmt % d + f",{fmt},{fmt}\n" for d in report.deltas.tolist()]
-    for alpha, row in zip(report.alphas.tolist(), _interleaved_rows(report)):
+    for alpha, row in zip(report.alphas.tolist(), report.interleaved_rows()):
         lead = fmt % alpha
         fh.write((lead + lead.join(cells)) % row)
 
@@ -364,21 +362,11 @@ def _scan_json(report, fh) -> None:
     cells = [",\n      " + repr(d) + ",\n      %r,\n      %r\n    ]"
              for d in report.deltas.tolist()]
     sep = ""
-    for alpha, row in zip(report.alphas.tolist(), _interleaved_rows(report)):
+    for alpha, row in zip(report.alphas.tolist(), report.interleaved_rows()):
         lead = "    [\n      " + repr(alpha)
         fh.write(sep + (lead + (",\n" + lead).join(cells)) % row)
         sep = ",\n"
     fh.write("\n  ]\n}\n")
-
-
-def _interleaved_rows(report):
-    """Per alpha row, the tuple (value, grad_norm, value, grad_norm, ...) of
-    Python floats along delta."""
-    pairs = np.empty(2 * report.deltas.size)
-    for values, grad_norms in zip(report.values, report.grad_norms):
-        pairs[0::2] = values
-        pairs[1::2] = grad_norms
-        yield tuple(pairs.tolist())
 
 
 def _scan_summary(report) -> str:
@@ -415,26 +403,25 @@ def cmd_scan3(args) -> int:
         raise UsageError("alpha range must satisfy 0 < --alpha-min < --alpha-max")
     if args.delta_max <= 0:
         raise UsageError("--delta-max must be positive")
-    report = critical.scan_three_point(
+    from . import scan  # the only command that needs numpy
+
+    report = scan.scan_three_point(
         alpha_range=(args.alpha_min, args.alpha_max),
         delta_range=(0.0, args.delta_max),
         grid_counts=(args.grid, args.grid),
         digits=args.digits,
     )
-    if not (np.isfinite(report.values).all() and np.isfinite(report.grad_norms).all()):
+    if not report.finite:
         raise UsageError("the scan overflows float64 on this window; "
                          "lower --alpha-max or --delta-max")
     note = None
-    if args.format == "csv":
-        path = args.out or "scan3.csv"
+    if args.format != "table":
+        path = args.out or f"scan3.{args.format}"
         with open(path, "w", newline="\n") as fh:
-            _scan_csv(report, fh)
-        note = f"wrote {path} ({args.grid * args.grid} rows)"
-    elif args.format == "json":
-        path = args.out or "scan3.json"
-        with open(path, "w", newline="\n") as fh:
-            _scan_json(report, fh)
+            (_scan_csv if args.format == "csv" else _scan_json)(report, fh)
         note = f"wrote {path}"
+        if args.format == "csv":
+            note += f" ({args.grid * args.grid} rows)"
     summary = _scan_summary(report)
     if args.format == "table" and args.out:
         with open(args.out, "w", newline="\n") as fh:
@@ -499,10 +486,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

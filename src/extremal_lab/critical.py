@@ -1,26 +1,19 @@
-"""Certified critical classes and the three-point slice scan.
+"""Certified critical classes of the one- and two-point energies.
 
-The one- and two-point energies get exact treatment: their derivative
-numerators are isolated with Sturm certificates on (0, 10^4], the Cauchy
-bound showing no root can exceed the truncation.  The three-point slice is
-explored numerically on a grid (beta gauged to 1 by homogeneity); grid-level
-gradient zeros, were any to appear, are polished by Newton iteration with
-exact derivatives.  The scan corroborates the absence of interior critical
-classes at grid resolution; it is not a proof.
+Their derivative numerators are isolated with Sturm certificates on
+(0, 10^4], the Cauchy bound showing no root can exceed the truncation, and
+refined in exact arithmetic.  The exact gradient of the three-point slice
+energy is here as well; the float scan of that slice is in `scan`.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
-from . import _kernels, energy
-from .delpezzo import NotKahlerError
+from . import energy
 from .exactpoly import (
     RationalFunction,
     RootBracket,
@@ -33,8 +26,6 @@ from .exactpoly import (
     univariate_coefficients,
 )
 
-#: gradient norms below this count as zero candidates on the scan grid
-ZERO_GRAD_THRESHOLD = 1e-9
 #: truncation of (0, infinity) domains; certified by the Cauchy root bound
 DEFAULT_SEARCH_BOUND = 10 ** 4
 
@@ -84,20 +75,16 @@ def _critical_points(f: RationalFunction, domain, digits: int,
     brackets = isolate_real_roots(g, (lo, hi), digits)
     # g scaled by a positive factor to coprime integers: same signs, integer Horner
     g_ints = [int(c) for c in _u_primitive(univariate_coefficients(g))]
-
-    def g_at(t: Fraction) -> int:
-        return _u_sign(g_ints, t)
-
     results, values = [], []
     for i, br in enumerate(brackets):
         if br.low < br.high:
-            s_left, s_right = g_at(br.low), g_at(br.high)
+            s_left, s_right = _u_sign(g_ints, br.low), _u_sign(g_ints, br.high)
         else:
             # exact rational root: probe halfway toward the neighbors
             left_ref = brackets[i - 1].high if i else lo
             right_ref = brackets[i + 1].low if i + 1 < len(brackets) else hi
-            s_left = g_at((left_ref + br.low) / 2)
-            s_right = g_at((br.high + right_ref) / 2)
+            s_left = _u_sign(g_ints, (left_ref + br.low) / 2)
+            s_right = _u_sign(g_ints, (br.high + right_ref) / 2)
         if s_left < 0 < s_right:
             klass = "local-min"
         elif s_left > 0 > s_right:
@@ -183,206 +170,10 @@ def _grad_polys():
 
 def gradient(alpha, beta, delta) -> tuple[Fraction, Fraction]:
     """Exact (d/d alpha, d/d delta) of the normalized energy at fixed beta."""
-    violation = energy.slice_kahler_violation(alpha, beta, delta)
-    if violation is not None:
-        raise NotKahlerError(f"class is not Kahler: {violation}")
-    point = {"alpha": Fraction(alpha), "beta": Fraction(beta), "delta": Fraction(delta)}
+    alpha, beta, delta = energy._require_slice_kahler(alpha, beta, delta)
+    point = {"alpha": alpha, "beta": beta, "delta": delta}
     n, d, n_a, d_a, n_d, d_d = _grad_polys()
     nv, dv = n.eval(point), d.eval(point)
     return ((n_a.eval(point) * dv - nv * d_a.eval(point)) / dv ** 2,
             (n_d.eval(point) * dv - nv * d_d.eval(point)) / dv ** 2)
 
-
-# -- three-point slice scan ---------------------------------------------------
-
-@dataclass(frozen=True)
-class GridSpec:
-    alpha_min: float
-    alpha_max: float
-    alpha_count: int
-    alpha_spacing: str
-    delta_min: float
-    delta_max: float
-    delta_count: int
-    delta_spacing: str
-
-
-@dataclass(frozen=True)
-class ScanCell:
-    i: int
-    j: int
-    alpha: float
-    delta: float
-    value: float
-    grad_norm: float
-    boundary: bool  # lies on the delta = 0 edge of the fundamental domain
-
-
-@dataclass(frozen=True)
-class PolishedZero:
-    """A grid zero candidate after Newton polishing with exact derivatives."""
-
-    cell: ScanCell
-    alpha: float
-    delta: float
-    grad_norm: float
-    converged: bool
-    iterations: int
-
-
-@dataclass(frozen=True, eq=False)
-class ScanReport:
-    grid: GridSpec
-    alphas: np.ndarray
-    deltas: np.ndarray
-    values: np.ndarray
-    grad_norms: np.ndarray
-    minima: tuple[ScanCell, ...]
-    global_min: ScanCell
-    interior_zeros: tuple[PolishedZero, ...]
-    digits: int
-
-    @property
-    def cells(self) -> list[tuple[float, float, float, float]]:
-        """Row-major (alpha outer, delta inner) cell tuples."""
-        deltas = self.deltas.tolist()
-        return [(a, d, v, g)
-                for a, values, grad_norms in zip(self.alphas.tolist(), self.values.tolist(),
-                                                 self.grad_norms.tolist())
-                for d, v, g in zip(deltas, values, grad_norms)]
-
-
-def _geometric_grid(lo: float, hi: float, n: int, anchor: float = 1.0):
-    """Geometric grid with exact endpoints; the point nearest `anchor` is
-    snapped to it when the anchor lies inside the range, so the distinguished
-    class sits on a grid node exactly."""
-    grid = np.exp(np.linspace(math.log(lo), math.log(hi), n))
-    grid[0], grid[-1] = lo, hi
-    anchored = False
-    if lo < anchor < hi:
-        grid[int(np.argmin(np.abs(grid - anchor)))] = anchor
-        anchored = True
-    return grid, anchored
-
-
-@functools.cache
-def _term_tables() -> tuple[np.ndarray, ...]:
-    """Read-only coefficient matrices of the beta = 1 slice polynomials (n, d
-    and their alpha and delta partials); entry [i, j] multiplies
-    alpha^i delta^j.  Every coefficient is an integer below 2^53, so float64
-    holds it exactly."""
-    matrices = []
-    for p in _grad_polys():
-        q = p.substitute({"beta": 1})
-        assert q.variables == ("alpha", "delta")
-        c = np.zeros((_kernels.POWERS, _kernels.POWERS))
-        for (i, j), coef in q.terms.items():
-            assert coef.denominator == 1 and abs(coef.numerator) < 2 ** 53
-            c[i, j] = coef.numerator
-        c.flags.writeable = False
-        matrices.append(c)
-    return tuple(matrices)
-
-
-@functools.cache
-def _hessian_pieces():
-    v = energy.energy_closed_form().quotient.substitute({"beta": 1})
-    v_a = v.derivative("alpha")
-    v_d = v.derivative("delta")
-    return (v_a, v_d, v_a.derivative("alpha"),
-            v_a.derivative("delta"), v_d.derivative("delta"))
-
-
-def polish_interior_zero(alpha0: float, delta0: float,
-                         max_iter: int = 40, tol: float = 1e-13):
-    """Newton-polish a gradient-zero candidate using exact derivatives.
-
-    Returns (alpha, delta, grad_norm, converged, iterations).  Derivatives
-    and the Hessian are evaluated exactly at the float iterate, so the only
-    approximation is the float step itself.
-    """
-    v_a, v_d, v_aa, v_ad, v_dd = _hessian_pieces()
-    a, d = float(alpha0), float(delta0)
-    norm = math.inf
-    for it in range(max_iter):
-        if not (math.isfinite(a) and math.isfinite(d)):
-            break
-        point = {"alpha": Fraction(a), "delta": Fraction(d)}
-        try:
-            ga, gd = float(v_a.eval(point)), float(v_d.eval(point))
-            norm = math.hypot(ga, gd)
-            if norm < tol:
-                return a, d, norm, True, it
-            haa = float(v_aa.eval(point))
-            had = float(v_ad.eval(point))
-            hdd = float(v_dd.eval(point))
-        except ZeroDivisionError:
-            break
-        det = haa * hdd - had * had
-        if det == 0 or not math.isfinite(det):
-            break
-        a -= (ga * hdd - gd * had) / det
-        d -= (gd * haa - ga * had) / det
-    return a, d, norm, norm < tol, max_iter
-
-
-def scan_three_point(alpha_range=(0.05, 20.0), delta_range=(0.0, 10.0),
-                     grid_counts=(200, 200), digits: int = 12) -> ScanReport:
-    """Grid scan of the normalized energy on the slice, beta gauged to 1.
-
-    alpha runs geometrically (anchored so alpha = 1 is a grid node when in
-    range), delta linearly from its minimum.  Reports strict 8-neighbor
-    local minima, the global minimum cell, and any interior (delta > 0)
-    cells whose gradient norm falls below ZERO_GRAD_THRESHOLD, each polished
-    by exact-derivative Newton iteration.
-    """
-    amin, amax = (float(v) for v in alpha_range)
-    dmin, dmax = (float(v) for v in delta_range)
-    na, nd = (int(c) for c in grid_counts)
-    if not all(math.isfinite(v) for v in (amin, amax, dmin, dmax)):
-        raise ValueError("alpha and delta ranges must be finite")
-    if not (0 < amin < amax):
-        raise ValueError("alpha range must satisfy 0 < min < max")
-    if not (0 <= dmin < dmax):
-        raise ValueError("delta range must satisfy 0 <= min < max")
-    if na < 2 or nd < 2:
-        raise ValueError("grid counts must be >= 2")
-
-    alphas, anchored = _geometric_grid(amin, amax, na)
-    deltas = np.linspace(dmin, dmax, nd)
-    values, grad_norms = _kernels.scan_eval(alphas, deltas, _term_tables())
-
-    def cell(i: int, j: int) -> ScanCell:
-        return ScanCell(i=int(i), j=int(j),
-                        alpha=float(alphas[i]), delta=float(deltas[j]),
-                        value=float(values[i, j]), grad_norm=float(grad_norms[i, j]),
-                        boundary=bool(deltas[j] == 0.0))
-
-    pad = np.full((na + 2, nd + 2), np.inf)
-    pad[1:-1, 1:-1] = values
-    strict = np.ones((na, nd), dtype=bool)
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if di == 0 and dj == 0:
-                continue
-            strict &= values < pad[1 + di:1 + di + na, 1 + dj:1 + dj + nd]
-    minima = tuple(cell(i, j) for i, j in np.argwhere(strict))
-
-    flat = int(np.argmin(values))
-    global_min = cell(*divmod(flat, nd))
-
-    zeros = []
-    for i, j in np.argwhere((grad_norms < ZERO_GRAD_THRESHOLD) & (deltas[None, :] > 0)):
-        c = cell(i, j)
-        a, d, norm, converged, iters = polish_interior_zero(c.alpha, c.delta)
-        zeros.append(PolishedZero(cell=c, alpha=a, delta=d, grad_norm=norm,
-                                  converged=converged, iterations=iters))
-
-    spacing = "geometric (anchored at 1)" if anchored else "geometric"
-    grid = GridSpec(alpha_min=amin, alpha_max=amax, alpha_count=na,
-                    alpha_spacing=spacing,
-                    delta_min=dmin, delta_max=dmax, delta_count=nd,
-                    delta_spacing="linear")
-    return ScanReport(grid=grid, alphas=alphas, deltas=deltas, values=values,
-                      grad_norms=grad_norms, minima=minima, global_min=global_min,
-                      interior_zeros=tuple(zeros), digits=digits)

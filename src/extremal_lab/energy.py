@@ -204,22 +204,27 @@ def solve_unknown_coefficient(numerator: Polynomial | None = None) -> Fraction:
     return c
 
 
+def _blow_down(p: Polynomial, zero: str, var: str, drop: int = 0) -> Polynomial:
+    """The sextic p at `zero` = 0 and the other area 1, in `var` = delta,
+    divided by var^drop.  p is homogeneous, so filtering its exponent tuples
+    is exact, and far cheaper than substitution."""
+    iz, idelta = p.variables.index(zero), p.variables.index("delta")
+    return Polynomial((var,), {(e[idelta] - drop,): c
+                               for e, c in p.terms.items() if e[iz] == 0})
+
+
 def one_point_energy() -> RationalFunction:
-    """Normalized energy of the 1-point surface in x = delta/alpha."""
-    x = Polynomial.variable("x")
-    return RationalFunction(3 * x ** 3 + 16 * x ** 2 + 14 * x + 4,
-                            x * (x ** 2 + 6 * x + 6))
+    """Normalized energy of the 1-point surface in x = delta/alpha: N/D at
+    beta = 0, alpha = 1, with the common factor x^3 removed."""
+    return RationalFunction(_blow_down(_NUMERATOR, "beta", "x", drop=3),
+                            _blow_down(_VARIANCE, "beta", "x", drop=3))
 
 
 def two_point_energy() -> RationalFunction:
-    """Normalized energy of the 2-point surface in y = delta/beta."""
-    y = Polynomial.variable("y")
-    return RationalFunction(
-        3 * y ** 6 + 32 * y ** 5 + 132 * y ** 4 + 280 * y ** 3
-        + 318 * y ** 2 + 176 * y + 32,
-        y ** 6 + 12 * y ** 5 + 54 * y ** 4 + 120 * y ** 3
-        + 138 * y ** 2 + 72 * y + 12,
-    )
+    """Normalized energy of the 2-point surface in y = delta/beta: N/D at
+    alpha = 0, beta = 1."""
+    return RationalFunction(_blow_down(_NUMERATOR, "alpha", "y"),
+                            _blow_down(_VARIANCE, "alpha", "y"))
 
 
 def gauss_bonnet_residual(k: int, normalized_energy):

@@ -14,7 +14,6 @@ from extremal_lab import energy
 from extremal_lab.critical import (
     gradient,
     page_class,
-    scan_three_point,
     two_point_class,
 )
 from extremal_lab.delpezzo import intersect, make_surface
@@ -25,6 +24,7 @@ from extremal_lab.exactpoly import (
     symbols,
     univariate_coefficients,
 )
+from extremal_lab.scan import scan_three_point
 
 TOL8 = Fraction(1, 10 ** 8)
 TOL9 = Fraction(1, 10 ** 9)

@@ -3,12 +3,16 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from extremal_lab import cli
-from extremal_lab.critical import GridSpec, PolishedZero, ScanCell, ScanReport
+from extremal_lab import cli, scan
+from extremal_lab.scan import GridSpec, PolishedZero, ScanCell, ScanReport
 
 EXPECTED_RECORD_NAMES = [
     "energy identity residual",
@@ -282,6 +286,25 @@ def test_scan3_table_summary(capsys):
     assert "interior gradient zeros (delta > 0): none" in out
 
 
+#: a window where the Newton polish of a grid zero candidate walks to delta < 0
+BOUNDARY_WINDOW = ("--grid", "50", "--alpha-min", "0.999", "--alpha-max", "1.001",
+                   "--delta-max", "1e-7")
+
+
+def test_scan3_polish_onto_the_boundary_is_no_interior_zero(capsys, tmp_path):
+    code, out, err = run(capsys, "scan3", *BOUNDARY_WINDOW)
+    assert code == 0
+    assert "interior gradient zeros (delta > 0): none" in out
+    path = tmp_path / "cells.json"
+    code, out, err = run(capsys, "scan3", *BOUNDARY_WINDOW, "--format", "json",
+                         "--out", str(path))
+    assert code == 0
+    payload = json.loads(path.read_text())
+    assert payload["interior_zeros"] == []
+    # the window does have an interior candidate for the polish to reject
+    assert any(d > 0 and g < scan.ZERO_GRAD_THRESHOLD for _, d, _, g in payload["cells"])
+
+
 def test_scan3_is_deterministic(capsys, tmp_path):
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     run(capsys, "scan3", "--grid", "10", "--format", "csv", "--out", str(p1))
@@ -316,7 +339,7 @@ def test_scan3_grid_cap_refused_before_scanning(capsys, monkeypatch):
     def no_scan(*args, **kwargs):
         raise AssertionError("scan ran for an over-cap grid")
 
-    monkeypatch.setattr(cli.critical, "scan_three_point", no_scan)
+    monkeypatch.setattr(scan, "scan_three_point", no_scan)
     code, out, err = run(capsys, "scan3", "--grid", str(cli.MAX_GRID + 1))
     assert code == 2
     assert err.startswith("error:") and "--grid" in err
@@ -455,3 +478,34 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
     out, _ = capsys.readouterr()
     assert out.startswith("extremal-lab")
+
+
+# -- import boundary ----------------------------------------------------------------
+#
+# Only scan3 needs numpy; the exact commands must neither load it nor need it.
+
+#: the directory holding the extremal_lab package under test
+PACKAGE_ROOT = str(Path(cli.__file__).resolve().parents[1])
+RUN_MAIN = "import sys; from extremal_lab.cli import main; sys.exit(main(sys.argv[1:]))"
+BLOCK_NUMPY = "import sys; sys.modules['numpy'] = None; "
+
+
+def _python(code, *argv):
+    path = os.pathsep.join(filter(None, (PACKAGE_ROOT, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+
+
+def test_exact_path_never_imports_numpy():
+    res = _python("import sys, extremal_lab.cli, extremal_lab.critical, extremal_lab.energy; "
+                  "print('numpy' in sys.modules)")
+    assert (res.returncode, res.stdout) == (0, "False\n"), res.stderr
+    for argv in (("verify",), ("critical", "--k", "2"),
+                 ("energy", "--k", "3", "--alpha", "1", "--beta", "1")):
+        plain = _python(RUN_MAIN, *argv)
+        blocked = _python(BLOCK_NUMPY + RUN_MAIN, *argv)
+        assert plain.returncode == blocked.returncode == 0, blocked.stderr
+        assert blocked.stdout == plain.stdout
+    # the block does bite: scan3 cannot run without numpy
+    res = _python(BLOCK_NUMPY + RUN_MAIN, "scan3", "--grid", "2")
+    assert res.returncode != 0 and "numpy" in res.stderr

@@ -6,18 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from extremal_lab import scan
 from extremal_lab.critical import (
     DEFAULT_SEARCH_BOUND,
     critical_points_of,
     gradient,
     page_class,
-    polish_interior_zero,
-    scan_three_point,
     two_point_class,
 )
 from extremal_lab.delpezzo import NotKahlerError
 from extremal_lab.energy import energy_closed_form, one_point_energy, two_point_energy
 from extremal_lab.exactpoly import Polynomial, RationalFunction, symbols
+from extremal_lab.scan import polish_interior_zero, scan_three_point
 
 X, = symbols("x")
 
@@ -270,6 +270,18 @@ def test_scan_range_validation():
         scan_three_point(grid_counts=(1, 8))
     with pytest.raises(ValueError, match="finite"):
         scan_three_point(alpha_range=(0.05, float("inf")), grid_counts=(8, 8))
+
+
+@pytest.mark.parametrize("converged, listed", [(True, False), (False, True)])
+def test_polish_below_delta_zero_is_dropped_only_when_converged(monkeypatch,
+                                                                converged, listed):
+    def polish(alpha0, delta0):
+        return alpha0, -1e-18, 1e-18 if converged else 1.0, converged, 3
+
+    monkeypatch.setattr(scan, "polish_interior_zero", polish)
+    report = scan_three_point(alpha_range=(0.999, 1.001), delta_range=(0.0, 1e-7),
+                              grid_counts=(50, 50))
+    assert bool(report.interior_zeros) is listed
 
 
 def test_newton_polish_converges_to_boundary_minimum():

@@ -174,6 +174,24 @@ def test_two_point_energy_values():
     assert Fraction(g.numerator.eval({"y": 0}), g.denominator.eval({"y": 0})) == Fraction(8, 3)
 
 
+#: the quotients as typed in before they were derived from N/D by blowing
+#: down: (numerator, denominator) coefficients, index = exponent
+ONE_POINT_COEFFICIENTS = ([4, 14, 16, 3], [0, 6, 6, 1])
+TWO_POINT_COEFFICIENTS = ([32, 176, 318, 280, 132, 32, 3],
+                          [12, 72, 138, 120, 54, 12, 1])
+
+
+@pytest.mark.parametrize("quotient, var, pinned", [
+    (one_point_energy, "x", ONE_POINT_COEFFICIENTS),
+    (two_point_energy, "y", TWO_POINT_COEFFICIENTS),
+])
+def test_blown_down_quotients_are_the_pinned_polynomials(quotient, var, pinned):
+    # equal polynomials, not merely proportional ones: Sturm and Newton see these
+    f = quotient()
+    for got, coefficients in zip((f.numerator, f.denominator), pinned):
+        assert got == Polynomial((var,), {(e,): c for e, c in enumerate(coefficients)})
+
+
 def test_slice_consistency_cross_multiplied():
     se = energy_closed_form()
     x, = symbols("x")

@@ -6,9 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from extremal_lab import _kernels
-from extremal_lab.critical import _term_tables, gradient, scan_three_point
+from extremal_lab import scan as _kernels
+from extremal_lab.critical import gradient
 from extremal_lab.energy import energy_closed_form
+from extremal_lab.scan import _term_tables, scan_three_point
 
 #: float64 rounding bound set before measuring: 7x7 products of integer
 #: coefficients below 2^53 lose a few ulps, and the gradient a few more
