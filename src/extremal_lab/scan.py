@@ -4,9 +4,10 @@ module that imports numpy.
 A slice polynomial p(alpha, delta) has degree at most 6 in each variable, so
 it is a 7x7 coefficient matrix C, and its values on the whole grid are one
 product Pa @ C @ Pd^T of increasing Vandermonde matrices of the two axes.
-Grid-level gradient zeros, were any to appear, are polished by Newton
-iteration with exact derivatives.  The scan corroborates the absence of
-interior critical classes at grid resolution; it is not a proof.
+The scan reports the grid's minima and proves nothing: that the slice has
+no critical point with delta > 0 is certified exactly, by a resultant whose
+coefficients never change sign, in tests/test_critical.py
+(`test_slice_gradient_has_no_zero_at_positive_delta`).
 """
 
 from __future__ import annotations
@@ -15,17 +16,13 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from . import energy
 from .critical import _grad_polys
 
 #: powers alpha^0..alpha^6 and delta^0..delta^6 span the slice polynomials
 POWERS = 7
-#: gradient norms below this count as zero candidates on the scan grid
-ZERO_GRAD_THRESHOLD = 1e-9
 
 
 @dataclass(frozen=True)
@@ -51,18 +48,6 @@ class ScanCell:
     boundary: bool  # lies on the delta = 0 edge of the fundamental domain
 
 
-@dataclass(frozen=True)
-class PolishedZero:
-    """A grid zero candidate after Newton polishing with exact derivatives."""
-
-    cell: ScanCell
-    alpha: float
-    delta: float
-    grad_norm: float
-    converged: bool
-    iterations: int
-
-
 @dataclass(frozen=True, eq=False)
 class ScanReport:
     grid: GridSpec
@@ -72,7 +57,6 @@ class ScanReport:
     grad_norms: np.ndarray
     minima: tuple[ScanCell, ...]
     global_min: ScanCell
-    interior_zeros: tuple[PolishedZero, ...]
     digits: int
 
     @property
@@ -150,56 +134,13 @@ def _term_tables() -> tuple[np.ndarray, ...]:
     return tuple(matrices)
 
 
-@functools.cache
-def _hessian_pieces():
-    v = energy.energy_closed_form().quotient.substitute({"beta": 1})
-    v_a, v_d = v.derivative("alpha"), v.derivative("delta")
-    return (v_a, v_d, v_a.derivative("alpha"),
-            v_a.derivative("delta"), v_d.derivative("delta"))
-
-
-def polish_interior_zero(alpha0: float, delta0: float,
-                         max_iter: int = 40, tol: float = 1e-13):
-    """Newton-polish a gradient-zero candidate using exact derivatives.
-
-    Returns (alpha, delta, grad_norm, converged, iterations).  Derivatives
-    and the Hessian are evaluated exactly at the float iterate, so the only
-    approximation is the float step itself.
-    """
-    v_a, v_d, v_aa, v_ad, v_dd = _hessian_pieces()
-    a, d = float(alpha0), float(delta0)
-    norm = math.inf
-    for it in range(max_iter):
-        if not (math.isfinite(a) and math.isfinite(d)):
-            break
-        point = {"alpha": Fraction(a), "delta": Fraction(d)}
-        try:
-            ga, gd = float(v_a.eval(point)), float(v_d.eval(point))
-            norm = math.hypot(ga, gd)
-            if norm < tol:
-                return a, d, norm, True, it
-            haa, had, hdd = (float(h.eval(point)) for h in (v_aa, v_ad, v_dd))
-        except ZeroDivisionError:
-            break
-        det = haa * hdd - had * had
-        if det == 0 or not math.isfinite(det):
-            break
-        a -= (ga * hdd - gd * had) / det
-        d -= (gd * haa - ga * had) / det
-    return a, d, norm, norm < tol, max_iter
-
-
 def scan_three_point(alpha_range=(0.05, 20.0), delta_range=(0.0, 10.0),
                      grid_counts=(200, 200), digits: int = 12) -> ScanReport:
     """Grid scan of the normalized energy on the slice, beta gauged to 1.
 
     alpha runs geometrically (anchored so alpha = 1 is a grid node when in
     range), delta linearly from its minimum.  Reports strict 8-neighbor
-    local minima, the global minimum cell, and any interior (delta > 0)
-    cells whose gradient norm falls below ZERO_GRAD_THRESHOLD, each polished
-    by exact-derivative Newton iteration.  A candidate whose polish converges
-    to delta <= 0 has left the Kahler cone for the boundary and is not an
-    interior zero; unconverged candidates are kept.
+    local minima and the global minimum cell.
     """
     amin, amax = (float(v) for v in alpha_range)
     dmin, dmax = (float(v) for v in delta_range)
@@ -232,15 +173,6 @@ def scan_three_point(alpha_range=(0.05, 20.0), delta_range=(0.0, 10.0),
 
     global_min = cell(*np.unravel_index(np.argmin(values), values.shape))
 
-    zeros = []
-    for i, j in np.argwhere((grad_norms < ZERO_GRAD_THRESHOLD) & (deltas[None, :] > 0)):
-        c = cell(i, j)
-        a, d, norm, converged, iters = polish_interior_zero(c.alpha, c.delta)
-        if converged and d <= 0:
-            continue
-        zeros.append(PolishedZero(cell=c, alpha=a, delta=d, grad_norm=norm,
-                                  converged=converged, iterations=iters))
-
     spacing = "geometric (anchored at 1)" if anchored else "geometric"
     grid = GridSpec(alpha_min=amin, alpha_max=amax, alpha_count=na,
                     alpha_spacing=spacing,
@@ -248,4 +180,4 @@ def scan_three_point(alpha_range=(0.05, 20.0), delta_range=(0.0, 10.0),
                     delta_spacing="linear")
     return ScanReport(grid=grid, alphas=alphas, deltas=deltas, values=values,
                       grad_norms=grad_norms, minima=minima, global_min=global_min,
-                      interior_zeros=tuple(zeros), digits=digits)
+                      digits=digits)

@@ -6,13 +6,16 @@ import math
 import os
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from extremal_lab import cli, scan
-from extremal_lab.scan import GridSpec, PolishedZero, ScanCell, ScanReport
+from extremal_lab import cli, energy, scan
+from extremal_lab.exactpoly import Polynomial
+from extremal_lab.scan import GridSpec, ScanCell, ScanReport
 
 EXPECTED_RECORD_NAMES = [
     "energy identity residual",
@@ -82,7 +85,10 @@ def test_verify_exact_records_report_zero_error(capsys):
 
 
 def test_verify_detects_injected_fault(capsys, monkeypatch):
-    monkeypatch.setenv(cli.ENV_FAULT, "1")
+    # perturb the displayed sextic; the blow-downs drop this beta^4 alpha delta
+    # term, so the one- and two-point records stay untouched
+    bad = energy._NUMERATOR + Polynomial(("alpha", "beta", "delta"), {(1, 4, 1): Fraction(1)})
+    monkeypatch.setattr(energy, "_NUMERATOR", bad)
     code, out, err = run(capsys, "verify", "--format", "json")
     assert code == 1
     by_name = {r["name"]: r for r in json.loads(out)}
@@ -286,7 +292,8 @@ def test_scan3_table_summary(capsys):
     assert "interior gradient zeros (delta > 0): none" in out
 
 
-#: a window where the Newton polish of a grid zero candidate walks to delta < 0
+#: a window at the (1, 0) corner where interior cells have a float gradient
+#: norm below 1e-9, though no gradient zero has delta > 0
 BOUNDARY_WINDOW = ("--grid", "50", "--alpha-min", "0.999", "--alpha-max", "1.001",
                    "--delta-max", "1e-7")
 
@@ -301,8 +308,9 @@ def test_scan3_polish_onto_the_boundary_is_no_interior_zero(capsys, tmp_path):
     assert code == 0
     payload = json.loads(path.read_text())
     assert payload["interior_zeros"] == []
-    # the window does have an interior candidate for the polish to reject
-    assert any(d > 0 and g < scan.ZERO_GRAD_THRESHOLD for _, d, _, g in payload["cells"])
+    # the grid alone would suggest interior zeros; the summary rests on the
+    # exact certificate in test_critical.py instead
+    assert any(d > 0 and g < 1e-9 for _, d, _, g in payload["cells"])
 
 
 def test_scan3_is_deterministic(capsys, tmp_path):
@@ -370,12 +378,7 @@ def _oracle_scan_json(report) -> str:
         "digits": report.digits,
         "global_min": cli._cell_payload(report.global_min),
         "minima": [cli._cell_payload(c) for c in report.minima],
-        "interior_zeros": [
-            {"cell": cli._cell_payload(z.cell), "alpha": z.alpha, "delta": z.delta,
-             "grad_norm": z.grad_norm, "converged": z.converged,
-             "iterations": z.iterations}
-            for z in report.interior_zeros
-        ],
+        "interior_zeros": [],
         "cells": [list(row) for row in report.cells],
     }
     return json.dumps(payload, indent=2) + "\n"
@@ -404,17 +407,13 @@ def _hand_built_report(na: int, nd: int, digits: int, seed: int) -> ScanReport:
                         boundary=j == 0)
 
     minima = (cell(0, 0), cell(na - 1, nd - 1), cell(na // 2, 1))
-    zeros = (PolishedZero(cell=cell(1, 1), alpha=1.0000000000000002, delta=5e-324,
-                          grad_norm=1e-16, converged=True, iterations=3),
-             PolishedZero(cell=cell(0, nd - 1), alpha=-0.0, delta=1e16,
-                          grad_norm=2.0, converged=False, iterations=40))
     grid = GridSpec(alpha_min=float(alphas[0]), alpha_max=float(alphas[-1]),
                     alpha_count=na, alpha_spacing="geometric",
                     delta_min=0.0, delta_max=10.0, delta_count=nd,
                     delta_spacing="linear")
     return ScanReport(grid=grid, alphas=alphas, deltas=deltas, values=values,
                       grad_norms=grad_norms, minima=minima, global_min=minima[0],
-                      interior_zeros=zeros, digits=digits)
+                      digits=digits)
 
 
 @pytest.mark.parametrize("digits", [6, 17])
@@ -428,7 +427,7 @@ def test_streamed_exports_match_string_oracle(tmp_path, shape, digits):
             write(report, fh)
         assert path.read_bytes() == oracle(report).encode()
     payload = json.loads((tmp_path / "cells.json").read_text())
-    assert len(payload["interior_zeros"]) == 2 and len(payload["minima"]) == 3
+    assert payload["interior_zeros"] == [] and len(payload["minima"]) == 3
 
 
 # sha256 of the exports as the string-building exporters wrote them
@@ -470,6 +469,39 @@ def test_bad_rational_flag_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["energy", "--k", "1", "--alpha", "x"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("--k", "3", "--alpha", "1/3", "--beta", "1e2000", "--delta", "7"), "--beta"),
+    (("--k", "1", "--alpha", "1e1000000000", "--delta", "1"), "--alpha"),
+    (("--k", "1", "--alpha", "1", "--delta", "1e-1000000000"), "--delta"),
+    (("--k", "2", "--beta", "7" * (cli.MAX_RATIONAL_DIGITS + 1)), "--beta"),
+])
+def test_oversized_rational_is_refused_before_it_is_built(capsys, argv, flag):
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["energy", *argv])
+    assert time.perf_counter() - start < 1.0
+    assert exc.value.code == 2
+    _, err = capsys.readouterr()
+    assert f"argument {flag}:" in err and "digits" in err
+
+
+def test_rational_cap_boundary(capsys):
+    code, out, err = run(capsys, "energy", "--k", "3", "--alpha", "1",
+                         "--beta", "7" * cli.MAX_RATIONAL_DIGITS)
+    assert code == 0, err
+    code, out, err = run(capsys, "energy", "--k", "3", "--alpha", "1",
+                         "--beta", "1e" + str(cli.MAX_RATIONAL_DIGITS - 5))
+    assert code == 0, err
+
+
+def test_energy_float_overflow_is_refused(capsys):
+    code, out, err = run(capsys, "energy", "--k", "3", "--alpha", "1e190",
+                         "--beta", "1e-190", "--delta", "1e-190")
+    assert code == 2
+    assert err.startswith("error:") and "--alpha" in err
+    assert out == ""
 
 
 def test_version_flag(capsys):

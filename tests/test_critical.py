@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from extremal_lab import scan
 from extremal_lab.critical import (
     DEFAULT_SEARCH_BOUND,
+    _grad_polys,
     critical_points_of,
     gradient,
     page_class,
@@ -17,7 +17,7 @@ from extremal_lab.critical import (
 from extremal_lab.delpezzo import NotKahlerError
 from extremal_lab.energy import energy_closed_form, one_point_energy, two_point_energy
 from extremal_lab.exactpoly import Polynomial, RationalFunction, symbols
-from extremal_lab.scan import polish_interior_zero, scan_three_point
+from extremal_lab.scan import scan_three_point
 
 X, = symbols("x")
 
@@ -200,7 +200,6 @@ def test_scan_finds_boundary_minimum():
     assert m.grad_norm == 0.0
     assert m.boundary
     assert report.minima == (m,)
-    assert report.interior_zeros == ()
 
 
 def test_scan_alpha_grid_is_anchored():
@@ -272,22 +271,120 @@ def test_scan_range_validation():
         scan_three_point(alpha_range=(0.05, float("inf")), grid_counts=(8, 8))
 
 
-@pytest.mark.parametrize("converged, listed", [(True, False), (False, True)])
-def test_polish_below_delta_zero_is_dropped_only_when_converged(monkeypatch,
-                                                                converged, listed):
-    def polish(alpha0, delta0):
-        return alpha0, -1e-18, 1e-18 if converged else 1.0, converged, 3
+# -- no critical point with delta > 0: an exact certificate -------------------------
+#
+# N/D is homogeneous of degree 0, so gauging beta = 1 loses no critical point
+# with beta > 0.  There grad(N/D) = (g_alpha, g_delta) / D^2 with
+# g_alpha = N_a D - N D_a and g_delta = N_d D - N D_d, and D > 0 on the Kahler
+# cone, so a critical point is a common zero of g_alpha and g_delta.  Their
+# resultant in alpha, R(delta), vanishes at every such delta once the leading
+# alpha-coefficients do not; R is built here in pure integer arithmetic.
 
-    monkeypatch.setattr(scan, "polish_interior_zero", polish)
-    report = scan_three_point(alpha_range=(0.999, 1.001), delta_range=(0.0, 1e-7),
-                              grid_counts=(50, 50))
-    assert bool(report.interior_zeros) is listed
+def _slice_gradient_numerators():
+    n, d, n_a, d_a, n_d, d_d = (p.substitute({"beta": 1}) for p in _grad_polys())
+    return n_a * d - n * d_a, n_d * d - n * d_d
 
 
-def test_newton_polish_converges_to_boundary_minimum():
-    a, d, norm, converged, iterations = polish_interior_zero(1.05, 0.02)
-    assert converged
-    assert abs(a - 1) < 1e-9
-    assert abs(d) < 1e-9
-    assert norm < 1e-12
-    assert iterations < 20
+def _alpha_coefficients(p):
+    """p(alpha, delta) as its alpha-coefficients, highest first, each a dict
+    {delta exponent: integer coefficient}."""
+    assert p.variables == ("alpha", "delta")
+    coefficients = [{} for _ in range(max(ea for ea, _ in p.terms) + 1)]
+    for (ea, ed), c in p.terms.items():
+        assert c.denominator == 1
+        coefficients[-1 - ea][ed] = c.numerator
+    return coefficients
+
+
+def _at(coefficient, delta):
+    return sum(c * delta ** e for e, c in coefficient.items())
+
+
+def _sylvester(f, g):
+    """Sylvester matrix of the coefficient lists f and g (highest first)."""
+    m, n = len(f) - 1, len(g) - 1
+    return ([[0] * i + f + [0] * (n - 1 - i) for i in range(n)]
+            + [[0] * i + g + [0] * (m - 1 - i) for i in range(m)])
+
+
+def _bareiss_det(rows):
+    """Determinant of an integer matrix by fraction-free (Bareiss) elimination;
+    every division is exact."""
+    m = [list(r) for r in rows]
+    sign, prev = 1, 1
+    for k in range(len(m) - 1):
+        if m[k][k] == 0:
+            pivot = next((i for i in range(k + 1, len(m)) if m[i][k]), None)
+            if pivot is None:
+                return 0
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, len(m)):
+            for j in range(k + 1, len(m)):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1]
+
+
+def _interpolate(xs, ys):
+    """Coefficients, lowest first, of the polynomial of degree < len(xs)
+    through the points (xs, ys): Newton divided differences, expanded."""
+    newton = [Fraction(y) for y in ys]
+    for k in range(1, len(xs)):
+        for i in range(len(xs) - 1, k - 1, -1):
+            newton[i] = (newton[i] - newton[i - 1]) / (xs[i] - xs[i - k])
+    poly = []
+    for c, x in zip(reversed(newton), reversed(xs)):
+        poly = [a - x * b for a, b in zip([c] + poly, poly + [0])]  # poly * (t - x) + c
+    while len(poly) > 1 and poly[-1] == 0:
+        poly.pop()
+    return poly
+
+
+def _resultant_in_alpha(f, g):
+    """(Res_alpha(f, g) as integer coefficients in delta, lowest first, and the
+    sample points): Sylvester determinants at delta = 1..B+1, interpolated,
+    where B bounds the delta-degree of the determinant."""
+    fa, ga = _alpha_coefficients(f), _alpha_coefficients(g)
+
+    def delta_degree(coefficients):
+        return max(e for c in coefficients for e in c)
+
+    bound = (len(ga) - 1) * delta_degree(fa) + (len(fa) - 1) * delta_degree(ga)
+    points = range(1, bound + 2)
+    dets = [_bareiss_det(_sylvester([_at(c, x) for c in fa], [_at(c, x) for c in ga]))
+            for x in points]
+    coefficients = _interpolate(list(points), dets)
+    assert all(c.denominator == 1 for c in coefficients)
+    return [c.numerator for c in coefficients], points
+
+
+def test_slice_gradient_has_no_zero_at_positive_delta():
+    g_alpha, g_delta = _slice_gradient_numerators()
+    assert g_alpha.total_degree() == g_delta.total_degree() == 11
+    fa, ga = _alpha_coefficients(g_alpha), _alpha_coefficients(g_delta)
+    assert (len(fa) - 1, len(ga) - 1) == (4, 5)
+    lead_alpha, lead_delta = fa[0], ga[0]
+    # the leading alpha-coefficients have no zero with delta > -2
+    d, = symbols("delta")
+    assert lead_alpha == {e: c for (e,), c in (24 * (d + 2) ** 7).terms.items()}
+    assert lead_delta == {e: c for (e,), c in (-24 * (d + 2) ** 6).terms.items()}
+
+    r, points = _resultant_in_alpha(g_alpha, g_delta)
+    assert all(_at(lead_alpha, x) != 0 and _at(lead_delta, x) != 0 for x in points)
+    assert len(r) - 1 == 75
+    assert r[:6] == [0] * 6 and r[6] != 0  # lowest term delta^6: the (1, 0) corner
+    # Descartes: no sign change among the coefficients, so no root delta > 0
+    signs = [c > 0 for c in r if c]
+    assert all(s == signs[0] for s in signs)
+
+
+def test_slice_resultant_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    alpha, delta = sympy.symbols("alpha delta")
+    g_alpha, g_delta = _slice_gradient_numerators()
+    expected = sympy.Poly(sympy.resultant(
+        *(sympy.Poly.from_dict({e: int(c) for e, c in p.terms.items()}, alpha, delta)
+          for p in (g_alpha, g_delta)), alpha), delta)
+    r, _ = _resultant_in_alpha(g_alpha, g_delta)
+    assert r == [int(c) for c in reversed(expected.all_coeffs())]
