@@ -114,63 +114,52 @@ def _csv_text(header, rows) -> str:
 
 def _verify_records(digits: int) -> list[VerificationRecord]:
     internal = max(digits, 12)
-    tol8, tol9 = Fraction(1, 10 ** 8), Fraction(1, 10 ** 9)
     recs: list[VerificationRecord] = []
 
     def dec(x: Fraction) -> str:
         return fraction_to_decimal(x, digits)
 
-    def add(name, expected, computed, err, tol, tol_label):
-        passed = err is not None and err <= tol
+    def add(name, expected, computed, err, tolerance):
+        passed = err is not None and err <= Fraction(tolerance)
         recs.append(VerificationRecord(
             name=name, expected=expected, computed=computed,
             abs_error=None if err is None else dec(err),
-            tolerance=tol_label, passed=passed))
+            tolerance=tolerance, passed=passed))
 
     ok, residual = energy.verify_identity()
     if ok:
-        add("energy identity residual", "0", "0", Fraction(0), Fraction(0), "0")
+        add("energy identity residual", "0", "0", Fraction(0), "0")
     else:
         worst = max(abs(c) for c in residual.terms.values())
         add("energy identity residual", "0",
-            f"nonzero ({len(residual.terms)} terms)", worst, Fraction(0), "0")
+            f"nonzero ({len(residual.terms)} terms)", worst, "0")
 
     try:
         coeff = energy.solve_unknown_coefficient()
-        add("variance coefficient recovery", "276", str(coeff),
-            abs(coeff - 276), Fraction(0), "0")
+        add("variance coefficient recovery", "276", str(coeff), abs(coeff - 276), "0")
     except ValueError:
-        add("variance coefficient recovery", "276", "inconsistent system",
-            None, None, "0")
+        add("variance coefficient recovery", "276", "inconsistent system", None, "0")
 
-    page = critical.page_class(digits=internal)
-    x = page.critical.bracket.midpoint
-    add("one-point critical parameter", "2.183933404", dec(x),
-        abs(x - Fraction("2.183933404")), tol8, "1e-8")
-    add("one-point line/exceptional ratio", "3.183933404", dec(x + 1),
-        abs(x + 1 - Fraction("3.183933404")), tol8, "1e-8")
-
+    x = critical.page_class(digits=internal).critical.bracket.midpoint
     two = critical.two_point_class(digits=internal)
     y = two.critical.bracket.midpoint
-    add("two-point critical parameter", "0.9577128052", dec(y),
-        abs(y - Fraction("0.9577128052")), tol9, "1e-9")
-    add("two-point line/exceptional ratio", "2.9577128052", dec(y + 2),
-        abs(y + 2 - Fraction("2.9577128052")), tol9, "1e-9")
-    three = 3 * two.normalized_energy
-    add("two-point 3 * normalized energy", "7.136474469", dec(three),
-        abs(three - Fraction("7.136474469")), tol8, "1e-8")
-    add("two-point trace-free Ricci deficit", "0.136474469", dec(two.residual),
-        abs(two.residual - Fraction("0.136474469")), tol8, "1e-8")
+    for name, expected, value, tolerance in (
+            ("one-point critical parameter", "2.183933404", x, "1e-8"),
+            ("one-point line/exceptional ratio", "3.183933404", x + 1, "1e-8"),
+            ("two-point critical parameter", "0.9577128052", y, "1e-9"),
+            ("two-point line/exceptional ratio", "2.9577128052", y + 2, "1e-9"),
+            ("two-point 3 * normalized energy", "7.136474469", 3 * two.normalized_energy, "1e-8"),
+            ("two-point trace-free Ricci deficit", "0.136474469", two.residual, "1e-8")):
+        add(name, expected, dec(value), abs(value - Fraction(expected)), tolerance)
 
     anti = energy.energy_composed(1, 1, 0).normalized
-    add("anti-canonical normalized energy", "2", str(anti),
-        abs(anti - 2), Fraction(0), "0")
+    add("anti-canonical normalized energy", "2", str(anti), abs(anti - 2), "0")
 
     for k, expected in ((1, 8), (2, 7), (3, 6)):
         s = make_surface(k)
         got = 2 * s.euler + 3 * s.signature
         add(f"2 chi + 3 tau (k={k})", str(expected), str(got),
-            Fraction(abs(got - expected)), Fraction(0), "0")
+            Fraction(abs(got - expected)), "0")
 
     return recs
 

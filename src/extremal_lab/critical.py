@@ -36,6 +36,7 @@ class CriticalPointResult:
 
     variable: str
     bracket: RootBracket
+    value: Fraction  # f at the bracket midpoint, exactly
     value_at_critical: str
     classification: str  # local-min | local-max | inflection
     line_to_exceptional_ratio: Optional[str] = None
@@ -52,13 +53,6 @@ def critical_points_of(f: RationalFunction, domain=(0, DEFAULT_SEARCH_BOUND),
     sign change of f').  `ratio_offset`, when given, fills the
     line/exceptional ratio field with root + offset.
     """
-    return _critical_points(f, domain, digits, ratio_offset)[1]
-
-
-def _critical_points(f: RationalFunction, domain, digits: int,
-                     ratio_offset: Optional[Fraction]):
-    """(f'_num, its critical points, f at each bracket midpoint):
-    `critical_points_of` with the numerator and the exact values."""
     names = sorted(set(f.numerator.variables) | set(f.denominator.variables))
     if len(names) != 1:
         raise ValueError(f"need a univariate function, got variables {names!r}")
@@ -69,13 +63,13 @@ def _critical_points(f: RationalFunction, domain, digits: int,
     den = f.denominator
     if den.total_degree() >= 1 and count_real_roots(den, (lo, hi)) > 0:
         raise ValueError("denominator has a root inside the domain")
-    g = f.numerator.partial(var) * den - f.numerator * den.partial(var)
+    g = f.derivative(var).numerator
     if not g:
         raise ValueError("derivative vanishes identically")
     brackets = isolate_real_roots(g, (lo, hi), digits)
     # g scaled by a positive factor to coprime integers: same signs, integer Horner
-    g_ints = [int(c) for c in _u_primitive(univariate_coefficients(g))]
-    results, values = [], []
+    g_ints = _u_primitive(univariate_coefficients(g))
+    results = []
     for i, br in enumerate(brackets):
         if br.low < br.high:
             s_left, s_right = _u_sign(g_ints, br.low), _u_sign(g_ints, br.high)
@@ -95,15 +89,16 @@ def _critical_points(f: RationalFunction, domain, digits: int,
         ratio = None
         if ratio_offset is not None:
             ratio = fraction_to_decimal(mid + ratio_offset, digits)
-        values.append(f.eval({var: mid}))
+        value = f.eval({var: mid})
         results.append(CriticalPointResult(
             variable=var,
             bracket=br,
-            value_at_critical=fraction_to_decimal(values[-1], digits),
+            value=value,
+            value_at_critical=fraction_to_decimal(value, digits),
             classification=klass,
             line_to_exceptional_ratio=ratio,
         ))
-    return g, results, values
+    return results
 
 
 @dataclass(frozen=True)
@@ -123,15 +118,14 @@ class CriticalClassReport:
 
 
 def _critical_class(k: int, f: RationalFunction, offset: int, digits: int) -> CriticalClassReport:
-    g, results, values = _critical_points(f, (0, DEFAULT_SEARCH_BOUND), digits,
-                                          Fraction(offset))
+    results = critical_points_of(f, digits=digits, ratio_offset=Fraction(offset))
     if len(results) != 1 or results[0].classification != "local-min":
         raise ArithmeticError(f"expected a unique interior minimum, got {results!r}")
     res = results[0]
-    bound = cauchy_root_bound(g)
+    bound = cauchy_root_bound(f.derivative(res.variable).numerator)
     if bound > DEFAULT_SEARCH_BOUND:
         raise ArithmeticError("truncation bound does not dominate the root bound")
-    val = values[0]
+    val = res.value
     resid = energy.gauss_bonnet_residual(k, val)
     return CriticalClassReport(
         k=k,

@@ -80,30 +80,14 @@ class EnergyBreakdown:
     normalized: Fraction
 
 
-@dataclass(frozen=True)
-class SliceEnergy:
-    """The closed form A|_P / 96 pi^2 = N / D as exact polynomial data."""
-
-    numerator: Polynomial
-    denominator: Polynomial
-    quotient: RationalFunction
-
-
-_SLICE_ENERGY = SliceEnergy(
-    numerator=_NUMERATOR,
-    denominator=_VARIANCE,
-    quotient=RationalFunction(_NUMERATOR, _VARIANCE),
-)
-
-
 def t_variance_poly() -> Polynomial:
     """The variance sextic D(alpha, beta, delta) = 144 pi^2 w^2 Var(t)."""
     return _VARIANCE
 
 
-def energy_closed_form() -> SliceEnergy:
-    """A|_P / 96 pi^2 as a quotient of homogeneous sextics."""
-    return _SLICE_ENERGY
+def energy_closed_form() -> RationalFunction:
+    """A|_P / 96 pi^2 = N / D as a quotient of homogeneous sextics."""
+    return RationalFunction(_NUMERATOR, _VARIANCE)
 
 
 def slice_kahler_violation(alpha, beta, delta) -> Optional[str]:

@@ -2,13 +2,14 @@
 
 Coefficients are `fractions.Fraction`, terms live in a dict keyed by
 exponent tuples, and every ring operation stays exact.  A dense univariate
-layer provides Sturm chains, certified root counting on half-open
-intervals, and bisection brackets whose endpoints remain exact rationals.
-Signs are taken by integer Horner evaluation.  Refinement proposes one
-float Newton bracket, then runs Newton on scaled integers to a root
-enclosure that two exact signs certify; bisection reads the sign of every
-midpoint outside that enclosure from its side, so no float result and no
-unchecked Newton estimate ever decides a bracket.
+layer provides Sturm chains over primitive integer coefficients (built by
+integer pseudo-division), certified root counting on half-open intervals,
+and bisection brackets whose endpoints remain exact rationals.  Signs are
+taken by integer Horner evaluation.  Refinement proposes one float Newton
+bracket, then runs Newton on scaled integers to a root enclosure that two
+exact signs certify; bisection reads the sign of every midpoint outside
+that enclosure from its side, so no float result and no unchecked Newton
+estimate ever decides a bracket.
 """
 
 from __future__ import annotations
@@ -394,8 +395,10 @@ class RationalFunction:
 # -- dense univariate layer --------------------------------------------------
 #
 # Coefficient lists are indexed by exponent and trimmed; [] is the zero
-# polynomial.  Sturm chains are normalized to primitive integer content at
-# every step, which changes no sign anywhere and keeps coefficient growth down.
+# polynomial.  `_u_primitive` turns rational coefficients into coprime
+# integers; everything after it (division, gcd, squarefree part, Sturm chain)
+# stays in integers, normalized to primitive content at every step, which
+# changes no sign anywhere and keeps coefficient growth down.
 
 
 def univariate_coefficients(p: Polynomial) -> list[Fraction]:
@@ -413,7 +416,7 @@ def univariate_coefficients(p: Polynomial) -> list[Fraction]:
     return cs
 
 
-def _u_trim(cs: list[Fraction]) -> list[Fraction]:
+def _u_trim(cs: list) -> list:
     while cs and cs[-1] == 0:
         cs.pop()
     return cs
@@ -429,43 +432,51 @@ def _u_hom(cs, num: int, den: int) -> int:
     return acc
 
 
-def _u_deriv(cs) -> list[Fraction]:
+def _u_deriv(cs: list[int]) -> list[int]:
     return [i * cs[i] for i in range(1, len(cs))]
 
 
-def _u_divmod(num, den):
+def _u_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
+    """Integer pseudo-division: (quot, rem) with s * num = quot * den + rem.
+
+    Each step scales num by |lead(den)| / gcd(top, lead(den)), so s > 0:
+    quot and rem are s times the rational quotient and remainder, and every
+    sign is kept.
+    """
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
     num = list(num)
     if len(num) < len(den):
         return [], _u_trim(num)
-    quot = [Fraction(0)] * (len(num) - len(den) + 1)
+    quot = [0] * (len(num) - len(den) + 1)
     lead = den[-1]
     for i in range(len(num) - len(den), -1, -1):
-        f = num[i + len(den) - 1] / lead
-        if f:
+        top = num[i + len(den) - 1]
+        if top:
+            g = gcd(top, lead)
+            # scale * top == f * lead with scale > 0
+            scale, f = abs(lead) // g, (top if lead > 0 else -top) // g
+            if scale != 1:
+                num = [scale * c for c in num]
+                quot = [scale * c for c in quot]
             quot[i] = f
             for j, dc in enumerate(den):
                 num[i + j] -= f * dc
     return quot, _u_trim(num[: len(den) - 1])
 
 
-def _u_primitive(cs) -> list[Fraction]:
-    """Scale to coprime integer coefficients; signs are preserved."""
+def _u_primitive(cs) -> list[int]:
+    """Scale rational coefficients by a positive factor to coprime integers."""
     cs = _u_trim(list(cs))
     if not cs:
         return []
-    den_lcm = 1
-    for c in cs:
-        den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
-    ints = [int(c * den_lcm) for c in cs]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    return [Fraction(v // g) for v in ints]
+    den = lcm(*(c.denominator for c in cs))
+    ints = [c.numerator * (den // c.denominator) for c in cs]
+    g = gcd(*ints)
+    return [v // g for v in ints]
 
 
-def _u_gcd(a, b) -> list[Fraction]:
+def _u_gcd(a: list[int], b: list[int]) -> list[int]:
     a, b = _u_primitive(a), _u_primitive(b)
     while b:
         _, r = _u_divmod(a, b)
@@ -475,7 +486,7 @@ def _u_gcd(a, b) -> list[Fraction]:
     return a
 
 
-def _u_squarefree(cs) -> list[Fraction]:
+def _u_squarefree(cs: list[int]) -> list[int]:
     """Primitive squarefree part; keeps the sign of the leading coefficient."""
     cs = _u_primitive(cs)
     if len(cs) <= 2:
@@ -488,7 +499,7 @@ def _u_squarefree(cs) -> list[Fraction]:
     return _u_primitive(quot)
 
 
-def sturm_chain(cs) -> list[list[Fraction]]:
+def sturm_chain(cs: list[int]) -> list[list[int]]:
     """Sturm chain (negated-remainder cascade) of a nonzero polynomial."""
     first = _u_primitive(cs)
     if not first:
@@ -510,13 +521,9 @@ def _sign(x) -> int:
     return 0 if x == 0 else (1 if x > 0 else -1)
 
 
-def _u_sign(cs, x) -> int:
+def _u_sign(cs: list[int], x: Fraction) -> int:
     """Sign of the integer-coefficient polynomial cs at the rational x."""
     return _sign(_u_hom(cs, x.numerator, x.denominator))
-
-
-def _integer_sturm_chain(q) -> list[list[int]]:
-    return [[int(c) for c in cs] for cs in sturm_chain(q)]
 
 
 def _variations(chain, x: Fraction) -> int:
@@ -524,17 +531,24 @@ def _variations(chain, x: Fraction) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def count_real_roots(p: Polynomial, interval) -> int:
-    """Number of distinct real roots in the half-open interval (low, high]."""
+def _sturm_setup(p: Polynomial, interval, zero_message: str):
+    """(low, high, q, chain): the interval as fractions, the primitive
+    squarefree part q of p, and its Sturm chain.  A nonzero constant p gives
+    the chain [[1]] or [[-1]], which has no sign variations anywhere."""
     lo, hi = (Fraction(x) for x in interval)
     if lo >= hi:
         raise ValueError(f"degenerate interval: low {lo} >= high {hi}")
     cs = univariate_coefficients(p)
     if not cs:
-        raise ValueError("root count of the zero polynomial is undefined")
-    if len(cs) == 1:
-        return 0
-    chain = _integer_sturm_chain(_u_squarefree(cs))
+        raise ValueError(zero_message)
+    q = _u_squarefree(cs)
+    return lo, hi, q, sturm_chain(q)
+
+
+def count_real_roots(p: Polynomial, interval) -> int:
+    """Number of distinct real roots in the half-open interval (low, high]."""
+    lo, hi, _, chain = _sturm_setup(p, interval,
+                                    "root count of the zero polynomial is undefined")
     return _variations(chain, lo) - _variations(chain, hi)
 
 
@@ -717,15 +731,17 @@ def _refine_bracket(q, lo: Fraction, hi: Fraction, digits: int) -> RootBracket:
 
     q has coprime integer coefficients.  Bisection stops once
     high - low <= 10^(e - digits), e the decimal exponent of max(|low|, |high|).
-    When the bracket is down to 2^-20 of its size, a float Newton root is
-    tried as the centre of a narrower bracket, kept only if q changes sign
-    across it, and `_newton_enclosure` certifies a much smaller window around
-    the root; when it cannot, it is tried once more from the midpoint after
-    20 further halvings.  Bisection then goes on to the end: a midpoint left
-    of the window takes the sign at low, one right of it the sign at high,
-    and only a midpoint inside it is evaluated exactly.  Every sign is therefore
-    exact, and the bracket is the one plain bisection returns.  Endpoints are
-    kept as integer numerators over one denominator.
+    `_newton_enclosure` is tried when the bracket first reaches 2^-20 of its
+    magnitude and certifies a much smaller window around the root.  On that
+    first try only, a float Newton root is tried as the centre of a narrower
+    bracket, kept only if q changes sign across it.  While no window is
+    certified (another root of q lies just outside the bracket), the
+    enclosure is tried again from the midpoint each time the bracket has
+    become 2^20 times smaller than at the last try.  Bisection goes on to the
+    end: a midpoint left of the window takes the sign at low, one right of it
+    the sign at high, and only a midpoint inside it is evaluated exactly.
+    Every sign is therefore exact, and the bracket is the one plain bisection
+    returns.  Endpoints are kept as integer numerators over one denominator.
     """
     s_hi = _u_sign(q, hi)
     if s_hi == 0:
@@ -746,8 +762,7 @@ def _refine_bracket(q, lo: Fraction, hi: Fraction, digits: int) -> RootBracket:
     L, H, D = _shared_denominator(lo, hi)
     el, eh = L, H
     exp = None
-    tried_newton = False
-    retry_in = None  # bisection steps until an uncertified enclosure is retried
+    shift = 20  # the enclosure is tried once (H - L) << shift <= max(|L|, |H|)
     for _ in range(128 + 8 * digits):
         mag = max(abs(L), abs(H))
         if exp is None or mag * 10 ** max(-exp, 0) < D * 10 ** max(exp, 0):
@@ -758,12 +773,12 @@ def _refine_bracket(q, lo: Fraction, hi: Fraction, digits: int) -> RootBracket:
             unit = 10 ** max(exp - digits, 0)
         if width <= D * unit:
             break
-        if not tried_newton and (H - L) << 20 <= mag:
-            tried_newton = True
+        if el <= L and H <= eh and (H - L) << shift <= mag:
+            # no certified window inside the bracket, which is small enough
             lo, hi = Fraction(L, D), Fraction(H, D)
             seed = (lo + hi) / 2
-            x = _float_newton(q, float(seed))
-            jumped = False
+            # the float Newton jump belongs to the first try only
+            x = _float_newton(q, float(seed)) if shift == 20 else None
             if x is not None:
                 c = Fraction(x)
                 half = max(Fraction(10) ** (exp - digits), Fraction(mag, D << 44)) / 2
@@ -776,21 +791,13 @@ def _refine_bracket(q, lo: Fraction, hi: Fraction, digits: int) -> RootBracket:
                     if sb == 0:
                         return _exact_root(b, digits)
                     if sa != sb:
-                        lo, hi, s_lo, s_hi, seed, jumped = a, b, sa, sb, c, True
+                        lo, hi, s_lo, s_hi, seed = a, b, sa, sb, c
             L, H, el, eh, D = _newton_enclosure(q, lo, hi, s_lo, s_hi, seed, digits)
             exp = None
-            if (el, eh) == (L, H):
-                # Newton went to a root just outside the bracket; retry once
-                # the bracket is 2^20 times smaller, so that root lies
-                # relatively farther from the seed
-                retry_in = 20
-            if jumped:
-                continue
-        elif retry_in == 0:
-            retry_in = None
-            lo, hi = Fraction(L, D), Fraction(H, D)
-            L, H, el, eh, D = _newton_enclosure(q, lo, hi, s_lo, s_hi, (lo + hi) / 2, digits)
-            exp = None
+            # if Newton went to a root just outside the bracket, it lies
+            # relatively farther from the seed of the next try
+            shift = (max(abs(L), abs(H)) // (H - L)).bit_length() + 19
+            continue
         mid = L + H
         L, H, el, eh, D = L << 1, H << 1, el << 1, eh << 1, D << 1
         if mid <= el:
@@ -805,8 +812,6 @@ def _refine_bracket(q, lo: Fraction, hi: Fraction, digits: int) -> RootBracket:
             L = mid
         else:
             H = mid
-        if retry_in:
-            retry_in -= 1
     lo, hi = Fraction(L, D), Fraction(H, D)
     return RootBracket(lo, hi, fraction_to_decimal((lo + hi) / 2, digits))
 
@@ -818,19 +823,10 @@ def isolate_real_roots(p: Polynomial, interval, digits: int = 12) -> list[RootBr
     reported once.  Brackets come back in ascending order, each refined until
     high - low <= 10^(floor(log10 |root|) - digits).
     """
-    lo, hi = (Fraction(x) for x in interval)
-    if lo >= hi:
-        raise ValueError(f"degenerate interval: low {lo} >= high {hi}")
     digits = int(digits)
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    cs = univariate_coefficients(p)
-    if not cs:
-        raise ValueError("cannot isolate roots of the zero polynomial")
-    if len(cs) == 1:
-        return []
-    q = [int(c) for c in _u_squarefree(cs)]
-    chain = _integer_sturm_chain(q)
+    lo, hi, q, chain = _sturm_setup(p, interval, "cannot isolate roots of the zero polynomial")
     var_cache: dict[Fraction, int] = {}
 
     def variations(x: Fraction) -> int:
@@ -839,17 +835,15 @@ def isolate_real_roots(p: Polynomial, interval, digits: int = 12) -> list[RootBr
         return var_cache[x]
 
     isolated: list[tuple[Fraction, Fraction]] = []
-
-    def walk(a: Fraction, b: Fraction, count: int) -> None:
-        if count == 0:
-            return
+    # (a, b, roots in (a, b]); the left half is pushed last, so it pops first
+    # and the brackets come out in ascending order
+    stack = [(lo, hi, variations(lo) - variations(hi))]
+    while stack:
+        a, b, count = stack.pop()
         if count == 1:
             isolated.append((a, b))
-            return
-        m = (a + b) / 2
-        left = variations(a) - variations(m)
-        walk(a, m, left)
-        walk(m, b, count - left)
-
-    walk(lo, hi, variations(lo) - variations(hi))
+        elif count > 1:
+            m = (a + b) / 2
+            left = variations(a) - variations(m)
+            stack += [(m, b, count - left), (a, m, left)]
     return [_refine_bracket(q, a, b, digits) for a, b in isolated]

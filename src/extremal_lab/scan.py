@@ -144,7 +144,7 @@ def scan_three_point(alpha_range=(0.05, 20.0), delta_range=(0.0, 10.0),
     """
     amin, amax = (float(v) for v in alpha_range)
     dmin, dmax = (float(v) for v in delta_range)
-    na, nd = (int(c) for c in grid_counts)
+    na, nd = (int(n) for n in grid_counts)
     if not all(math.isfinite(v) for v in (amin, amax, dmin, dmax)):
         raise ValueError("alpha and delta ranges must be finite")
     if not (0 < amin < amax):

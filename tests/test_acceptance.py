@@ -36,7 +36,7 @@ def report(capsys, number, ok, text):
 
 
 def closed_value(alpha, beta, delta) -> Fraction:
-    return energy.energy_closed_form().quotient.eval(
+    return energy.energy_closed_form().eval(
         {"alpha": Fraction(alpha), "beta": Fraction(beta), "delta": Fraction(delta)})
 
 

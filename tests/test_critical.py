@@ -31,7 +31,7 @@ TWO_POINT_RESIDUAL = Fraction("0.136474470623106456129638173967")
 
 
 def closed_value(alpha, beta, delta) -> Fraction:
-    return energy_closed_form().quotient.eval(
+    return energy_closed_form().eval(
         {"alpha": Fraction(alpha), "beta": Fraction(beta), "delta": Fraction(delta)})
 
 

@@ -26,7 +26,7 @@ SLICE_VARS = ("alpha", "beta", "delta")
 
 
 def closed_value(alpha, beta, delta) -> Fraction:
-    return energy_closed_form().quotient.eval(
+    return energy_closed_form().eval(
         {"alpha": Fraction(alpha), "beta": Fraction(beta), "delta": Fraction(delta)})
 
 

@@ -1,6 +1,7 @@
 """Exact polynomial arithmetic, rational functions, and root isolation."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -365,6 +366,97 @@ def test_isolation_matches_sign_sweep_oracle():
     assert sweep_count == len(brackets)
 
 
+def test_isolation_splits_roots_past_the_recursion_limit():
+    # 1/10 -/+ 10^-300 are told apart only after about 1000 halvings of (0, 1)
+    roots = Fraction(1, 10) - Fraction(1, 10 ** 300), Fraction(1, 10) + Fraction(1, 10 ** 300)
+    p = (X - roots[0]) * (X - roots[1])
+    assert count_real_roots(p, (0, 1)) == 2
+    brackets = isolate_real_roots(p, (0, 1), 6)
+    assert [b.refined for b in brackets] == ["0.1", "0.1"]
+    assert brackets[0].high <= brackets[1].low
+    for b, r in zip(brackets, roots):
+        assert b.low <= r <= b.high
+
+
+# -- integer Sturm layer against Fraction division ------------------------------
+
+def _fraction_divmod(num, den):
+    num = [Fraction(c) for c in num]
+    quot = [Fraction(0)] * (len(num) - len(den) + 1)
+    for i in range(len(num) - len(den), -1, -1):
+        f = num[i + len(den) - 1] / den[-1]
+        quot[i] = f
+        for j, dc in enumerate(den):
+            num[i + j] -= f * dc
+    return quot, exactpoly._u_trim(num[: len(den) - 1])
+
+
+def _fraction_primitive(cs):
+    cs = exactpoly._u_trim([Fraction(c) for c in cs])
+    if not cs:
+        return []
+    den_lcm = 1
+    for c in cs:
+        den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
+    ints = [int(c * den_lcm) for c in cs]
+    g = 0
+    for v in ints:
+        g = gcd(g, v)
+    return [Fraction(v // g) for v in ints]
+
+
+def _fraction_squarefree(cs):
+    """Squarefree part by Fraction division: the reference for the integer layer."""
+    cs = _fraction_primitive(cs)
+    if len(cs) <= 2:
+        return cs
+    a, b = cs, _fraction_primitive(exactpoly._u_deriv(cs))
+    while b:
+        a, b = b, _fraction_primitive(_fraction_divmod(a, b)[1])
+    if a[-1] < 0:
+        a = [-c for c in a]
+    return cs if len(a) == 1 else _fraction_primitive(_fraction_divmod(cs, a)[0])
+
+
+def _fraction_sturm_chain(cs):
+    chain = [_fraction_primitive(cs)]
+    d = _fraction_primitive(exactpoly._u_deriv(chain[0]))
+    if d:
+        chain.append(d)
+    while len(chain[-1]) > 1:
+        r = _fraction_primitive([-c for c in _fraction_divmod(chain[-2], chain[-1])[1]])
+        if not r:
+            break
+        chain.append(r)
+    return chain
+
+
+nonzero_coefficients = coefficients.filter(bool)
+
+
+@st.composite
+def factored_coefficients(draw):
+    """Dense coefficients of lead * prod f_i^m_i: rational and negative leading
+    coefficients, repeated linear and quadratic factors."""
+    p = Polynomial.constant(draw(nonzero_coefficients))
+    for _ in range(draw(st.integers(0, 3))):
+        factor = draw(nonzero_coefficients) * X + draw(coefficients)
+        if draw(st.booleans()):
+            factor = factor * X + draw(coefficients)
+        p = p * factor ** draw(st.integers(1, 3))
+    return exactpoly.univariate_coefficients(p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cs=factored_coefficients())
+def test_integer_sturm_layer_matches_fraction_division(cs):
+    q = exactpoly._u_squarefree(cs)
+    chain = exactpoly.sturm_chain(q)
+    assert q == _fraction_squarefree(cs)
+    assert chain == _fraction_sturm_chain(_fraction_squarefree(cs))
+    assert all(type(c) is int for p in (q, *chain) for c in p)
+
+
 # -- refinement against plain bisection -----------------------------------------
 
 def _horner_sign(cs, x: Fraction) -> int:
@@ -519,6 +611,30 @@ def test_uncertified_enclosure_is_retried(monkeypatch):
     (lo0, hi0, certified0), (lo1, hi1, certified1) = calls[:2]
     assert not certified0 and certified1
     assert lo0 <= lo1 < hi1 <= hi0 and (hi1 - lo1) * 2 ** 20 <= hi0 - lo0
+
+
+def test_enclosure_is_retried_until_it_certifies(monkeypatch):
+    # roots 10 -/+ 10^-25: Newton from the midpoint goes to the other root
+    # until the bracket is far narrower than their distance; a retry every
+    # time the bracket is 2^20 times smaller reaches that before 60 digits
+    tries = []
+    refine, enclosure = exactpoly._refine_bracket, exactpoly._newton_enclosure
+
+    def refining(*args):
+        tries.append([])
+        return refine(*args)
+
+    def recording(*args):
+        L, H, el, eh, D = enclosure(*args)
+        tries[-1].append((el, eh) != (L, H))
+        return L, H, el, eh, D
+
+    monkeypatch.setattr(exactpoly, "_refine_bracket", refining)
+    monkeypatch.setattr(exactpoly, "_newton_enclosure", recording)
+    p = (X - (10 - Fraction(1, 10 ** 25))) * (X - (10 + Fraction(1, 10 ** 25)))
+    assert isolate_real_roots(p, (-128, 128), 60) == _plain_isolate(p, (-128, 128), 60)
+    assert len(tries) == 2
+    assert all(t[-1] and not any(t[:-1]) for t in tries)
 
 
 # -- decimal formatting --------------------------------------------------------

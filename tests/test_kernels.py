@@ -39,7 +39,7 @@ def test_invalid_backend_name_rejected():
 
 def test_scan_cells_match_exact_evaluation():
     report = scan_three_point(grid_counts=(9, 7))
-    quotient = energy_closed_form().quotient
+    quotient = energy_closed_form()
     for i, a in enumerate(report.alphas.tolist()):
         for j, d in enumerate(report.deltas.tolist()):
             point = {"alpha": Fraction(a), "beta": Fraction(1), "delta": Fraction(d)}
