@@ -38,8 +38,9 @@ MAX_DIGITS = 800
 #: int-to-str limit, in 9 ms (Python 3.11, x86-64 Linux)
 MAX_RATIONAL_DIGITS = 200
 #: cap on --grid cells per axis.  Peak RSS grows with grid^2; at 1024 scan3
-#: peaked at 119 MiB for each of table, csv and json (the exports are
-#: streamed row by row) with Python 3.11 and numpy 2.4 on x86-64 Linux
+#: peaked at 70 MiB for each of table, csv and json (five grid arrays live in
+#: the kernel, exports streamed row by row) with Python 3.11 and numpy 2.4 on
+#: x86-64 Linux
 MAX_GRID = 1024
 
 PI_SQUARED = math.pi ** 2

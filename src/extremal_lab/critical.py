@@ -15,6 +15,7 @@ from typing import Optional
 
 from . import energy
 from .exactpoly import (
+    Polynomial,
     RationalFunction,
     RootBracket,
     _u_primitive,
@@ -53,6 +54,12 @@ def critical_points_of(f: RationalFunction, domain=(0, DEFAULT_SEARCH_BOUND),
     sign change of f').  `ratio_offset`, when given, fills the
     line/exceptional ratio field with root + offset.
     """
+    return _critical_points(f, domain, digits, ratio_offset)[1]
+
+
+def _critical_points(f: RationalFunction, domain, digits: int,
+                     ratio_offset: Optional[Fraction]) -> tuple[Polynomial, list[CriticalPointResult]]:
+    """`critical_points_of`, together with the derivative numerator it isolated."""
     names = sorted(set(f.numerator.variables) | set(f.denominator.variables))
     if len(names) != 1:
         raise ValueError(f"need a univariate function, got variables {names!r}")
@@ -98,7 +105,7 @@ def critical_points_of(f: RationalFunction, domain=(0, DEFAULT_SEARCH_BOUND),
             classification=klass,
             line_to_exceptional_ratio=ratio,
         ))
-    return results
+    return g, results
 
 
 @dataclass(frozen=True)
@@ -118,11 +125,11 @@ class CriticalClassReport:
 
 
 def _critical_class(k: int, f: RationalFunction, offset: int, digits: int) -> CriticalClassReport:
-    results = critical_points_of(f, digits=digits, ratio_offset=Fraction(offset))
+    g, results = _critical_points(f, (0, DEFAULT_SEARCH_BOUND), digits, Fraction(offset))
     if len(results) != 1 or results[0].classification != "local-min":
         raise ArithmeticError(f"expected a unique interior minimum, got {results!r}")
     res = results[0]
-    bound = cauchy_root_bound(f.derivative(res.variable).numerator)
+    bound = cauchy_root_bound(g)
     if bound > DEFAULT_SEARCH_BOUND:
         raise ArithmeticError("truncation bound does not dominate the root bound")
     val = res.value

@@ -4,6 +4,11 @@ module that imports numpy.
 A slice polynomial p(alpha, delta) has degree at most 6 in each variable, so
 it is a 7x7 coefficient matrix C, and its values on the whole grid are one
 product Pa @ C @ Pd^T of increasing Vandermonde matrices of the two axes.
+The matrices of N and D are read from the closed form in `energy`, and
+those of their partials by shifting an index.  The kernel then applies the
+quotient rule in place, with five grid-sized arrays live at once.  Each
+product is one BLAS call over the whole grid, so a cell's last bit can
+depend on the BLAS build and its thread count.
 The scan reports the grid's minima and proves nothing: that the slice has
 no critical point with delta > 0 is certified exactly, by a resultant whose
 coefficients never change sign, in tests/test_critical.py
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .critical import _grad_polys
+from . import energy
 
 #: powers alpha^0..alpha^6 and delta^0..delta^6 span the slice polynomials
 POWERS = 7
@@ -91,15 +96,42 @@ def scan_eval(alphas, deltas, matrices):
     grad_norms) as float64 arrays of shape (len(alphas), len(deltas)).
     Cells where float64 overflows come out inf or nan, without a warning;
     the caller decides what a non-finite cell means.
+
+    Five grid-sized arrays are live at once.  Each polynomial is one
+    full-grid product Pa @ C @ Pd^T, and the quotient rule then runs in
+    place with the operands and order of values = n / d,
+    ga = (n_a * d - n * d_a) / (d * d), gd likewise and
+    grad_norms = sqrt(ga * ga + gd * gd), so every cell rounds as it would
+    with whole-array temporaries.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         pa = np.vander(np.asarray(alphas, dtype=np.float64), POWERS, increasing=True)
         pd = np.vander(np.asarray(deltas, dtype=np.float64), POWERS, increasing=True)
-        n, d, n_a, d_a, n_d, d_d = (pa @ c @ pd.T for c in matrices)
-        values = n / d
-        ga = (n_a * d - n * d_a) / (d * d)
-        gd = (n_d * d - n * d_d) / (d * d)
-        return values, np.sqrt(ga * ga + gd * gd)
+        c_n, c_d, c_na, c_da, c_nd, c_dd = matrices
+
+        def grid(c, out=None):
+            return np.matmul(pa @ c, pd.T, out=out)
+
+        n, d = grid(c_n), grid(c_d)
+        ga = grid(c_na)
+        ga *= d
+        nd_prime = grid(c_da)  # holds n * d_a, then n * d_d
+        nd_prime *= n
+        ga -= nd_prime
+        gd = grid(c_nd)
+        gd *= d
+        grid(c_dd, out=nd_prime)
+        nd_prime *= n
+        gd -= nd_prime
+        values = n
+        values /= d
+        d *= d
+        ga /= d
+        gd /= d
+        ga *= ga
+        gd *= gd
+        ga += gd
+        return values, np.sqrt(ga, out=ga)
 
 
 def _geometric_grid(lo: float, hi: float, n: int, anchor: float = 1.0):
@@ -115,20 +147,40 @@ def _geometric_grid(lo: float, hi: float, n: int, anchor: float = 1.0):
     return grid, anchored
 
 
+def _beta_one(p) -> np.ndarray:
+    """Integer coefficient matrix of p(alpha, 1, delta): entry [i, k] sums the
+    coefficients of alpha^i beta^j delta^k over j."""
+    assert p.variables == ("alpha", "beta", "delta")
+    c = np.zeros((POWERS, POWERS), dtype=object)
+    for (i, _, k), coef in p.terms.items():
+        assert coef.denominator == 1
+        c[i, k] += coef.numerator
+    return c
+
+
 @functools.cache
 def _term_tables() -> tuple[np.ndarray, ...]:
     """Read-only coefficient matrices of the beta = 1 slice polynomials (n, d
     and their alpha and delta partials); entry [i, j] multiplies
-    alpha^i delta^j.  Every coefficient is an integer below 2^53, so float64
-    holds it exactly."""
+    alpha^i delta^j.  n and d come from the closed form N / D, and a partial
+    shifts an index: C_a[i-1, k] = i C[i, k], C_d[i, k-1] = k C[i, k].  Every
+    coefficient is an integer below 2^53, so float64 holds it exactly."""
+    closed = energy.energy_closed_form()
+    n, d = _beta_one(closed.numerator), _beta_one(closed.denominator)
+    weights = np.arange(1, POWERS)
+    partials = []
+    for c in (n, d):
+        c_a = np.zeros_like(c)
+        c_a[:-1] = c[1:] * weights[:, None]
+        partials.append(c_a)
+    for c in (n, d):
+        c_d = np.zeros_like(c)
+        c_d[:, :-1] = c[:, 1:] * weights
+        partials.append(c_d)
     matrices = []
-    for p in _grad_polys():
-        q = p.substitute({"beta": 1})
-        assert q.variables == ("alpha", "delta")
-        c = np.zeros((POWERS, POWERS))
-        for (i, j), coef in q.terms.items():
-            assert coef.denominator == 1 and abs(coef.numerator) < 2 ** 53
-            c[i, j] = coef.numerator
+    for c in (n, d, *partials):
+        assert all(abs(v) < 2 ** 53 for v in c.flat)
+        c = c.astype(np.float64)
         c.flags.writeable = False
         matrices.append(c)
     return tuple(matrices)

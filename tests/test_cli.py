@@ -1,9 +1,12 @@
 """End-to-end command-line behavior, exercised in process through main()."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -12,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from extremal_lab import cli, energy, scan
 from extremal_lab.exactpoly import Polynomial
@@ -351,6 +355,35 @@ def test_scan3_grid_cap_refused_before_scanning(capsys, monkeypatch):
     code, out, err = run(capsys, "scan3", "--grid", str(cli.MAX_GRID + 1))
     assert code == 2
     assert err.startswith("error:") and "--grid" in err
+
+
+#: range-flag texts: finite, huge, tiny, zero, negative and non-finite
+RANGE_TEXTS = ("0.05", "1", "2.5", "20", "1e-300", "1e150", "1e308", "1e999",
+               "0", "-0", "-1", "-1e308", "inf", "-inf", "nan")
+NON_FINITE_WORD = re.compile(r"\b-?(nan|inf)\b", re.IGNORECASE)
+
+
+@settings(deadline=None, max_examples=100)
+@given(grid=st.sampled_from((*range(-5, 41), cli.MAX_GRID, cli.MAX_GRID + 1)),
+       flags=st.fixed_dictionaries({}, optional={
+           flag: st.sampled_from(RANGE_TEXTS)
+           for flag in ("--alpha-min", "--alpha-max", "--delta-max")}))
+def test_scan3_flag_space_exits_cleanly(grid, flags):
+    argv = ["scan3", "--grid", str(grid)]
+    for flag, text in flags.items():
+        argv += [flag, text]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse refusals
+            code = exc.code
+    assert code in (0, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert not NON_FINITE_WORD.search(out.getvalue()), (argv, out.getvalue())
+    else:
+        assert out.getvalue() == ""
 
 
 # -- scan3 export streaming ------------------------------------------------------

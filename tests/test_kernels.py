@@ -1,15 +1,16 @@
 """The scan kernel against exact rational evaluation."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from extremal_lab import scan as _kernels
-from extremal_lab.critical import gradient
+from extremal_lab.critical import _grad_polys, gradient
 from extremal_lab.energy import energy_closed_form
-from extremal_lab.scan import _term_tables, scan_three_point
+from extremal_lab.scan import _geometric_grid, _term_tables, scan_eval, scan_three_point
 
 #: float64 rounding bound set before measuring: 7x7 products of integer
 #: coefficients below 2^53 lose a few ulps, and the gradient a few more
@@ -50,3 +51,70 @@ def test_scan_cells_match_exact_evaluation():
                                 rel_tol=RELATIVE_TOLERANCE, abs_tol=0.0)
             assert math.isclose(report.grad_norms[i, j], norm,
                                 rel_tol=RELATIVE_TOLERANCE, abs_tol=0.0)
+
+
+# -- lean kernel against whole-array oracle ------------------------------------
+#
+# The oracles are the earlier table builder, which substitutes beta = 1 into
+# the exact gradient polynomials, and the earlier kernel, which builds every
+# product and quotient as a whole-array temporary.  The kernel must match
+# them bit for bit.
+
+def _oracle_term_tables():
+    matrices = []
+    for p in _grad_polys():
+        q = p.substitute({"beta": 1})
+        c = np.zeros((_kernels.POWERS, _kernels.POWERS))
+        for (i, j), coef in q.terms.items():
+            c[i, j] = coef.numerator
+        matrices.append(c)
+    return matrices
+
+
+def _oracle_scan_eval(alphas, deltas, matrices):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        pa = np.vander(np.asarray(alphas, dtype=np.float64), _kernels.POWERS, increasing=True)
+        pd = np.vander(np.asarray(deltas, dtype=np.float64), _kernels.POWERS, increasing=True)
+        n, d, n_a, d_a, n_d, d_d = (pa @ c @ pd.T for c in matrices)
+        values = n / d
+        ga = (n_a * d - n * d_a) / (d * d)
+        gd = (n_d * d - n * d_d) / (d * d)
+        return values, np.sqrt(ga * ga + gd * gd)
+
+
+#: (alpha_min, alpha_max, delta_max): the default window, the seeded window
+#: of tests/test_cli.py, and a wide one spanning six decades of alpha
+WINDOWS = [(0.05, 20.0, 10.0), (0.3303, 16.13, 8.362), (1e-3, 1e3, 100.0)]
+
+
+def test_term_tables_match_substituted_gradient():
+    for c, oracle in zip(_term_tables(), _oracle_term_tables(), strict=True):
+        assert np.array_equal(c, oracle)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (37, 37), (5, 300), (300, 7)])
+@pytest.mark.parametrize("window", WINDOWS)
+def test_scan_eval_matches_whole_array_oracle(shape, window):
+    amin, amax, dmax = window
+    alphas, _ = _geometric_grid(amin, amax, shape[0])
+    deltas = np.linspace(0.0, dmax, shape[1])
+    values, grad_norms = scan_eval(alphas, deltas, _term_tables())
+    want_values, want_norms = _oracle_scan_eval(alphas, deltas, _oracle_term_tables())
+    assert values.shape == grad_norms.shape == shape
+    assert values.tobytes() == want_values.tobytes()
+    assert grad_norms.tobytes() == want_norms.tobytes()
+
+
+def test_scan_eval_allocates_five_grid_arrays():
+    # numpy reports its data buffers to tracemalloc; the whole-array kernel
+    # peaked at 11 grid arrays, this one holds n, d, two gradient components
+    # and one product buffer
+    axis = np.linspace(0.5, 2.0, 300)
+    tables = _term_tables()
+    tracemalloc.start()
+    try:
+        scan_eval(axis, axis, tables)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * axis.size * axis.size * 8
