@@ -70,7 +70,7 @@ def _critical_points(f: RationalFunction, domain, digits: int,
     den = f.denominator
     if den.total_degree() >= 1 and count_real_roots(den, (lo, hi)) > 0:
         raise ValueError("denominator has a root inside the domain")
-    g = f.derivative(var).numerator
+    g = f.derivative_numerator(var)
     if not g:
         raise ValueError("derivative vanishes identically")
     brackets = isolate_real_roots(g, (lo, hi), digits)

@@ -379,9 +379,15 @@ class RationalFunction:
         return RationalFunction(self.numerator.substitute(bindings),
                                 self.denominator.substitute(bindings))
 
-    def derivative(self, var: str) -> "RationalFunction":
+    def derivative_numerator(self, var: str) -> Polynomial:
+        """n' d - n d', the numerator of the quotient rule; its sign is that of
+        the derivative wherever d != 0, since the denominator d^2 is positive."""
         n, d = self.numerator, self.denominator
-        return RationalFunction(n.partial(var) * d - n * d.partial(var), d * d)
+        return n.partial(var) * d - n * d.partial(var)
+
+    def derivative(self, var: str) -> "RationalFunction":
+        d = self.denominator
+        return RationalFunction(self.derivative_numerator(var), d * d)
 
     def __str__(self) -> str:
         if self.denominator == Polynomial.constant(1):

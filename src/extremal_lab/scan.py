@@ -78,11 +78,11 @@ class ScanReport:
                                                  self.grad_norms.tolist())
                 for d, v, g in zip(deltas, values, grad_norms)]
 
-    def interleaved_rows(self):
-        """Per alpha row, the tuple (value, grad_norm, value, grad_norm, ...) of
-        Python floats along delta."""
+    def interleaved_rows(self, start: int, stop: int):
+        """Per alpha row in [start, stop), the tuple (value, grad_norm, value,
+        grad_norm, ...) of Python floats along delta."""
         pairs = np.empty(2 * self.deltas.size)
-        for values, grad_norms in zip(self.values, self.grad_norms):
+        for values, grad_norms in zip(self.values[start:stop], self.grad_norms[start:stop]):
             pairs[0::2] = values
             pairs[1::2] = grad_norms
             yield tuple(pairs.tolist())

@@ -9,13 +9,14 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from extremal_lab import cli, energy, scan
 from extremal_lab.exactpoly import Polynomial
@@ -363,27 +364,81 @@ RANGE_TEXTS = ("0.05", "1", "2.5", "20", "1e-300", "1e150", "1e308", "1e999",
 NON_FINITE_WORD = re.compile(r"\b-?(nan|inf)\b", re.IGNORECASE)
 
 
-@settings(deadline=None, max_examples=100)
-@given(grid=st.sampled_from((*range(-5, 41), cli.MAX_GRID, cli.MAX_GRID + 1)),
-       flags=st.fixed_dictionaries({}, optional={
-           flag: st.sampled_from(RANGE_TEXTS)
-           for flag in ("--alpha-min", "--alpha-max", "--delta-max")}))
-def test_scan3_flag_space_exits_cleanly(grid, flags):
-    argv = ["scan3", "--grid", str(grid)]
-    for flag, text in flags.items():
-        argv += [flag, text]
+def _assert_exits_cleanly(argv, codes=(0, 2)):
+    """Run main(argv): the exit code is in `codes`, stderr holds no traceback,
+    exit 0 prints no nan/inf word and exit 2 prints nothing to stdout."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(argv)
         except SystemExit as exc:  # argparse refusals
             code = exc.code
-    assert code in (0, 2), (argv, err.getvalue())
+    assert code in codes, (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
     if code == 0:
         assert not NON_FINITE_WORD.search(out.getvalue()), (argv, out.getvalue())
-    else:
+    elif code == 2:
         assert out.getvalue() == ""
+
+
+def _argv(command, flags):
+    return [*command, *(text for flag_and_value in flags.items() for text in flag_and_value)]
+
+
+@settings(deadline=None, max_examples=100)
+@given(grid=st.sampled_from((*range(-5, 41), cli.MAX_GRID, cli.MAX_GRID + 1)),
+       flags=st.fixed_dictionaries({}, optional={
+           flag: st.sampled_from(RANGE_TEXTS)
+           for flag in ("--alpha-min", "--alpha-max", "--delta-max")}))
+def test_scan3_flag_space_exits_cleanly(grid, flags):
+    _assert_exits_cleanly(_argv(("scan3", "--grid", str(grid)), flags))
+
+
+#: rational-flag texts: integers, fractions, decimals and exponents that parse,
+#: then ones past the length cap, zero and negative classes and non-rationals
+GOOD_RATIONALS = ("1", "2", "1/3", "7/2", "3.25", "1e-7", "1e190", "1e-190", "1e195")
+BAD_RATIONALS = ("0", "0/5", "-1", "-1/2", "1e2000", "7" * (cli.MAX_RATIONAL_DIGITS + 1),
+                 "1/0", "nan", "inf", "x", "")
+DIGITS_TEXTS = ("-3", "5", "6", "12", "40", str(cli.MAX_DIGITS), str(cli.MAX_DIGITS + 1), "x")
+COMMON_FLAGS = {"--digits": st.sampled_from(DIGITS_TEXTS),
+                "--format": st.sampled_from(("table", "json", "csv", "xml"))}
+#: the rational flags that give each --k a Kahler class; --delta is optional
+#: for k = 3 only, since its default 0 degenerates the k = 1 and k = 2 classes
+ENERGY_FLAGS = {"1": {"--alpha", "--delta"}, "2": {"--beta", "--delta"},
+                "3": {"--alpha", "--beta"}}
+
+
+@settings(deadline=None, max_examples=300)
+@given(k=st.sampled_from(("1", "2", "3", "0", "x")),
+       rationals=st.fixed_dictionaries({
+           flag: st.sampled_from(GOOD_RATIONALS) | st.sampled_from(BAD_RATIONALS)
+           for flag in ("--alpha", "--beta", "--delta")}),
+       toggled=st.sets(st.sampled_from(("--alpha", "--beta", "--delta")), max_size=2),
+       common=st.fixed_dictionaries({}, optional=COMMON_FLAGS))
+# classes whose float column overflows, which random draws rarely reach
+@example(k="1", rationals={"--alpha": "1e195", "--beta": "1", "--delta": "1e-190"},
+         toggled=set(), common={})
+@example(k="3", rationals={"--alpha": "1e190", "--beta": "1e-190", "--delta": "1e-190"},
+         toggled={"--delta"}, common={"--format": "json"})
+def test_energy_flag_space_exits_cleanly(k, rationals, toggled, common):
+    # the flags this --k takes, with those in `toggled` added or left out
+    present = ENERGY_FLAGS.get(k, set()) ^ toggled
+    flags = {flag: text for flag, text in rationals.items() if flag in present}
+    _assert_exits_cleanly(_argv(("energy", "--k", k), {**flags, **common}))
+
+
+@settings(deadline=None, max_examples=40)
+@given(k=st.sampled_from(("1", "2", "3", "0", "-1", "x")),
+       flags=st.fixed_dictionaries({}, optional=COMMON_FLAGS))
+def test_critical_flag_space_exits_cleanly(k, flags):
+    _assert_exits_cleanly(_argv(("critical", "--k", k), flags))
+
+
+@settings(deadline=None, max_examples=25)
+@given(flags=st.fixed_dictionaries({}, optional=COMMON_FLAGS))
+def test_verify_flag_space_exits_cleanly(flags):
+    # exit 1 is a failed verification record
+    _assert_exits_cleanly(_argv(("verify",), flags), codes=(0, 1, 2))
 
 
 # -- scan3 export streaming ------------------------------------------------------
@@ -482,6 +537,83 @@ def test_scan3_exports_are_pinned(capsys, tmp_path, fmt, window):
                          "--out", str(path))
     assert code == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SCAN3_EXPORT_SHA256[fmt, window]
+
+
+# -- scan3 export split ----------------------------------------------------------
+#
+# With two or more cores a forked child renders the second half of the alpha
+# rows; the affinity mask decides, so patching it selects either path.
+
+def _count_forks(monkeypatch, cores):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("grid", [2, 3, 37, 38])
+def test_forked_export_matches_single_process(capsys, monkeypatch, tmp_path, grid, fmt):
+    exports = {}
+    for cores in (1, 2):
+        forks = _count_forks(monkeypatch, cores)
+        path = tmp_path / f"cells-{cores}.{fmt}"
+        code, out, err = run(capsys, "scan3", "--grid", str(grid), *SEEDED_WINDOW,
+                             "--format", fmt, "--out", str(path))
+        assert (code, err) == (0, "")
+        assert len(forks) == (cores > 1)
+        exports[cores] = path.read_bytes()
+    assert exports[1] == exports[2]
+
+
+def _fail_in_rows(monkeypatch, child: bool):
+    """Make ScanReport.interleaved_rows raise on the child's rows (those at
+    or past n // 2) or on the parent's rows."""
+    rows = ScanReport.interleaved_rows
+
+    def failing_rows(self, start, stop):
+        for i, row in enumerate(rows(self, start, stop), start):
+            if (i >= self.alphas.size // 2) == child:
+                raise RuntimeError("injected failure")
+            yield row
+
+    monkeypatch.setattr(ScanReport, "interleaved_rows", failing_rows)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_failing_export_child_exits_two(capfd, monkeypatch, tmp_path, fmt):
+    _fail_in_rows(monkeypatch, child=True)
+    forks = _count_forks(monkeypatch, 2)
+    temp_dir = tmp_path / "tmp"
+    temp_dir.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp_dir))
+    path = tmp_path / f"cells.{fmt}"
+    code = cli.main(["scan3", "--grid", "8", "--format", fmt, "--out", str(path)])
+    out, err = capfd.readouterr()
+    assert code == 2 and len(forks) == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert str(path) in err and "exited with status 1" in err
+    assert "Traceback" not in err and "injected" not in err
+    assert list(temp_dir.iterdir()) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_export_child_is_reaped_when_the_parent_half_fails(capfd, monkeypatch, tmp_path):
+    _fail_in_rows(monkeypatch, child=False)
+    forks = _count_forks(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match="injected"):
+        cli.main(["scan3", "--grid", "8", "--format", "csv", "--out", str(tmp_path / "c.csv")])
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # -- parser -------------------------------------------------------------------

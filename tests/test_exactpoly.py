@@ -17,7 +17,7 @@ from extremal_lab.exactpoly import (
     isolate_real_roots,
     symbols,
 )
-from extremal_lab.energy import one_point_energy, t_variance_poly
+from extremal_lab.energy import one_point_energy, t_variance_poly, two_point_energy
 
 ALPHA, BETA, DELTA = symbols("alpha beta delta")
 X, = symbols("x")
@@ -251,6 +251,16 @@ def test_rational_zero_denominator_rejected():
 def test_rational_derivative_quotient_rule():
     h = RationalFunction(Polynomial.constant(1), X)
     assert h.derivative("x") == RationalFunction(Polynomial.constant(-1), X ** 2)
+
+
+def test_derivative_numerator_is_the_quotient_rule_numerator():
+    # written out: the numerator of ((x^2 + 1) / (x - 2))' is 2x (x - 2) - (x^2 + 1)
+    assert RationalFunction(X ** 2 + 1, X - 2).derivative_numerator("x") == X ** 2 - 4 * X - 1
+    for f in (one_point_energy(), two_point_energy()):
+        var, = f.numerator.variables
+        g = f.derivative_numerator(var)
+        assert g.terms == f.derivative(var).numerator.terms
+        assert f.derivative(var).denominator == f.denominator * f.denominator
 
 
 def test_rational_eval_at_pole_raises():
