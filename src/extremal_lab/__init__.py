@@ -7,7 +7,6 @@ a vectorized numpy kernel.
 """
 
 from .exactpoly import (
-    ANY_DEGREE,
     Polynomial,
     RationalFunction,
     RootBracket,
@@ -21,7 +20,6 @@ from .exactpoly import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ANY_DEGREE",
     "Polynomial",
     "RationalFunction",
     "RootBracket",

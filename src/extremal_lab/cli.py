@@ -9,11 +9,13 @@ pi^2 multiple is printed exactly with a float column alongside.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import math
 import os
+import stat
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -84,12 +86,42 @@ def _check_digits(digits: int) -> None:
         raise UsageError(f"--digits must be between 6 and {MAX_DIGITS}")
 
 
-def _emit(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+@contextlib.contextmanager
+def _open_out(path: Optional[str]):
+    """The text stream for the --out `path`, or stdout when path is None or "".
+
+    A regular or absent file is written to a new sibling of its real path,
+    opened with "x" so its mode follows the umask, and os.replace moves the
+    sibling over it once the block succeeds; any exception removes the
+    sibling instead.  Anything else (os.devnull, a FIFO) is written in place.
+    An OSError leaving the block names `path`, never the sibling.
+    """
+    if not path:
+        yield sys.stdout
+        return
+    try:
+        regular = stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        regular = True
+    target = os.path.realpath(path)
+    temp = f"{target}.{os.urandom(4).hex()}.tmp" if regular else path
+    try:
+        with open(temp, "x" if regular else "w", newline="\n") as fh:
+            yield fh
+        if regular:
+            os.replace(temp, target)
+    except BaseException as exc:
+        if regular:
+            with contextlib.suppress(OSError):
+                os.unlink(temp)
+        if isinstance(exc, OSError):
+            raise OSError(f"{path}: {exc.strerror or exc}") from exc
+        raise
+
+
+def _emit(path: Optional[str], text: str) -> None:
+    with _open_out(path) as fh:
+        fh.write(text)
 
 
 def _render_table(header, rows) -> str:
@@ -191,13 +223,8 @@ def _records_csv(recs) -> str:
 def cmd_verify(args) -> int:
     _check_digits(args.digits)
     recs = _verify_records(args.digits)
-    if args.format == "json":
-        text = _records_json(recs)
-    elif args.format == "csv":
-        text = _records_csv(recs)
-    else:
-        text = _records_table(recs)
-    _emit(args, text)
+    render = {"json": _records_json, "csv": _records_csv, "table": _records_table}
+    _emit(args.out, render[args.format](recs))
     return 0 if all(r.passed for r in recs) else 1
 
 
@@ -262,7 +289,7 @@ def cmd_energy(args) -> int:
                  f"{flt:.{digits}g}") for (name, value, pi2), flt in zip(quantities, floats)]
         header = ("quantity", "exact", "float")
         text = _csv_text(header, rows) if args.format == "csv" else _render_table(header, rows)
-    _emit(args, text)
+    _emit(args.out, text)
     return 0
 
 
@@ -282,7 +309,7 @@ def cmd_critical(args) -> int:
             "bracket": {"low": str(c.bracket.low), "high": str(c.bracket.high)},
             "refined_root": c.bracket.refined,
             "classification": c.classification,
-            "line_to_exceptional_ratio": c.line_to_exceptional_ratio,
+            "line_to_exceptional_ratio": report.line_to_exceptional_ratio,
             "normalized_energy": report.normalized_energy_decimal,
             "three_times_normalized": report.three_times_decimal,
             "residual": report.residual_decimal,
@@ -298,7 +325,7 @@ def cmd_critical(args) -> int:
             ("bracket high", str(c.bracket.high)),
             ("refined root", c.bracket.refined),
             ("classification", c.classification),
-            ("line/exceptional ratio", c.line_to_exceptional_ratio),
+            ("line/exceptional ratio", report.line_to_exceptional_ratio),
             ("normalized energy", report.normalized_energy_decimal),
             ("3 * normalized energy", report.three_times_decimal),
             ("trace-free Ricci deficit", report.residual_decimal),
@@ -308,7 +335,7 @@ def cmd_critical(args) -> int:
         ]
         header = ("quantity", "value")
         text = _csv_text(header, rows) if args.format == "csv" else _render_table(header, rows)
-    _emit(args, text)
+    _emit(args.out, text)
     return 0
 
 
@@ -359,7 +386,7 @@ def _render_rows(fh, render, rows: int) -> None:
         finally:
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         if status != 0:
-            raise OSError(f"{fh.name}: the child process rendering alpha rows "
+            raise OSError(f"the child process rendering alpha rows "
                           f"{half} to {rows - 1} exited with status {status}")
         fh.flush()
         tail.seek(0)
@@ -466,22 +493,14 @@ def cmd_scan3(args) -> int:
     if not report.finite:
         raise UsageError("the scan overflows float64 on this window; "
                          "lower --alpha-max or --delta-max")
-    note = None
-    if args.format != "table":
-        path = args.out or f"scan3.{args.format}"
-        with open(path, "w", newline="\n") as fh:
-            (_scan_csv if args.format == "csv" else _scan_json)(report, fh)
-        note = f"wrote {path}"
-        if args.format == "csv":
-            note += f" ({args.grid * args.grid} rows)"
-    summary = _scan_summary(report)
-    if args.format == "table" and args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(summary)
-    else:
-        sys.stdout.write(summary)
-    if note is not None:
-        sys.stdout.write(note + "\n")
+    if args.format == "table":
+        _emit(args.out, _scan_summary(report))
+        return 0
+    path = args.out or f"scan3.{args.format}"
+    with _open_out(path) as fh:
+        (_scan_csv if args.format == "csv" else _scan_json)(report, fh)
+    rows = f" ({args.grid * args.grid} rows)" if args.format == "csv" else ""
+    sys.stdout.write(f"{_scan_summary(report)}wrote {path}{rows}\n")
     return 0
 
 

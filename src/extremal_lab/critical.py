@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from . import energy
 from .exactpoly import (
@@ -40,25 +39,22 @@ class CriticalPointResult:
     value: Fraction  # f at the bracket midpoint, exactly
     value_at_critical: str
     classification: str  # local-min | local-max | inflection
-    line_to_exceptional_ratio: Optional[str] = None
 
 
 def critical_points_of(f: RationalFunction, domain=(0, DEFAULT_SEARCH_BOUND),
-                       digits: int = 12,
-                       ratio_offset: Optional[Fraction] = None) -> list[CriticalPointResult]:
+                       digits: int = 12) -> list[CriticalPointResult]:
     """Certified critical points of f on the half-open interval (low, high].
 
     Roots of the derivative numerator f'_num = n'd - nd' are isolated by
     Sturm counts and refined to `digits`; each is classified by the exact
     sign change of f'_num across its bracket (d^2 > 0 there, so this is the
-    sign change of f').  `ratio_offset`, when given, fills the
-    line/exceptional ratio field with root + offset.
+    sign change of f').
     """
-    return _critical_points(f, domain, digits, ratio_offset)[1]
+    return _critical_points(f, domain, digits)[1]
 
 
-def _critical_points(f: RationalFunction, domain, digits: int,
-                     ratio_offset: Optional[Fraction]) -> tuple[Polynomial, list[CriticalPointResult]]:
+def _critical_points(f: RationalFunction, domain,
+                     digits: int) -> tuple[Polynomial, list[CriticalPointResult]]:
     """`critical_points_of`, together with the derivative numerator it isolated."""
     names = sorted(set(f.numerator.variables) | set(f.denominator.variables))
     if len(names) != 1:
@@ -92,18 +88,13 @@ def _critical_points(f: RationalFunction, domain, digits: int,
             klass = "local-max"
         else:
             klass = "inflection"
-        mid = br.midpoint
-        ratio = None
-        if ratio_offset is not None:
-            ratio = fraction_to_decimal(mid + ratio_offset, digits)
-        value = f.eval({var: mid})
+        value = f.eval({var: br.midpoint})
         results.append(CriticalPointResult(
             variable=var,
             bracket=br,
             value=value,
             value_at_critical=fraction_to_decimal(value, digits),
             classification=klass,
-            line_to_exceptional_ratio=ratio,
         ))
     return g, results
 
@@ -114,6 +105,7 @@ class CriticalClassReport:
 
     k: int
     critical: CriticalPointResult
+    line_to_exceptional_ratio: str  # H.w / E.w of the class (k b + delta; b, ...): k + delta/b
     normalized_energy: Fraction
     normalized_energy_decimal: str
     three_times_decimal: str
@@ -124,8 +116,8 @@ class CriticalClassReport:
     derivative_root_bound: Fraction
 
 
-def _critical_class(k: int, f: RationalFunction, offset: int, digits: int) -> CriticalClassReport:
-    g, results = _critical_points(f, (0, DEFAULT_SEARCH_BOUND), digits, Fraction(offset))
+def _critical_class(k: int, f: RationalFunction, digits: int) -> CriticalClassReport:
+    g, results = _critical_points(f, (0, DEFAULT_SEARCH_BOUND), digits)
     if len(results) != 1 or results[0].classification != "local-min":
         raise ArithmeticError(f"expected a unique interior minimum, got {results!r}")
     res = results[0]
@@ -137,6 +129,7 @@ def _critical_class(k: int, f: RationalFunction, offset: int, digits: int) -> Cr
     return CriticalClassReport(
         k=k,
         critical=res,
+        line_to_exceptional_ratio=fraction_to_decimal(k + res.bracket.midpoint, digits),
         normalized_energy=val,
         normalized_energy_decimal=fraction_to_decimal(val, digits),
         three_times_decimal=fraction_to_decimal(3 * val, digits),
@@ -151,12 +144,12 @@ def _critical_class(k: int, f: RationalFunction, offset: int, digits: int) -> Cr
 
 def page_class(digits: int = 12) -> CriticalClassReport:
     """The unique critical class of the 1-point energy (the Page class)."""
-    return _critical_class(1, energy.one_point_energy(), offset=1, digits=digits)
+    return _critical_class(1, energy.one_point_energy(), digits)
 
 
 def two_point_class(digits: int = 12) -> CriticalClassReport:
     """The unique critical class of the 2-point energy."""
-    return _critical_class(2, energy.two_point_energy(), offset=2, digits=digits)
+    return _critical_class(2, energy.two_point_energy(), digits)
 
 
 # -- exact gradient on the slice ---------------------------------------------

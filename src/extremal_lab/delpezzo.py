@@ -16,10 +16,6 @@ class NotKahlerError(ValueError):
     """A class failed one of the listed positivity conditions."""
 
 
-def _frac(x) -> Fraction:
-    return Fraction(x)
-
-
 @dataclass(frozen=True)
 class CohomologyClass:
     """Class a*H - sum(b_i E_i); b has one entry per blown-up point."""
@@ -28,8 +24,8 @@ class CohomologyClass:
     b: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _frac(self.a))
-        object.__setattr__(self, "b", tuple(_frac(x) for x in self.b))
+        object.__setattr__(self, "a", Fraction(self.a))
+        object.__setattr__(self, "b", tuple(Fraction(x) for x in self.b))
 
     @property
     def k(self) -> int:
@@ -97,12 +93,7 @@ class HexagonParams:
         for name in ("alpha", "beta", "gamma", "delta"):
             v = getattr(self, name)
             if v is not None:
-                object.__setattr__(self, name, _frac(v))
-
-    @property
-    def is_normalized(self) -> bool:
-        """delta >= 0; classes with delta < 0 await a Cremona reflection."""
-        return self.delta is None or self.delta >= 0
+                object.__setattr__(self, name, Fraction(v))
 
 
 def hexagon_to_class(s: SurfaceModel, p: HexagonParams) -> CohomologyClass:
@@ -186,8 +177,3 @@ def kahler_violation(s: SurfaceModel, c: CohomologyClass) -> Optional[str]:
         if area <= 0:
             return f"curve {label} has area {area} <= 0"
     return None
-
-
-def is_kahler(s: SurfaceModel, c: CohomologyClass) -> bool:
-    """a > 0, Q(c,c) > 0, and positive area on every listed (-1)-curve."""
-    return kahler_violation(s, c) is None

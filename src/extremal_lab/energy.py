@@ -80,11 +80,6 @@ class EnergyBreakdown:
     normalized: Fraction
 
 
-def t_variance_poly() -> Polynomial:
-    """The variance sextic D(alpha, beta, delta) = 144 pi^2 w^2 Var(t)."""
-    return _VARIANCE
-
-
 def energy_closed_form() -> RationalFunction:
     """A|_P / 96 pi^2 = N / D as a quotient of homogeneous sextics."""
     return RationalFunction(_NUMERATOR, _VARIANCE)
@@ -125,13 +120,6 @@ def _require_slice_kahler(alpha, beta, delta) -> tuple[Fraction, Fraction, Fract
     return alpha, beta, delta
 
 
-def futaki_restricted(alpha, beta, delta) -> Fraction:
-    """F(Xi,[w]) = 4 (beta-alpha) delta (delta^2/3 + beta delta + beta^2) / w^2."""
-    alpha, beta, delta = _require_slice_kahler(alpha, beta, delta)
-    point = {"alpha": alpha, "beta": beta, "delta": delta}
-    return _FUTAKI_CORE.eval(point) * 4 / _OMEGA_SQ.eval(point)
-
-
 def energy_composed(alpha, beta, delta) -> EnergyBreakdown:
     """A at the slice class, via the average / Futaki decomposition.
 
@@ -152,6 +140,11 @@ def energy_composed(alpha, beta, delta) -> EnergyBreakdown:
                            total=total, normalized=total / 96)
 
 
+def _residual(num: Polynomial, den: Polynomial) -> Polynomial:
+    """(1/3)(c1.w)^2 den + 24 ((beta-alpha) delta (...))^2 - w^2 num."""
+    return _C1_DOT_OMEGA ** 2 * den / 3 + 24 * _FUTAKI_CORE ** 2 - _OMEGA_SQ * num
+
+
 def verify_identity(numerator: Polynomial | None = None,
                     denominator: Polynomial | None = None) -> tuple[bool, Polynomial]:
     """Check (1/3)(c1.w)^2 D + 24 ((beta-alpha) delta (...))^2 = w^2 N exactly.
@@ -160,9 +153,8 @@ def verify_identity(numerator: Polynomial | None = None,
     identity holds.  Overrides exist so a deliberately perturbed sextic can
     be shown to fail.
     """
-    num = _NUMERATOR if numerator is None else numerator
-    den = _VARIANCE if denominator is None else denominator
-    residual = _C1_DOT_OMEGA ** 2 * den / 3 + 24 * _FUTAKI_CORE ** 2 - _OMEGA_SQ * num
+    residual = _residual(_NUMERATOR if numerator is None else numerator,
+                         _VARIANCE if denominator is None else denominator)
     return (not residual, residual)
 
 
@@ -175,10 +167,9 @@ def solve_unknown_coefficient(numerator: Polynomial | None = None) -> Fraction:
     the identity hold (an inconsistent system would mean some other
     coefficient is wrong).
     """
-    num = _NUMERATOR if numerator is None else numerator
-    d_without = _VARIANCE - 276 * _UNKNOWN_MONOMIAL
     # residual(c) = base + c * slope must vanish identically
-    base = _C1_DOT_OMEGA ** 2 * d_without / 3 + 24 * _FUTAKI_CORE ** 2 - _OMEGA_SQ * num
+    base = _residual(_NUMERATOR if numerator is None else numerator,
+                     _VARIANCE - 276 * _UNKNOWN_MONOMIAL)
     slope = _C1_DOT_OMEGA ** 2 * _UNKNOWN_MONOMIAL / 3
     exps, coeff = next(iter(slope.sorted_terms()))
     c = -base.coefficient(**dict(zip(slope.variables, exps))) / coeff
@@ -212,11 +203,10 @@ def two_point_energy() -> RationalFunction:
 
 
 def gauss_bonnet_residual(k: int, normalized_energy):
-    """3 * (A/96pi^2) - (9 - k): the trace-free Ricci energy (1/8pi^2) int |r0|^2.
+    """3 * (A/96pi^2) - (2 chi + 3 tau): the trace-free Ricci energy
+    (1/8pi^2) int |r0|^2 of the k-point blow-up.
 
-    Uses 2 chi + 3 tau = 9 - k for the k-point blow-up; zero exactly when a
-    would-be extremal representative is Kahler-Einstein.
+    Zero exactly when a would-be extremal representative is Kahler-Einstein.
     """
-    if k not in (1, 2, 3):
-        raise ValueError(f"k must be 1, 2, or 3, got {k!r}")
-    return 3 * normalized_energy - (9 - k)
+    s = delpezzo.make_surface(k)
+    return 3 * normalized_energy - (2 * s.euler + 3 * s.signature)

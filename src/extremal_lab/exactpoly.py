@@ -22,18 +22,6 @@ from typing import Mapping, Union
 Scalar = Union[int, Fraction]
 
 
-class _AnyDegree:
-    """Degree sentinel for the zero polynomial (homogeneous of any degree)."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "ANY_DEGREE"
-
-
-ANY_DEGREE = _AnyDegree()
-
-
 class Polynomial:
     """Multivariate polynomial with exact rational coefficients.
 
@@ -244,13 +232,6 @@ class Polynomial:
         """Maximal total degree; -1 for the zero polynomial."""
         return max((sum(e) for e in self.terms), default=-1)
 
-    def homogeneous_degree(self):
-        """Common total degree of all terms, None if mixed, ANY_DEGREE for 0."""
-        if not self.terms:
-            return ANY_DEGREE
-        degs = {sum(e) for e in self.terms}
-        return degs.pop() if len(degs) == 1 else None
-
     def coefficient(self, **exponents: int) -> Fraction:
         """Coefficient of the monomial with the named exponents (others 0)."""
         for name, e in exponents.items():
@@ -324,50 +305,6 @@ class RationalFunction:
         if other is NotImplemented:
             return NotImplemented
         return self.numerator * other.denominator == other.numerator * self.denominator
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFunction(
-            self.numerator * other.denominator + other.numerator * self.denominator,
-            self.denominator * other.denominator,
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFunction(-self.numerator, self.denominator)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFunction(self.numerator * other.numerator,
-                                self.denominator * other.denominator)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not other.numerator:
-            raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(self.numerator * other.denominator,
-                                self.denominator * other.numerator)
 
     def eval(self, point: Mapping[str, Scalar]) -> Fraction:
         den = self.denominator.eval(point)

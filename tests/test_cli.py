@@ -7,9 +7,11 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -115,6 +117,9 @@ def test_verify_out_writes_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert path.read_text().startswith("record")
+    # an empty --out means stdout, as an absent one does
+    code, out, err = run(capsys, "verify", "--out", "")
+    assert code == 0 and out.startswith("record")
 
 
 def test_verify_rejects_low_digits(capsys):
@@ -239,6 +244,62 @@ def test_critical_deep_json_is_pinned(capsys):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "b3a68bfe9fc272dd59671a9f680fc7983b67ec5db1865e331ac4ae4edf81d19d")
+
+
+# sha256 of the exact subcommands' output, captured before the test-only API,
+# the ratio_offset option and the separate --out writers were removed
+EXACT_OUTPUT_SHA256 = {
+    ("verify", "--digits", "12", "--format", "table"):
+        "a2eeb38c24b1af70edd0b25cf7f57806a912fc8f6e9f531bc3b3392be9034029",
+    ("verify", "--digits", "12", "--format", "json"):
+        "c7b072013ed5584a2fede65453c14712fd7aa160a20fc649403e1a957c5e0398",
+    ("verify", "--digits", "12", "--format", "csv"):
+        "cb09db019e3469d9f82861021e435be41d4e735310cad95d77ed43d69c778b91",
+    ("verify", "--digits", "100", "--format", "table"):
+        "623cc9d471f35d15e761d4484592e95d2574225bdfeb5df11b85f279c40932da",
+    ("verify", "--digits", "100", "--format", "json"):
+        "5d88c6f162c774f4bc84156121e168ea4524c6a6ac320728aec7da620c0494d5",
+    ("verify", "--digits", "100", "--format", "csv"):
+        "ba51b8261e26b5b10efb0efafe8a856106cd3dab8996560e06d54cf90d7570cd",
+    ("energy", "--k", "1", "--alpha", "3", "--delta", "1", "--format", "table"):
+        "30652342b08af3a91e0236d0abb9ae943cfe0cfee05a58c8e77360d3b8cc371a",
+    ("energy", "--k", "1", "--alpha", "3", "--delta", "1", "--format", "json"):
+        "d565e663d58a791760b8962404f9adaeb3ac6d0305778a11f64724f43bd4237c",
+    ("energy", "--k", "1", "--alpha", "3", "--delta", "1", "--format", "csv"):
+        "f896898107af17b6b2e7537969e38ac03d35c880a9e9d763c9e81aecaed8736d",
+    ("energy", "--k", "2", "--beta", "1", "--delta", "2", "--format", "table"):
+        "d69d44f1e4152882339649d90f9027cc5641c2d1f58121cc16dbb36163ee0bd4",
+    ("energy", "--k", "2", "--beta", "1", "--delta", "2", "--format", "json"):
+        "84b2bafd2c6570812d7140d3c34a69f17f1b8bba006c9cbf593d00371d3e3773",
+    ("energy", "--k", "2", "--beta", "1", "--delta", "2", "--format", "csv"):
+        "4386738c8dbd5df9d3e6e9d499d192bbe360068d067873622b56e473bef612c1",
+    ("energy", "--k", "3", "--alpha", "1/2", "--beta", "1", "--delta", "3", "--format", "table"):
+        "910451138db6ad1d6f30cb611e43af50418c82ea4fec276783a3cd906469f2e9",
+    ("energy", "--k", "3", "--alpha", "1/2", "--beta", "1", "--delta", "3", "--format", "json"):
+        "21c624bd595e698b09353b8c4327752a2553d5c6e5cbf65652fd698bbbe8a202",
+    ("energy", "--k", "3", "--alpha", "1/2", "--beta", "1", "--delta", "3", "--format", "csv"):
+        "4198a1fa6f7e1740a245e892505ef94352ce3e10e3092c97808a867221f4764a",
+    ("critical", "--k", "1", "--digits", "12", "--format", "table"):
+        "1efc36c8d22ae187bba24fa8aedaa5b752112d450a59cdf10aa256cee673b5ff",
+    ("critical", "--k", "1", "--digits", "12", "--format", "csv"):
+        "7a9b2c9969a282801809c732e3535d943ddf2c582044650f3295578c9a16280c",
+    ("critical", "--k", "2", "--digits", "12", "--format", "table"):
+        "20ea794b5a251a2427bc11ce9a2f1e389a7f539894cbd6905ca5d45fb9e1b120",
+    ("critical", "--k", "2", "--digits", "12", "--format", "csv"):
+        "9eae11a9f75047cbb4cee84e5818f266208d091ac46c21ae431460995b365a16",
+}
+
+
+@pytest.mark.parametrize("argv", list(EXACT_OUTPUT_SHA256))
+def test_exact_outputs_are_pinned(capsys, tmp_path, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == EXACT_OUTPUT_SHA256[argv]
+    # --out holds the same bytes
+    path = tmp_path / "out"
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert (code, out) == (0, "")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == EXACT_OUTPUT_SHA256[argv]
 
 
 def test_critical_table_lists_certificates(capsys):
@@ -602,6 +663,8 @@ def test_failing_export_child_exits_two(capfd, monkeypatch, tmp_path, fmt):
     assert str(path) in err and "exited with status 1" in err
     assert "Traceback" not in err and "injected" not in err
     assert list(temp_dir.iterdir()) == []
+    # neither the export nor its sibling temporary file is left behind
+    assert list(tmp_path.iterdir()) == [temp_dir]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -612,8 +675,73 @@ def test_export_child_is_reaped_when_the_parent_half_fails(capfd, monkeypatch, t
     with pytest.raises(RuntimeError, match="injected"):
         cli.main(["scan3", "--grid", "8", "--format", "csv", "--out", str(tmp_path / "c.csv")])
     assert len(forks) == 1
+    assert list(tmp_path.iterdir()) == []
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("child", [True, False])
+def test_failed_export_keeps_the_previous_out_file(capfd, monkeypatch, tmp_path, child):
+    _fail_in_rows(monkeypatch, child=child)
+    _count_forks(monkeypatch, 2)
+    path = tmp_path / "cells.csv"
+    path.write_bytes(b"previous export\n")
+    with contextlib.suppress(RuntimeError):
+        assert cli.main(["scan3", "--grid", "8", "--format", "csv", "--out", str(path)]) == 2
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_bytes() == b"previous export\n"
+
+
+def test_out_write_error_names_the_out_path(capsys, tmp_path):
+    path = tmp_path / "missing" / "records.txt"
+    code, out, err = run(capsys, "verify", "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: No such file or directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_through_a_symlink_replaces_its_target(capsys, tmp_path):
+    target = tmp_path / "records.txt"
+    target.write_text("old\n")
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    code, out, err = run(capsys, "verify", "--out", str(link))
+    assert (code, out) == (0, "")
+    assert link.is_symlink() and target.read_text().startswith("record")
+    assert sorted(tmp_path.iterdir()) == [link, target]
+
+
+def test_new_out_file_mode_follows_the_umask(capsys, tmp_path):
+    old = os.umask(0o027)
+    try:
+        code, out, err = run(capsys, "verify", "--out", str(tmp_path / "records.txt"))
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert (tmp_path / "records.txt").stat().st_mode & 0o777 == 0o640
+
+
+@pytest.mark.parametrize("argv", [("verify",), ("scan3", "--grid", "8", "--format", "csv")])
+def test_out_to_a_character_device_is_written_in_place(capsys, argv):
+    code, out, err = run(capsys, *argv, "--out", os.devnull)
+    assert code == 0, err
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+def test_out_to_a_fifo_is_written_in_place(capsys, tmp_path):
+    fifo = tmp_path / "records.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        code, out, err = run(capsys, "verify", "--out", str(fifo))
+    finally:
+        reader.join(timeout=30)
+    assert code == 0, err
+    assert received[0].startswith(b"record")
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert list(tmp_path.iterdir()) == [fifo]
 
 
 # -- parser -------------------------------------------------------------------

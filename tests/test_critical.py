@@ -42,7 +42,7 @@ def test_page_class_certificates():
     mid = rep.critical.bracket.midpoint
     assert abs(mid - ONE_POINT_ROOT) < Fraction(1, 10 ** 11)
     assert rep.critical.classification == "local-min"
-    assert rep.critical.line_to_exceptional_ratio == "3.18393340447"
+    assert rep.line_to_exceptional_ratio == "3.18393340447"
     assert abs(rep.normalized_energy - ONE_POINT_VALUE) < Fraction(1, 10 ** 11)
     assert abs(rep.residual - ONE_POINT_RESIDUAL) < Fraction(1, 10 ** 10)
     assert rep.root_count == 1
@@ -55,7 +55,7 @@ def test_two_point_class_certificates():
     mid = rep.critical.bracket.midpoint
     assert abs(mid - TWO_POINT_ROOT) < Fraction(1, 10 ** 11)
     assert rep.critical.classification == "local-min"
-    assert rep.critical.line_to_exceptional_ratio == "2.95771280519"
+    assert rep.line_to_exceptional_ratio == "2.95771280519"
     assert rep.normalized_energy_decimal == "2.37882482354"
     assert rep.three_times_decimal == "7.13647447062"
     assert rep.residual_decimal == "0.136474470623"
@@ -108,7 +108,10 @@ def test_am_gm_critical_point():
     assert res.classification == "local-min"
     assert res.bracket.low <= 1 <= res.bracket.high
     assert res.value_at_critical == "2"
-    assert res.line_to_exceptional_ratio is None
+    # the line/exceptional ratio belongs to the critical-class report alone
+    assert not hasattr(res, "line_to_exceptional_ratio")
+    with pytest.raises(TypeError):
+        critical_points_of(f, (0, 10), ratio_offset=1)
 
 
 def test_classification_of_maximum_and_inflection():

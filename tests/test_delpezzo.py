@@ -13,7 +13,6 @@ from extremal_lab.delpezzo import (
     curve_areas,
     hexagon_to_class,
     intersect,
-    is_kahler,
     kahler_violation,
     make_surface,
 )
@@ -121,8 +120,7 @@ def test_class_to_hexagon_examples():
 def test_class_to_hexagon_flags_negative_delta():
     s = make_surface(3)
     p = class_to_hexagon(s, CohomologyClass(1, (1, 1, 1)))
-    assert p.delta == -2
-    assert not p.is_normalized
+    assert p.delta == -2  # negative: awaits a Cremona reflection
 
 
 def test_two_point_hexagon_requires_equal_areas():
@@ -187,7 +185,7 @@ def test_cremona_normalize_fixes_nonnegative_delta():
 def test_cremona_normalize_is_idempotent():
     p = HexagonParams(3, 5, 4, -2)
     once = cremona_normalize(p)
-    assert once.is_normalized
+    assert once.delta >= 0
     assert cremona_normalize(once) == once
 
 
@@ -217,22 +215,22 @@ def test_cremona_requires_full_parameter_set():
 
 def test_anticanonical_is_kahler():
     s = make_surface(3)
-    assert is_kahler(s, s.c1)
+    assert kahler_violation(s, s.c1) is None
 
 
 def test_zero_area_line_is_not_kahler():
     s = make_surface(3)
-    assert not is_kahler(s, CohomologyClass(1, (1, 0, 0)))
+    assert kahler_violation(s, CohomologyClass(1, (1, 0, 0))) is not None
     # positive square but one line of area zero: violation names the curve
     c = CohomologyClass(3, (2, 1, 1))
-    assert not is_kahler(s, c)
+    assert kahler_violation(s, c) is not None
     assert "H-E1-E3" in kahler_violation(s, c)
 
 
 def test_oversized_exceptional_is_not_kahler():
     s = make_surface(1)
     c = CohomologyClass(1, (2,))
-    assert not is_kahler(s, c)
+    assert kahler_violation(s, c) is not None
 
 
 def test_kahler_violation_names_failure():
@@ -246,5 +244,5 @@ def test_negative_delta_kahler_class():
     # Kahler classes may carry delta < 0 before Cremona normalization
     s = make_surface(3)
     c = hexagon_to_class(s, HexagonParams(2, 2, 2, -1))
-    assert is_kahler(s, c)
-    assert not class_to_hexagon(s, c).is_normalized
+    assert kahler_violation(s, c) is None
+    assert class_to_hexagon(s, c).delta < 0

@@ -9,12 +9,10 @@ from extremal_lab.delpezzo import NotKahlerError
 from extremal_lab.energy import (
     energy_closed_form,
     energy_composed,
-    futaki_restricted,
     gauss_bonnet_residual,
     one_point_energy,
     slice_kahler_violation,
     solve_unknown_coefficient,
-    t_variance_poly,
     two_point_energy,
     verify_identity,
 )
@@ -30,10 +28,20 @@ def closed_value(alpha, beta, delta) -> Fraction:
         {"alpha": Fraction(alpha), "beta": Fraction(beta), "delta": Fraction(delta)})
 
 
+def omega_squared(a, b, d) -> Fraction:
+    return Fraction((a + 2 * b + d) ** 2 - a ** 2 - 2 * b ** 2)
+
+
+def futaki(a, b, d) -> Fraction:
+    """F(Xi,[w]) = 4 (beta-alpha) delta (delta^2/3 + beta delta + beta^2) / w^2."""
+    a, b, d = Fraction(a), Fraction(b), Fraction(d)
+    return 4 * (b - a) * d * (d ** 2 / 3 + b * d + b ** 2) / omega_squared(a, b, d)
+
+
 # -- the variance sextic ---------------------------------------------------------
 
 def test_variance_poly_point_values():
-    d = t_variance_poly()
+    d = energy_closed_form().denominator
     assert d.eval({"alpha": 1, "beta": 0, "delta": 1}) == 13
     assert d.eval({"alpha": 0, "beta": 1, "delta": 1}) == 409
     assert d.eval({"alpha": 1, "beta": 1, "delta": 0}) == 180
@@ -41,8 +49,8 @@ def test_variance_poly_point_values():
 
 def test_both_sextics_are_homogeneous_of_degree_six():
     se = energy_closed_form()
-    assert se.numerator.homogeneous_degree() == 6
-    assert se.denominator.homogeneous_degree() == 6
+    assert {sum(e) for e in se.numerator.terms} == {6}
+    assert {sum(e) for e in se.denominator.terms} == {6}
 
 
 def test_numerator_point_values():
@@ -91,23 +99,21 @@ def test_coefficient_recovery_rejects_perturbed_numerator():
 
 
 def test_recovered_coefficient_is_the_stored_one():
-    assert t_variance_poly().coefficient(alpha=1, beta=4, delta=1) == 276
+    assert energy_closed_form().denominator.coefficient(alpha=1, beta=4, delta=1) == 276
 
 
 # -- Futaki restriction -----------------------------------------------------------
 
 def test_futaki_vanishes_on_symmetric_classes():
-    assert futaki_restricted(1, 1, 3) == 0
-    assert futaki_restricted(2, 5, 0) == 0
+    for point in ((1, 1, 3), (2, 5, 0)):
+        assert futaki(*point) == 0
+        assert energy_composed(*point).futaki_term == 0
 
 
 def test_futaki_two_point_value():
-    assert futaki_restricted(0, 1, 1) == Fraction(4, 3)
-
-
-def test_futaki_requires_kahler_class():
-    with pytest.raises(NotKahlerError):
-        futaki_restricted(-1, 1, 0)
+    assert futaki(0, 1, 1) == Fraction(4, 3)
+    # futaki_term = 144 F^2 w^2 / D with w^2 = 7 and D = 409
+    assert energy_composed(0, 1, 1).futaki_term == 144 * Fraction(16, 9) * 7 / 409
 
 
 # -- composed and closed-form routes ----------------------------------------------
@@ -149,9 +155,9 @@ def test_one_point_slice_reproduced_by_composition():
 def test_futaki_term_is_even_in_futaki_invariant():
     # the decomposition uses the invariant only through its square
     a, b, d = Fraction(1), Fraction(3), Fraction(2)
-    w2 = (a + 2 * b + d) ** 2 - a ** 2 - 2 * b ** 2
-    fut = futaki_restricted(a, b, d)
-    dval = t_variance_poly().eval({"alpha": a, "beta": b, "delta": d})
+    w2 = omega_squared(a, b, d)
+    fut = futaki(a, b, d)
+    dval = energy_closed_form().denominator.eval({"alpha": a, "beta": b, "delta": d})
     term = energy_composed(a, b, d).futaki_term
     assert term == 144 * fut ** 2 * w2 / dval
     assert term == 144 * (-fut) ** 2 * w2 / dval

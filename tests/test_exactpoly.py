@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from extremal_lab import exactpoly
 from extremal_lab.exactpoly import (
-    ANY_DEGREE,
     Polynomial,
     RationalFunction,
     cauchy_root_bound,
@@ -17,7 +16,7 @@ from extremal_lab.exactpoly import (
     isolate_real_roots,
     symbols,
 )
-from extremal_lab.energy import one_point_energy, t_variance_poly, two_point_energy
+from extremal_lab.energy import energy_closed_form, one_point_energy, two_point_energy
 
 ALPHA, BETA, DELTA = symbols("alpha beta delta")
 X, = symbols("x")
@@ -104,7 +103,7 @@ def test_partial_of_constant_is_zero():
 
 
 def test_euler_identity_for_variance_sextic():
-    d = t_variance_poly()
+    d = energy_closed_form().denominator
     total = (ALPHA * d.partial("alpha") + BETA * d.partial("beta")
              + DELTA * d.partial("delta"))
     assert total == 6 * d
@@ -113,13 +112,13 @@ def test_euler_identity_for_variance_sextic():
 # -- substitution and evaluation -----------------------------------------------
 
 def test_substitute_beta_zero_in_variance_poly():
-    d = t_variance_poly()
+    d = energy_closed_form().denominator
     expected = DELTA ** 6 + 6 * DELTA ** 5 * ALPHA + 6 * DELTA ** 4 * ALPHA ** 2
     assert d.substitute({"beta": 0}) == expected
 
 
 def test_substitute_alpha_zero_in_variance_poly():
-    d = t_variance_poly()
+    d = energy_closed_form().denominator
     expected = (12 * BETA ** 6 + 72 * BETA ** 5 * DELTA + 138 * BETA ** 4 * DELTA ** 2
                 + 120 * BETA ** 3 * DELTA ** 3 + 54 * BETA ** 2 * DELTA ** 4
                 + 12 * BETA * DELTA ** 5 + DELTA ** 6)
@@ -127,12 +126,12 @@ def test_substitute_alpha_zero_in_variance_poly():
 
 
 def test_substitute_identity_bindings():
-    d = t_variance_poly()
+    d = energy_closed_form().denominator
     assert d.substitute({"alpha": ALPHA, "beta": BETA, "delta": DELTA}) == d
 
 
 def test_eval_variance_points():
-    d = t_variance_poly()
+    d = energy_closed_form().denominator
     assert d.eval({"alpha": 0, "beta": 1, "delta": 1}) == 409
     assert d.eval({"alpha": 1, "beta": 0, "delta": 1}) == 13
 
@@ -150,15 +149,10 @@ def test_eval_requires_all_variables():
 # -- homogeneity ---------------------------------------------------------------
 
 def test_variance_poly_is_sextic():
-    assert t_variance_poly().homogeneous_degree() == 6
-
-
-def test_mixed_degrees_report_none():
-    assert (ALPHA + BETA ** 2).homogeneous_degree() is None
+    assert {sum(e) for e in energy_closed_form().denominator.terms} == {6}
 
 
 def test_zero_polynomial_degree_sentinel():
-    assert Polynomial.zero().homogeneous_degree() is ANY_DEGREE
     assert Polynomial.zero().total_degree() == -1
 
 
@@ -267,13 +261,6 @@ def test_rational_eval_at_pole_raises():
     h = RationalFunction(Polynomial.constant(1), X)
     with pytest.raises(ZeroDivisionError):
         h.eval({"x": 0})
-
-
-def test_rational_arithmetic():
-    f = RationalFunction(Polynomial.constant(1), X)
-    g = RationalFunction(X, Polynomial.constant(1))
-    assert f * g == RationalFunction(Polynomial.constant(1), Polynomial.constant(1))
-    assert f + f == RationalFunction(Polynomial.constant(2), X)
 
 
 # -- root isolation ------------------------------------------------------------
