@@ -22,13 +22,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import __version__, critical, energy
-from .delpezzo import (
-    HexagonParams,
-    NotKahlerError,
-    hexagon_to_class,
-    kahler_violation,
-    make_surface,
-)
+from .delpezzo import make_surface
 from .exactpoly import fraction_to_decimal
 
 #: cap on --digits.  At 800, verify took 0.18 s and critical --k 2 0.12 s end
@@ -41,9 +35,9 @@ MAX_DIGITS = 800
 #: int-to-str limit, in 9 ms (Python 3.11, x86-64 Linux)
 MAX_RATIONAL_DIGITS = 200
 #: cap on --grid cells per axis.  Peak RSS grows with grid^2; at 1024 scan3
-#: peaked at 70 MiB for each of table, csv and json (five grid arrays live in
-#: the kernel, exports streamed row by row) with Python 3.11 and numpy 2.4 on
-#: x86-64 Linux
+#: peaked at 48 MiB for each of table, csv and json (two grid arrays plus
+#: block buffers in the kernel, exports streamed row by row) with Python 3.11
+#: and numpy 2.4 on x86-64 Linux
 MAX_GRID = 1024
 
 PI_SQUARED = math.pi ** 2
@@ -237,24 +231,16 @@ def cmd_energy(args) -> int:
     if k == 3:
         if alpha is None or beta is None:
             raise UsageError("k=3 takes --alpha, --beta and optional --delta")
-        params = HexagonParams(alpha=alpha, beta=beta, gamma=beta, delta=delta)
         slice_point = (alpha, beta, delta)
     elif k == 2:
         if beta is None or alpha is not None:
             raise UsageError("k=2 takes --beta and optional --delta (no --alpha)")
-        params = HexagonParams(beta=beta, delta=delta)
         slice_point = (Fraction(0), beta, delta)
     else:
         if alpha is None or beta is not None:
             raise UsageError("k=1 takes --alpha and optional --delta (no --beta)")
-        params = HexagonParams(alpha=alpha, delta=delta)
         slice_point = (alpha, Fraction(0), delta)
-
-    surface = make_surface(k)
-    violation = kahler_violation(surface, hexagon_to_class(surface, params))
-    if violation is not None:
-        raise UsageError(f"class is not Kahler: {violation}")
-    breakdown = energy.energy_composed(*slice_point)
+    breakdown = energy.surface_energy(k, *slice_point)
 
     digits = args.digits
     quantities = [

@@ -85,6 +85,26 @@ def energy_closed_form() -> RationalFunction:
     return RationalFunction(_NUMERATOR, _VARIANCE)
 
 
+def surface_kahler_violation(k: int, alpha, beta, delta) -> Optional[str]:
+    """Why the slice point (alpha, beta, delta) is not a Kahler class of the
+    k-point blow-up, or None; k = 0 is the plane.
+
+    Nothing blows down: k = 3 reads the areas (alpha, beta, beta, delta),
+    k = 2 reads (beta, delta) and k = 1 reads (alpha, delta), and each
+    exceptional curve must have positive area on that surface.
+    """
+    if k == 0:
+        return None if delta > 0 else f"hyperplane multiple delta = {delta} is not positive"
+    if k == 3:
+        params = HexagonParams(alpha=alpha, beta=beta, gamma=beta, delta=delta)
+    elif k == 2:
+        params = HexagonParams(beta=beta, delta=delta)
+    else:
+        params = HexagonParams(alpha=alpha, delta=delta)
+    s = delpezzo.make_surface(k)
+    return delpezzo.kahler_violation(s, delpezzo.hexagon_to_class(s, params))
+
+
 def slice_kahler_violation(alpha, beta, delta) -> Optional[str]:
     """Why (alpha, beta, delta) is not a Kahler slice class, or None.
 
@@ -97,19 +117,8 @@ def slice_kahler_violation(alpha, beta, delta) -> Optional[str]:
         return f"exceptional area alpha = {alpha} is negative"
     if beta < 0:
         return f"exceptional area beta = {beta} is negative"
-    if alpha == 0 and beta == 0:
-        return None if delta > 0 else f"hyperplane multiple delta = {delta} is not positive"
-    if alpha == 0:
-        s = delpezzo.make_surface(2)
-        c = delpezzo.hexagon_to_class(s, HexagonParams(beta=beta, delta=delta))
-    elif beta == 0:
-        s = delpezzo.make_surface(1)
-        c = delpezzo.hexagon_to_class(s, HexagonParams(alpha=alpha, delta=delta))
-    else:
-        s = delpezzo.make_surface(3)
-        c = delpezzo.hexagon_to_class(s, HexagonParams(alpha=alpha, beta=beta,
-                                                       gamma=beta, delta=delta))
-    return delpezzo.kahler_violation(s, c)
+    # k = 3 with both areas positive, 2 at alpha = 0, 1 at beta = 0, 0 at both
+    return surface_kahler_violation((alpha > 0) + 2 * (beta > 0), alpha, beta, delta)
 
 
 def _require_slice_kahler(alpha, beta, delta) -> tuple[Fraction, Fraction, Fraction]:
@@ -120,13 +129,7 @@ def _require_slice_kahler(alpha, beta, delta) -> tuple[Fraction, Fraction, Fract
     return alpha, beta, delta
 
 
-def energy_composed(alpha, beta, delta) -> EnergyBreakdown:
-    """A at the slice class, via the average / Futaki decomposition.
-
-    average_term = 32 (c1.w)^2 / w^2 and futaki_term = 144 G^2 / (w^2 D)
-    with G = w^2 F(Xi,[w]); both as exact multiples of pi^2.
-    """
-    alpha, beta, delta = _require_slice_kahler(alpha, beta, delta)
+def _composition(alpha: Fraction, beta: Fraction, delta: Fraction) -> EnergyBreakdown:
     point = {"alpha": alpha, "beta": beta, "delta": delta}
     c1w = _C1_DOT_OMEGA.eval(point)
     w2 = _OMEGA_SQ.eval(point)
@@ -138,6 +141,27 @@ def energy_composed(alpha, beta, delta) -> EnergyBreakdown:
     total = average + futaki
     return EnergyBreakdown(average_term=average, futaki_term=futaki,
                            total=total, normalized=total / 96)
+
+
+def energy_composed(alpha, beta, delta) -> EnergyBreakdown:
+    """A at the slice class, via the average / Futaki decomposition.
+
+    average_term = 32 (c1.w)^2 / w^2 and futaki_term = 144 G^2 / (w^2 D)
+    with G = w^2 F(Xi,[w]); both as exact multiples of pi^2.  Zero areas
+    blow down, as in slice_kahler_violation.
+    """
+    return _composition(*_require_slice_kahler(alpha, beta, delta))
+
+
+def surface_energy(k: int, alpha, beta, delta) -> EnergyBreakdown:
+    """energy_composed at a slice point read as a class of the k-point
+    blow-up: raises NotKahlerError unless surface_kahler_violation accepts
+    it, so no area blows down."""
+    alpha, beta, delta = Fraction(alpha), Fraction(beta), Fraction(delta)
+    violation = surface_kahler_violation(k, alpha, beta, delta)
+    if violation is not None:
+        raise NotKahlerError(f"class is not Kahler: {violation}")
+    return _composition(alpha, beta, delta)
 
 
 def _residual(num: Polynomial, den: Polynomial) -> Polynomial:

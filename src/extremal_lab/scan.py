@@ -2,13 +2,15 @@
 module that imports numpy.
 
 A slice polynomial p(alpha, delta) has degree at most 6 in each variable, so
-it is a 7x7 coefficient matrix C, and its values on the whole grid are one
-product Pa @ C @ Pd^T of increasing Vandermonde matrices of the two axes.
-The matrices of N and D are read from the closed form in `energy`, and
-those of their partials by shifting an index.  The kernel then applies the
-quotient rule in place, with five grid-sized arrays live at once.  Each
-product is one BLAS call over the whole grid, so a cell's last bit can
-depend on the BLAS build and its thread count.
+it is a 7x7 coefficient matrix C, and its values on a block of alpha rows are
+one product Pa[rows] @ C @ Pd^T of increasing Vandermonde matrices of the two
+axes.  The matrices of N and D are read from the closed form in `energy`, and
+those of their partials by shifting an index.  The kernel runs BLOCK_ROWS
+alpha rows at a time and applies the quotient rule in place, so besides the
+value and gradient-norm grids it holds five block-sized buffers.  No product
+has more than BLOCK_ROWS rows, whatever the grid, and with OpenBLAS 0.3 on
+x86-64 such a product has the same bits on one thread or two; a cell's last
+bit can still depend on the BLAS build and the CPU.
 The scan reports the grid's minima and proves nothing: that the slice has
 no critical point with delta > 0 is certified exactly, by a resultant whose
 coefficients never change sign, in tests/test_critical.py
@@ -28,6 +30,9 @@ from . import energy
 
 #: powers alpha^0..alpha^6 and delta^0..delta^6 span the slice polynomials
 POWERS = 7
+#: alpha rows per kernel block: five block buffers at 1000 cells per delta
+#: take 2.5 MB, and every product has at most this many rows whatever the grid
+BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -97,41 +102,51 @@ def scan_eval(alphas, deltas, matrices):
     Cells where float64 overflows come out inf or nan, without a warning;
     the caller decides what a non-finite cell means.
 
-    Five grid-sized arrays are live at once.  Each polynomial is one
-    full-grid product Pa @ C @ Pd^T, and the quotient rule then runs in
-    place with the operands and order of values = n / d,
-    ga = (n_a * d - n * d_a) / (d * d), gd likewise and
-    grad_norms = sqrt(ga * ga + gd * gd), so every cell rounds as it would
-    with whole-array temporaries.
+    The grid is evaluated BLOCK_ROWS alpha rows at a time, in five
+    block-sized buffers; `values` and `grad_norms` are the only grid-sized
+    arrays.  In each block every polynomial is one product
+    Pa[rows] @ C @ Pd^T, and the quotient rule then runs in place with the
+    operands and order of values = n / d, ga = (n_a * d - n * d_a) / (d * d),
+    gd likewise and grad_norms = sqrt(ga * ga + gd * gd), so every cell
+    rounds as it would with whole-block temporaries.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         pa = np.vander(np.asarray(alphas, dtype=np.float64), POWERS, increasing=True)
         pd = np.vander(np.asarray(deltas, dtype=np.float64), POWERS, increasing=True)
         c_n, c_d, c_na, c_da, c_nd, c_dd = matrices
+        shape = (pa.shape[0], pd.shape[0])
+        values, grad_norms = np.empty(shape), np.empty(shape)
+        workspace = np.empty((5, min(shape[0], BLOCK_ROWS), shape[1]))
+        for start in range(0, shape[0], BLOCK_ROWS):
+            stop = min(start + BLOCK_ROWS, shape[0])
+            block = pa[start:stop]
+            # nd_prime holds n * d_a, then n * d_d
+            n, d, ga, gd, nd_prime = workspace[:, :stop - start]
 
-        def grid(c, out=None):
-            return np.matmul(pa @ c, pd.T, out=out)
+            def grid(c, out):
+                return np.matmul(block @ c, pd.T, out=out)
 
-        n, d = grid(c_n), grid(c_d)
-        ga = grid(c_na)
-        ga *= d
-        nd_prime = grid(c_da)  # holds n * d_a, then n * d_d
-        nd_prime *= n
-        ga -= nd_prime
-        gd = grid(c_nd)
-        gd *= d
-        grid(c_dd, out=nd_prime)
-        nd_prime *= n
-        gd -= nd_prime
-        values = n
-        values /= d
-        d *= d
-        ga /= d
-        gd /= d
-        ga *= ga
-        gd *= gd
-        ga += gd
-        return values, np.sqrt(ga, out=ga)
+            grid(c_n, n)
+            grid(c_d, d)
+            grid(c_na, ga)
+            ga *= d
+            grid(c_da, nd_prime)
+            nd_prime *= n
+            ga -= nd_prime
+            grid(c_nd, gd)
+            gd *= d
+            grid(c_dd, nd_prime)
+            nd_prime *= n
+            gd -= nd_prime
+            np.divide(n, d, out=values[start:stop])
+            d *= d
+            ga /= d
+            gd /= d
+            ga *= ga
+            gd *= gd
+            ga += gd
+            np.sqrt(ga, out=grad_norms[start:stop])
+        return values, grad_norms
 
 
 def _geometric_grid(lo: float, hi: float, n: int, anchor: float = 1.0):
@@ -186,6 +201,24 @@ def _term_tables() -> tuple[np.ndarray, ...]:
     return tuple(matrices)
 
 
+def _strict_minima(values: np.ndarray) -> np.ndarray:
+    """Mask of the cells below each of their 8 neighbours; a neighbour beyond
+    the edge counts as +inf, which the starting mask `values < inf` covers.
+    Compares overlapping slices, so no padded copy of the grid is made."""
+
+    def shift(step: int, n: int) -> tuple[slice, slice]:
+        # slices (here, there) of range(n) with there = here + step
+        return slice(max(-step, 0), n - max(step, 0)), slice(max(step, 0), n + min(step, 0))
+
+    na, nd = values.shape
+    strict = values < np.inf
+    for di, dj in itertools.product((-1, 0, 1), repeat=2):
+        if (di, dj) != (0, 0):
+            (rows, rows_there), (cols, cols_there) = shift(di, na), shift(dj, nd)
+            strict[rows, cols] &= values[rows, cols] < values[rows_there, cols_there]
+    return strict
+
+
 def scan_three_point(alpha_range=(0.05, 20.0), delta_range=(0.0, 10.0),
                      grid_counts=(200, 200), digits: int = 12) -> ScanReport:
     """Grid scan of the normalized energy on the slice, beta gauged to 1.
@@ -216,12 +249,7 @@ def scan_three_point(alpha_range=(0.05, 20.0), delta_range=(0.0, 10.0),
                         value=float(values[i, j]), grad_norm=float(grad_norms[i, j]),
                         boundary=bool(deltas[j] == 0.0))
 
-    pad = np.pad(values, 1, constant_values=np.inf)
-    strict = np.ones((na, nd), dtype=bool)
-    for di, dj in itertools.product((0, 1, 2), repeat=2):
-        if (di, dj) != (1, 1):
-            strict &= values < pad[di:di + na, dj:dj + nd]
-    minima = tuple(cell(i, j) for i, j in np.argwhere(strict))
+    minima = tuple(cell(i, j) for i, j in np.argwhere(_strict_minima(values)))
 
     global_min = cell(*np.unravel_index(np.argmin(values), values.shape))
 

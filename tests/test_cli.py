@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from extremal_lab import cli, energy, scan
+from extremal_lab import cli, delpezzo, energy, scan
 from extremal_lab.exactpoly import Polynomial
 from extremal_lab.scan import GridSpec, ScanCell, ScanReport
 
@@ -201,6 +201,40 @@ def test_energy_rejects_degenerate_class(capsys):
     code, out, err = run(capsys, "energy", "--k", "3", "--alpha", "1", "--beta", "0")
     assert code == 2
     assert "not Kahler" in err
+
+
+def _count_calls(fn, action) -> int:
+    """Calls of `fn`'s code while `action()` runs, whatever name reached it."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is fn.__code__:
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        action()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("--k", "3", "--alpha", "1", "--beta", "1"), 0),
+    (("--k", "2", "--beta", "1", "--delta", "2"), 0),
+    (("--k", "1", "--alpha", "3", "--delta", "1"), 0),
+    (("--k", "3", "--alpha", "2", "--beta", "0", "--delta", "1"), 2),
+    (("--k", "2", "--beta", "0", "--delta", "1"), 2),
+])
+def test_energy_checks_kahler_membership_once(capsys, argv, code):
+    codes = []
+    calls = _count_calls(delpezzo.kahler_violation,
+                         lambda: codes.append(cli.main(["energy", *argv])))
+    capsys.readouterr()
+    assert codes == [code] and calls == 1
+    assert _count_calls(delpezzo.kahler_violation,
+                        lambda: energy.energy_composed(1, 1, 0)) == 1
 
 
 def test_energy_flag_rules(capsys):
@@ -815,10 +849,10 @@ RUN_MAIN = "import sys; from extremal_lab.cli import main; sys.exit(main(sys.arg
 BLOCK_NUMPY = "import sys; sys.modules['numpy'] = None; "
 
 
-def _python(code, *argv):
+def _python(code, *argv, environ=os.environ, **kwargs):
     path = os.pathsep.join(filter(None, (PACKAGE_ROOT, os.environ.get("PYTHONPATH"))))
     return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=path))
+                          text=True, env=dict(environ, PYTHONPATH=path), **kwargs)
 
 
 def test_exact_path_never_imports_numpy():
@@ -834,3 +868,41 @@ def test_exact_path_never_imports_numpy():
     # the block does bite: scan3 cannot run without numpy
     res = _python(BLOCK_NUMPY + RUN_MAIN, "scan3", "--grid", "2")
     assert res.returncode != 0 and "numpy" in res.stderr
+
+
+# -- scan3 in a fresh process -----------------------------------------------------
+
+def test_scan3_overflow_refusal_prints_no_warning(tmp_path):
+    # pytest captures warnings in process, so only a child shows whether a
+    # numpy RuntimeWarning escapes the kernel's errstate
+    res = _python(RUN_MAIN, "scan3", "--delta-max", "1e300", cwd=tmp_path)
+    assert res.returncode == 2
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "--delta-max" in lines[0]
+    assert "Warning" not in res.stderr
+    assert res.stdout == "" and not any(tmp_path.iterdir())
+
+
+def _pin_to_one_cpu():
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+@pytest.mark.parametrize("grid", ["300", "420"])
+def test_scan3_export_does_not_depend_on_blas_threads(tmp_path, grid):
+    # OpenBLAS takes its thread count from OPENBLAS_NUM_THREADS, else from
+    # the affinity mask; whole-grid products changed the last bits of some
+    # cells between one thread and two at these sizes
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    starts = {"one-thread": dict(environ=dict(base, OPENBLAS_NUM_THREADS="1")),
+              "two-threads": dict(environ=dict(base, OPENBLAS_NUM_THREADS="2")),
+              "one-cpu": dict(environ=base, preexec_fn=_pin_to_one_cpu)}
+    exports = set()
+    for name, kwargs in starts.items():
+        path = tmp_path / f"{name}.json"
+        res = _python(RUN_MAIN, "scan3", "--grid", grid, "--format", "json",
+                      "--out", str(path), **kwargs)
+        assert res.returncode == 0, res.stderr
+        exports.add(path.read_bytes())
+    assert len(exports) == 1

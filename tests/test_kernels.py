@@ -1,5 +1,6 @@
 """The scan kernel against exact rational evaluation."""
 
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -105,16 +106,67 @@ def test_scan_eval_matches_whole_array_oracle(shape, window):
     assert grad_norms.tobytes() == want_norms.tobytes()
 
 
-def test_scan_eval_allocates_five_grid_arrays():
-    # numpy reports its data buffers to tracemalloc; the whole-array kernel
-    # peaked at 11 grid arrays, this one holds n, d, two gradient components
-    # and one product buffer
-    axis = np.linspace(0.5, 2.0, 300)
-    tables = _term_tables()
+@pytest.mark.parametrize("shape", [(1003, 300), (200, 700), (130, 1003)])
+@pytest.mark.parametrize("window", WINDOWS)
+def test_scan_eval_blocks_match_whole_array_oracle(shape, window):
+    # several blocks and a ragged last one: each block of BLOCK_ROWS alpha
+    # rows has exactly the bits of the whole-array kernel run on those rows
+    assert shape[0] > _kernels.BLOCK_ROWS and shape[0] % _kernels.BLOCK_ROWS
+    amin, amax, dmax = window
+    alphas, _ = _geometric_grid(amin, amax, shape[0])
+    deltas = np.linspace(0.0, dmax, shape[1])
+    values, grad_norms = scan_eval(alphas, deltas, _term_tables())
+    tables = _oracle_term_tables()
+    for start in range(0, shape[0], _kernels.BLOCK_ROWS):
+        rows = slice(start, start + _kernels.BLOCK_ROWS)
+        want_values, want_norms = _oracle_scan_eval(alphas[rows], deltas, tables)
+        assert values[rows].tobytes() == want_values.tobytes()
+        assert grad_norms[rows].tobytes() == want_norms.tobytes()
+
+
+def test_scan_peak_memory_is_under_two_and_a_half_grid_arrays():
+    # numpy reports its data buffers to tracemalloc.  values and grad_norms
+    # are the only grid-sized arrays; the five block buffers, the minima
+    # mask and its comparison temporaries add about a third of one.  The
+    # whole-grid kernel with a padded copy for the minima test peaked at 5.02.
+    n = 1000
+    scan_three_point(grid_counts=(4, 4))  # builds the cached term tables
     tracemalloc.start()
     try:
-        scan_eval(axis, axis, tables)
+        scan_three_point(grid_counts=(n, n))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 5.5 * axis.size * axis.size * 8
+    assert peak <= 2.5 * n * n * 8
+
+
+# -- strict minima against the padded-copy oracle -----------------------------
+
+def _padded_strict_minima(values):
+    """The earlier mask: compare each cell with a +inf-padded copy."""
+    na, nd = values.shape
+    pad = np.pad(values, 1, constant_values=np.inf)
+    strict = np.ones((na, nd), dtype=bool)
+    for di, dj in itertools.product((0, 1, 2), repeat=2):
+        if (di, dj) != (1, 1):
+            strict &= values < pad[di:di + na, dj:dj + nd]
+    return strict
+
+
+def test_strict_minima_match_padded_mask():
+    rng = np.random.default_rng(13)
+    edge_minima = corner_minima = 0
+    for _ in range(400):
+        shape = tuple(int(n) for n in rng.integers(1, 10, size=2))
+        # four levels on a small grid: ties, plateaus and minima on the edges
+        values = rng.integers(0, 4, size=shape).astype(np.float64)
+        specials = rng.integers(0, values.size, size=2)
+        values.flat[specials] = rng.choice([np.inf, -np.inf, np.nan], size=2)
+        got = _kernels._strict_minima(values)
+        assert got.dtype == bool and got.shape == shape
+        assert np.array_equal(got, _padded_strict_minima(values))
+        border = np.ones(shape, dtype=bool)
+        border[1:-1, 1:-1] = False
+        edge_minima += int((got & border).sum())
+        corner_minima += int(got[::shape[0] - 1 or 1, ::shape[1] - 1 or 1].sum())
+    assert edge_minima > 100 and corner_minima > 50
