@@ -168,14 +168,16 @@ def _verify_records(digits: int) -> list[VerificationRecord]:
     except ValueError:
         add("variance coefficient recovery", "276", "inconsistent system", None, "0")
 
-    x = critical.page_class(digits=internal).critical.bracket.midpoint
+    one = critical.page_class(digits=internal)
     two = critical.two_point_class(digits=internal)
-    y = two.critical.bracket.midpoint
+    x, y = one.critical.bracket.midpoint, two.critical.bracket.midpoint
     for name, expected, value, tolerance in (
             ("one-point critical parameter", "2.183933404", x, "1e-8"),
-            ("one-point line/exceptional ratio", "3.183933404", x + 1, "1e-8"),
+            ("one-point line/exceptional ratio", "3.183933404",
+             one.line_to_exceptional_ratio, "1e-8"),
             ("two-point critical parameter", "0.9577128052", y, "1e-9"),
-            ("two-point line/exceptional ratio", "2.9577128052", y + 2, "1e-9"),
+            ("two-point line/exceptional ratio", "2.9577128052",
+             two.line_to_exceptional_ratio, "1e-9"),
             ("two-point 3 * normalized energy", "7.136474469", 3 * two.normalized_energy, "1e-8"),
             ("two-point trace-free Ricci deficit", "0.136474469", two.residual, "1e-8")):
         add(name, expected, dec(value), abs(value - Fraction(expected)), tolerance)
@@ -288,6 +290,9 @@ def cmd_critical(args) -> int:
                          "critical parameter, use the scan3 subcommand instead")
     report = critical.page_class(args.digits) if args.k == 1 else critical.two_point_class(args.digits)
     c = report.critical
+    ratio, value, three, residual = (fraction_to_decimal(x, args.digits) for x in (
+        report.line_to_exceptional_ratio, report.normalized_energy,
+        3 * report.normalized_energy, report.residual))
     if args.format == "json":
         payload = {
             "k": report.k,
@@ -295,10 +300,10 @@ def cmd_critical(args) -> int:
             "bracket": {"low": str(c.bracket.low), "high": str(c.bracket.high)},
             "refined_root": c.bracket.refined,
             "classification": c.classification,
-            "line_to_exceptional_ratio": report.line_to_exceptional_ratio,
-            "normalized_energy": report.normalized_energy_decimal,
-            "three_times_normalized": report.three_times_decimal,
-            "residual": report.residual_decimal,
+            "line_to_exceptional_ratio": ratio,
+            "normalized_energy": value,
+            "three_times_normalized": three,
+            "residual": residual,
             "root_count": report.root_count,
             "search_bound": str(report.search_bound),
             "derivative_root_bound": str(report.derivative_root_bound),
@@ -311,10 +316,10 @@ def cmd_critical(args) -> int:
             ("bracket high", str(c.bracket.high)),
             ("refined root", c.bracket.refined),
             ("classification", c.classification),
-            ("line/exceptional ratio", report.line_to_exceptional_ratio),
-            ("normalized energy", report.normalized_energy_decimal),
-            ("3 * normalized energy", report.three_times_decimal),
-            ("trace-free Ricci deficit", report.residual_decimal),
+            ("line/exceptional ratio", ratio),
+            ("normalized energy", value),
+            ("3 * normalized energy", three),
+            ("trace-free Ricci deficit", residual),
             ("derivative roots in domain", str(report.root_count)),
             ("search bound", str(report.search_bound)),
             ("derivative root bound", str(report.derivative_root_bound)),

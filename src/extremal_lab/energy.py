@@ -169,20 +169,17 @@ def _residual(num: Polynomial, den: Polynomial) -> Polynomial:
     return _C1_DOT_OMEGA ** 2 * den / 3 + 24 * _FUTAKI_CORE ** 2 - _OMEGA_SQ * num
 
 
-def verify_identity(numerator: Polynomial | None = None,
-                    denominator: Polynomial | None = None) -> tuple[bool, Polynomial]:
+def verify_identity() -> tuple[bool, Polynomial]:
     """Check (1/3)(c1.w)^2 D + 24 ((beta-alpha) delta (...))^2 = w^2 N exactly.
 
     Returns (holds, residual); the residual is the zero polynomial iff the
-    identity holds.  Overrides exist so a deliberately perturbed sextic can
-    be shown to fail.
+    identity holds.
     """
-    residual = _residual(_NUMERATOR if numerator is None else numerator,
-                         _VARIANCE if denominator is None else denominator)
+    residual = _residual(_NUMERATOR, _VARIANCE)
     return (not residual, residual)
 
 
-def solve_unknown_coefficient(numerator: Polynomial | None = None) -> Fraction:
+def solve_unknown_coefficient() -> Fraction:
     """Re-derive the beta^4*alpha*delta coefficient of D from the identity.
 
     Treats that single coefficient as an unknown c, substitutes into the
@@ -192,8 +189,7 @@ def solve_unknown_coefficient(numerator: Polynomial | None = None) -> Fraction:
     coefficient is wrong).
     """
     # residual(c) = base + c * slope must vanish identically
-    base = _residual(_NUMERATOR if numerator is None else numerator,
-                     _VARIANCE - 276 * _UNKNOWN_MONOMIAL)
+    base = _residual(_NUMERATOR, _VARIANCE - 276 * _UNKNOWN_MONOMIAL)
     slope = _C1_DOT_OMEGA ** 2 * _UNKNOWN_MONOMIAL / 3
     exps, coeff = next(iter(slope.sorted_terms()))
     c = -base.coefficient(**dict(zip(slope.variables, exps))) / coeff

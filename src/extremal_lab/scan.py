@@ -149,16 +149,15 @@ def scan_eval(alphas, deltas, matrices):
         return values, grad_norms
 
 
-def _geometric_grid(lo: float, hi: float, n: int, anchor: float = 1.0):
-    """Geometric grid with exact endpoints; the point nearest `anchor` is
-    snapped to it when the anchor lies inside the range, so the distinguished
-    class sits on a grid node exactly."""
+def _geometric_grid(lo: float, hi: float, n: int):
+    """(grid, anchored): a geometric grid with exact endpoints, whose point
+    nearest 1 is snapped to 1 when lo < 1 < hi, so the anti-canonical class
+    sits on a grid node exactly."""
     grid = np.exp(np.linspace(math.log(lo), math.log(hi), n))
     grid[0], grid[-1] = lo, hi
-    anchored = False
-    if lo < anchor < hi:
-        grid[int(np.argmin(np.abs(grid - anchor)))] = anchor
-        anchored = True
+    anchored = lo < 1.0 < hi
+    if anchored:
+        grid[int(np.argmin(np.abs(grid - 1.0)))] = 1.0
     return grid, anchored
 
 

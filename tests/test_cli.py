@@ -321,6 +321,16 @@ EXACT_OUTPUT_SHA256 = {
         "20ea794b5a251a2427bc11ce9a2f1e389a7f539894cbd6905ca5d45fb9e1b120",
     ("critical", "--k", "2", "--digits", "12", "--format", "csv"):
         "9eae11a9f75047cbb4cee84e5818f266208d091ac46c21ae431460995b365a16",
+    # deep pins, captured before the critical reports dropped their decimal
+    # strings and the CLI began rendering every decimal itself
+    ("critical", "--k", "1", "--digits", "580", "--format", "json"):
+        "1da741d3facd8f71692ad078be5fd7e5a3d486357b7274c12858245f8d3e6cb1",
+    ("critical", "--k", "1", "--digits", "420", "--format", "table"):
+        "0ccb8cd63f1c3a5a696843816327ae6af1d6326544cea47d5ed2932e1fa39351",
+    ("critical", "--k", "2", "--digits", "370", "--format", "csv"):
+        "4749502a3e556962c01db3c408e4da3bbaebd10ff47ab44ecbe3cebe3cc3abce",
+    ("verify", "--digits", "270", "--format", "json"):
+        "3799dbf18abf178566b4e761150f2fd2d9d020374dca00817e4687d0b7f4814c",
 }
 
 

@@ -1,5 +1,6 @@
 """Certified critical classes, exact gradients, and the slice scan."""
 
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -8,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from extremal_lab.critical import (
     DEFAULT_SEARCH_BOUND,
+    _critical_class,
     _grad_polys,
-    critical_points_of,
     gradient,
     page_class,
     two_point_class,
@@ -42,8 +43,10 @@ def test_page_class_certificates():
     mid = rep.critical.bracket.midpoint
     assert abs(mid - ONE_POINT_ROOT) < Fraction(1, 10 ** 11)
     assert rep.critical.classification == "local-min"
-    assert rep.line_to_exceptional_ratio == "3.18393340447"
+    assert rep.line_to_exceptional_ratio == 1 + mid
+    assert rep.normalized_energy == rep.critical.value == one_point_energy().eval({"x": mid})
     assert abs(rep.normalized_energy - ONE_POINT_VALUE) < Fraction(1, 10 ** 11)
+    assert rep.residual == 3 * rep.normalized_energy - 8
     assert abs(rep.residual - ONE_POINT_RESIDUAL) < Fraction(1, 10 ** 10)
     assert rep.root_count == 1
     assert rep.search_bound == DEFAULT_SEARCH_BOUND
@@ -55,10 +58,10 @@ def test_two_point_class_certificates():
     mid = rep.critical.bracket.midpoint
     assert abs(mid - TWO_POINT_ROOT) < Fraction(1, 10 ** 11)
     assert rep.critical.classification == "local-min"
-    assert rep.line_to_exceptional_ratio == "2.95771280519"
-    assert rep.normalized_energy_decimal == "2.37882482354"
-    assert rep.three_times_decimal == "7.13647447062"
-    assert rep.residual_decimal == "0.136474470623"
+    assert rep.line_to_exceptional_ratio == 2 + mid
+    assert rep.normalized_energy == rep.critical.value == two_point_energy().eval({"y": mid})
+    assert abs(rep.normalized_energy - TWO_POINT_VALUE) < Fraction(1, 10 ** 11)
+    assert rep.residual == 3 * rep.normalized_energy - 7
     assert abs(rep.residual - TWO_POINT_RESIDUAL) < Fraction(1, 10 ** 10)
     assert rep.root_count == 1
     assert rep.derivative_root_bound <= DEFAULT_SEARCH_BOUND
@@ -100,53 +103,52 @@ def test_critical_point_is_a_minimum_by_second_derivative(builder):
     assert second.eval({var: rep.critical.bracket.midpoint}) > 0
 
 
+@pytest.mark.parametrize("builder", [page_class, two_point_class])
+def test_reports_hold_exact_values_only(builder):
+    rep = builder()
+    assert not [f.name for f in fields(rep) if isinstance(getattr(rep, f.name), str)]
+    assert type(rep.line_to_exceptional_ratio) is Fraction
+
+
 def test_am_gm_critical_point():
-    f = RationalFunction(X ** 2 + 1, X)
-    results = critical_points_of(f, (0, 10))
-    assert len(results) == 1
-    res = results[0]
-    assert res.classification == "local-min"
-    assert res.bracket.low <= 1 <= res.bracket.high
-    assert res.value_at_critical == "2"
-    # the line/exceptional ratio belongs to the critical-class report alone
-    assert not hasattr(res, "line_to_exceptional_ratio")
-    with pytest.raises(TypeError):
-        critical_points_of(f, (0, 10), ratio_offset=1)
+    rep = _critical_class(1, RationalFunction(X ** 2 + 1, X), 12)
+    assert rep.critical.bracket.low < 1 < rep.critical.bracket.high
+    assert abs(rep.normalized_energy - 2) < Fraction(1, 10 ** 20)
+    assert rep.root_count == 1
 
 
-def test_classification_of_maximum_and_inflection():
-    # -(x^2) has a maximum at 0; x^3 has an inflection there
-    down = RationalFunction(-1 * X ** 2, Polynomial.constant(1))
-    res, = critical_points_of(down, (-5, 5))
-    assert res.classification == "local-max"
-    cubic = RationalFunction(X ** 3, Polynomial.constant(1))
-    res, = critical_points_of(cubic, (-5, 5))
-    assert res.classification == "inflection"
+@pytest.mark.parametrize("f, message", [
+    # -x - 1/x: a local maximum at x = 1
+    (RationalFunction(-(X ** 2 + 1), X), "change sign"),
+    # g = 3 (x - 2)^2 keeps its sign: an inflection at x = 2
+    (RationalFunction((X - 2) ** 3, 1), "change sign"),
+    # bisection of (0, 10^4] lands exactly on 625: a degenerate bracket
+    (RationalFunction((X - 625) ** 2, 1), "change sign"),
+    (RationalFunction(X, 1), "got 0"),
+    (RationalFunction(((X - 1) * (X - 3)) ** 2, 1), "got 3"),
+    # g = (x - 1)(x - 20000): one root inside, one past the truncation
+    (RationalFunction(X ** 3 / 3 - 20001 * X ** 2 / 2 + 20000 * X, 1), "truncation"),
+])
+def test_critical_class_refuses_uncertified_points(f, message):
+    with pytest.raises(ArithmeticError, match=message):
+        _critical_class(1, f, 12)
 
 
 def test_denominator_root_in_domain_rejected():
-    f = RationalFunction(Polynomial.constant(1), X - 1)
-    with pytest.raises(ValueError, match="denominator"):
-        critical_points_of(f, (0, 10))
-
-
-def test_empty_domain_rejected():
-    f = RationalFunction(X ** 2 + 1, X)
-    with pytest.raises(ValueError, match="domain"):
-        critical_points_of(f, (3, 3))
+    f = RationalFunction(X ** 2 + 1, X - 1)
+    with pytest.raises(ArithmeticError, match="denominator"):
+        _critical_class(1, f, 12)
 
 
 def test_multivariate_function_rejected():
     a, b = symbols("a b")
-    f = RationalFunction(a * b, Polynomial.constant(1))
-    with pytest.raises(ValueError, match="univariate"):
-        critical_points_of(f, (0, 1))
+    with pytest.raises(ValueError):
+        _critical_class(1, RationalFunction(a * b, Polynomial.constant(1)), 12)
 
 
 def test_identically_flat_function_rejected():
-    f = RationalFunction(X, X)
-    with pytest.raises(ValueError, match="vanishes"):
-        critical_points_of(f, (1, 2))
+    with pytest.raises(ValueError, match="zero polynomial"):
+        _critical_class(1, RationalFunction(X, X), 12)
 
 
 # -- exact gradient ----------------------------------------------------------------
