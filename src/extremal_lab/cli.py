@@ -233,16 +233,12 @@ def cmd_energy(args) -> int:
     if k == 3:
         if alpha is None or beta is None:
             raise UsageError("k=3 takes --alpha, --beta and optional --delta")
-        slice_point = (alpha, beta, delta)
     elif k == 2:
         if beta is None or alpha is not None:
             raise UsageError("k=2 takes --beta and optional --delta (no --alpha)")
-        slice_point = (Fraction(0), beta, delta)
-    else:
-        if alpha is None or beta is not None:
-            raise UsageError("k=1 takes --alpha and optional --delta (no --beta)")
-        slice_point = (alpha, Fraction(0), delta)
-    breakdown = energy.surface_energy(k, *slice_point)
+    elif alpha is None or beta is not None:
+        raise UsageError("k=1 takes --alpha and optional --delta (no --beta)")
+    breakdown = energy.surface_energy(k, alpha, beta, delta)
 
     digits = args.digits
     quantities = [
@@ -262,8 +258,8 @@ def cmd_energy(args) -> int:
     if args.format == "json":
         payload = {
             "k": k,
-            "alpha": None if k == 2 else str(slice_point[0]),
-            "beta": None if k == 1 else str(slice_point[1]),
+            "alpha": None if alpha is None else str(alpha),
+            "beta": None if beta is None else str(beta),
             "delta": str(delta),
         }
         for (name, value, pi2), flt in zip(quantities, floats):
@@ -290,15 +286,15 @@ def cmd_critical(args) -> int:
                          "critical parameter, use the scan3 subcommand instead")
     report = critical.page_class(args.digits) if args.k == 1 else critical.two_point_class(args.digits)
     c = report.critical
-    ratio, value, three, residual = (fraction_to_decimal(x, args.digits) for x in (
-        report.line_to_exceptional_ratio, report.normalized_energy,
+    root, ratio, value, three, residual = (fraction_to_decimal(x, args.digits) for x in (
+        c.bracket.midpoint, report.line_to_exceptional_ratio, report.normalized_energy,
         3 * report.normalized_energy, report.residual))
     if args.format == "json":
         payload = {
             "k": report.k,
             "variable": c.variable,
             "bracket": {"low": str(c.bracket.low), "high": str(c.bracket.high)},
-            "refined_root": c.bracket.refined,
+            "refined_root": root,
             "classification": c.classification,
             "line_to_exceptional_ratio": ratio,
             "normalized_energy": value,
@@ -314,7 +310,7 @@ def cmd_critical(args) -> int:
             ("variable", c.variable),
             ("bracket low", str(c.bracket.low)),
             ("bracket high", str(c.bracket.high)),
-            ("refined root", c.bracket.refined),
+            ("refined root", root),
             ("classification", c.classification),
             ("line/exceptional ratio", ratio),
             ("normalized energy", value),

@@ -118,7 +118,8 @@ def _grad_polys():
 
 def gradient(alpha, beta, delta) -> tuple[Fraction, Fraction]:
     """Exact (d/d alpha, d/d delta) of the normalized energy at fixed beta."""
-    alpha, beta, delta = energy._require_slice_kahler(alpha, beta, delta)
+    alpha, beta, delta = energy._require_kahler(
+        energy.slice_kahler_violation(alpha, beta, delta), alpha, beta, delta)
     point = {"alpha": alpha, "beta": beta, "delta": delta}
     n, d, n_a, d_a, n_d, d_d = _grad_polys()
     nv, dv = n.eval(point), d.eval(point)

@@ -2,7 +2,8 @@
 
 Second cohomology is modeled in the basis {H, E_1..E_k} with intersection
 form diag(1, -1, ..., -1) and the sign convention omega = a*H - sum(b_i E_i),
-so the hexagon area parameters are literally the exceptional-curve areas.
+so the slice coordinates of `slice_class` are literally exceptional-curve
+areas.
 """
 
 from __future__ import annotations
@@ -75,86 +76,18 @@ def make_surface(k: int) -> SurfaceModel:
                         minus_one_curves=tuple(curves))
 
 
-@dataclass(frozen=True)
-class HexagonParams:
-    """Curve-area coordinates (alpha, beta, gamma, delta) on the Kahler cone.
+def slice_class(k: int, alpha, beta, delta) -> CohomologyClass:
+    """The slice point (alpha, beta, delta) as a class of the k-point blow-up.
 
-    Fields not used by a surface stay None: k=1 uses (alpha, delta), k=2 uses
-    (beta, delta) with gamma pinned to beta, k=3 uses all four.  delta is the
-    common pairing of the three opposite-side differences with omega.
+    k=3: (alpha+2*beta+delta; alpha, beta, beta), so each line H-E_i-E_j
+    has area delta plus the exceptional area of the third point.  k=2:
+    (2*beta+delta; beta, beta), alpha unused.  k=1: (alpha+delta; alpha),
+    beta unused.
     """
-
-    alpha: Optional[Fraction] = None
-    beta: Optional[Fraction] = None
-    gamma: Optional[Fraction] = None
-    delta: Optional[Fraction] = None
-
-    def __post_init__(self):
-        for name in ("alpha", "beta", "gamma", "delta"):
-            v = getattr(self, name)
-            if v is not None:
-                object.__setattr__(self, name, Fraction(v))
-
-
-def hexagon_to_class(s: SurfaceModel, p: HexagonParams) -> CohomologyClass:
-    """Class with exceptional areas given by the parameters.
-
-    k=3: (alpha+beta+gamma+delta; alpha, beta, gamma), so each line
-    H-E_i-E_j has area (third parameter)+delta.  k=2: (2*beta+delta;
-    beta, beta).  k=1: (alpha+delta; alpha).
-    """
-    if s.k == 3:
-        if any(v is None for v in (p.alpha, p.beta, p.gamma, p.delta)):
-            raise ValueError("k=3 needs all of alpha, beta, gamma, delta")
-        return CohomologyClass(p.alpha + p.beta + p.gamma + p.delta,
-                               (p.alpha, p.beta, p.gamma))
-    if s.k == 2:
-        if p.beta is None or p.delta is None or p.alpha is not None:
-            raise ValueError("k=2 needs beta and delta only")
-        if p.gamma is not None and p.gamma != p.beta:
-            raise ValueError("k=2 requires gamma equal to beta")
-        return CohomologyClass(2 * p.beta + p.delta, (p.beta, p.beta))
-    if p.alpha is None or p.delta is None or p.beta is not None or p.gamma is not None:
-        raise ValueError("k=1 needs alpha and delta only")
-    return CohomologyClass(p.alpha + p.delta, (p.alpha,))
-
-
-def class_to_hexagon(s: SurfaceModel, c: CohomologyClass) -> HexagonParams:
-    """Inverse of hexagon_to_class; k=3 results may carry delta < 0.
-
-    For k=2 the parameterization covers only classes with equal exceptional
-    areas; anything else has no hexagon coordinates and is rejected.
-    """
-    if c.k != s.k:
-        raise ValueError(f"class has k={c.k}, surface has k={s.k}")
-    if s.k == 3:
-        return HexagonParams(alpha=c.b[0], beta=c.b[1], gamma=c.b[2],
-                             delta=c.a - c.b[0] - c.b[1] - c.b[2])
-    if s.k == 2:
-        if c.b[0] != c.b[1]:
-            raise ValueError("k=2 class has unequal exceptional areas; "
-                             "not in the symmetric parameterization")
-        return HexagonParams(beta=c.b[0], delta=c.a - 2 * c.b[0])
-    return HexagonParams(alpha=c.b[0], delta=c.a - c.b[0])
-
-
-def cremona_involution(p: HexagonParams) -> HexagonParams:
-    """Quadratic-transformation action: self-inverse, flips the sign of delta.
-
-    On classes this is a' = 2a - b1 - b2 - b3, b_i' = a - b_j - b_k; in area
-    coordinates (alpha+delta, beta+delta, gamma+delta, -delta).
-    """
-    if any(v is None for v in (p.alpha, p.beta, p.gamma, p.delta)):
-        raise ValueError("Cremona reflection needs a full k=3 parameter set")
-    return HexagonParams(alpha=p.alpha + p.delta, beta=p.beta + p.delta,
-                         gamma=p.gamma + p.delta, delta=-p.delta)
-
-
-def cremona_normalize(p: HexagonParams) -> HexagonParams:
-    """Apply the Cremona reflection when delta < 0; idempotent."""
-    if any(v is None for v in (p.alpha, p.beta, p.gamma, p.delta)):
-        raise ValueError("Cremona normalization needs a full k=3 parameter set")
-    return cremona_involution(p) if p.delta < 0 else p
+    if k not in (1, 2, 3):
+        raise ValueError(f"k must be 1, 2, or 3, got {k!r}")
+    areas = tuple(map(Fraction, {1: (alpha,), 2: (beta, beta), 3: (alpha, beta, beta)}[k]))
+    return CohomologyClass(Fraction(delta) + sum(areas), areas)
 
 
 def curve_areas(s: SurfaceModel, c: CohomologyClass) -> tuple[tuple[str, Fraction], ...]:

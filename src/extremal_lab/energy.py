@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import delpezzo
-from .delpezzo import HexagonParams, NotKahlerError
+from .delpezzo import NotKahlerError
 from .exactpoly import Polynomial, RationalFunction
 
 _VARS = ("alpha", "beta", "delta")
@@ -86,47 +86,36 @@ def energy_closed_form() -> RationalFunction:
 
 
 def surface_kahler_violation(k: int, alpha, beta, delta) -> Optional[str]:
-    """Why the slice point (alpha, beta, delta) is not a Kahler class of the
-    k-point blow-up, or None; k = 0 is the plane.
-
-    Nothing blows down: k = 3 reads the areas (alpha, beta, beta, delta),
-    k = 2 reads (beta, delta) and k = 1 reads (alpha, delta), and each
-    exceptional curve must have positive area on that surface.
+    """Why slice_class(k, alpha, beta, delta) is not a Kahler class of the
+    k-point blow-up, or None; k = 0 is the plane, where delta must be
+    positive.  Nothing blows down: each exceptional curve of the surface
+    must have positive area.
     """
     if k == 0:
         return None if delta > 0 else f"hyperplane multiple delta = {delta} is not positive"
-    if k == 3:
-        params = HexagonParams(alpha=alpha, beta=beta, gamma=beta, delta=delta)
-    elif k == 2:
-        params = HexagonParams(beta=beta, delta=delta)
-    else:
-        params = HexagonParams(alpha=alpha, delta=delta)
-    s = delpezzo.make_surface(k)
-    return delpezzo.kahler_violation(s, delpezzo.hexagon_to_class(s, params))
+    return delpezzo.kahler_violation(delpezzo.make_surface(k),
+                                     delpezzo.slice_class(k, alpha, beta, delta))
 
 
 def slice_kahler_violation(alpha, beta, delta) -> Optional[str]:
     """Why (alpha, beta, delta) is not a Kahler slice class, or None.
 
-    Zero parameters blow down: alpha = 0 gives the 2-point surface,
-    beta = 0 the 1-point surface, both zero the plane.  With alpha and
-    beta positive, delta = 0 (the anti-canonical ray) is allowed.
+    This is the blow-down rule: zero areas blow down, so the point is read
+    on the k-point blow-up whose k has bit 1 set iff alpha != 0 and bit 2
+    iff beta != 0 (alpha = 0 gives the 2-point surface, beta = 0 the 1-point
+    surface, both zero the plane).  A negative area stays, and is refused
+    as a curve of negative area.  With alpha and beta positive, delta = 0
+    (the anti-canonical ray) is allowed.
     """
     alpha, beta, delta = Fraction(alpha), Fraction(beta), Fraction(delta)
-    if alpha < 0:
-        return f"exceptional area alpha = {alpha} is negative"
-    if beta < 0:
-        return f"exceptional area beta = {beta} is negative"
-    # k = 3 with both areas positive, 2 at alpha = 0, 1 at beta = 0, 0 at both
-    return surface_kahler_violation((alpha > 0) + 2 * (beta > 0), alpha, beta, delta)
+    return surface_kahler_violation((alpha != 0) + 2 * (beta != 0), alpha, beta, delta)
 
 
-def _require_slice_kahler(alpha, beta, delta) -> tuple[Fraction, Fraction, Fraction]:
-    alpha, beta, delta = Fraction(alpha), Fraction(beta), Fraction(delta)
-    violation = slice_kahler_violation(alpha, beta, delta)
+def _require_kahler(violation: Optional[str], alpha, beta, delta) -> tuple[Fraction, Fraction, Fraction]:
+    """The slice point as Fractions, or NotKahlerError with `violation`."""
     if violation is not None:
         raise NotKahlerError(f"class is not Kahler: {violation}")
-    return alpha, beta, delta
+    return Fraction(alpha), Fraction(beta), Fraction(delta)
 
 
 def _composition(alpha: Fraction, beta: Fraction, delta: Fraction) -> EnergyBreakdown:
@@ -150,18 +139,18 @@ def energy_composed(alpha, beta, delta) -> EnergyBreakdown:
     with G = w^2 F(Xi,[w]); both as exact multiples of pi^2.  Zero areas
     blow down, as in slice_kahler_violation.
     """
-    return _composition(*_require_slice_kahler(alpha, beta, delta))
+    violation = slice_kahler_violation(alpha, beta, delta)
+    return _composition(*_require_kahler(violation, alpha, beta, delta))
 
 
 def surface_energy(k: int, alpha, beta, delta) -> EnergyBreakdown:
-    """energy_composed at a slice point read as a class of the k-point
-    blow-up: raises NotKahlerError unless surface_kahler_violation accepts
-    it, so no area blows down."""
-    alpha, beta, delta = Fraction(alpha), Fraction(beta), Fraction(delta)
-    violation = surface_kahler_violation(k, alpha, beta, delta)
-    if violation is not None:
-        raise NotKahlerError(f"class is not Kahler: {violation}")
-    return _composition(alpha, beta, delta)
+    """energy_composed at slice_class(k, alpha, beta, delta), a class of the
+    k-point blow-up.  The area the surface lacks (alpha at k = 2, beta at
+    k = 1; it may be None) is 0 on the slice, as slice_kahler_violation
+    reads k.  Raises NotKahlerError unless surface_kahler_violation accepts
+    the class, so no area blows down."""
+    point = (alpha if k & 1 else 0, beta if k & 2 else 0, delta)
+    return _composition(*_require_kahler(surface_kahler_violation(k, *point), *point))
 
 
 def _residual(num: Polynomial, den: Polynomial) -> Polynomial:

@@ -509,13 +509,11 @@ class RootBracket:
     """Certified enclosure of one real root.
 
     The squarefree part of the isolated polynomial has opposite nonzero signs
-    at low and high; low == high marks an exact rational root.  `refined` is
-    the decimal of the bracket midpoint to the requested significant digits.
+    at low and high; low == high marks an exact rational root.
     """
 
     low: Fraction
     high: Fraction
-    refined: str
 
     @property
     def midpoint(self) -> Fraction:
@@ -612,10 +610,6 @@ def _float_newton(cs, seed: float) -> float | None:
     return x
 
 
-def _exact_root(x: Fraction, digits: int) -> RootBracket:
-    return RootBracket(x, x, fraction_to_decimal(x, digits))
-
-
 def _shared_denominator(lo: Fraction, hi: Fraction, den: int = 1) -> tuple[int, int, int]:
     """(L, H, D) with lo = L/D, hi = H/D and den dividing D."""
     D = lcm(lo.denominator, hi.denominator, den)
@@ -688,14 +682,14 @@ def _refine_bracket(q, lo: Fraction, hi: Fraction, digits: int) -> RootBracket:
     """
     s_hi = _u_sign(q, hi)
     if s_hi == 0:
-        return _exact_root(hi, digits)
+        return RootBracket(hi, hi)
     s_lo = _u_sign(q, lo)
     while s_lo == 0:
         # lo is a root of q outside (lo, hi]; walk inward until signs split
         mid = (lo + hi) / 2
         s_mid = _u_sign(q, mid)
         if s_mid == 0:
-            return _exact_root(mid, digits)
+            return RootBracket(mid, mid)
         if s_mid != s_hi:
             lo, s_lo = mid, s_mid
         else:
@@ -729,10 +723,10 @@ def _refine_bracket(q, lo: Fraction, hi: Fraction, digits: int) -> RootBracket:
                 if lo < a and b < hi:
                     sa = _u_sign(q, a)
                     if sa == 0:
-                        return _exact_root(a, digits)
+                        return RootBracket(a, a)
                     sb = _u_sign(q, b)
                     if sb == 0:
-                        return _exact_root(b, digits)
+                        return RootBracket(b, b)
                     if sa != sb:
                         lo, hi, s_lo, s_hi, seed = a, b, sa, sb, c
             L, H, el, eh, D = _newton_enclosure(q, lo, hi, s_lo, s_hi, seed, digits)
@@ -750,13 +744,13 @@ def _refine_bracket(q, lo: Fraction, hi: Fraction, digits: int) -> RootBracket:
         else:
             s_mid = _sign(_u_hom(q, mid, D))
             if s_mid == 0:
-                return _exact_root(Fraction(mid, D), digits)
+                root = Fraction(mid, D)
+                return RootBracket(root, root)
         if s_mid == s_lo:
             L = mid
         else:
             H = mid
-    lo, hi = Fraction(L, D), Fraction(H, D)
-    return RootBracket(lo, hi, fraction_to_decimal((lo + hi) / 2, digits))
+    return RootBracket(Fraction(L, D), Fraction(H, D))
 
 
 def isolate_real_roots(p: Polynomial, interval, digits: int = 12) -> list[RootBracket]:

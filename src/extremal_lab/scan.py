@@ -150,14 +150,16 @@ def scan_eval(alphas, deltas, matrices):
 
 
 def _geometric_grid(lo: float, hi: float, n: int):
-    """(grid, anchored): a geometric grid with exact endpoints, whose point
-    nearest 1 is snapped to 1 when lo < 1 < hi, so the anti-canonical class
-    sits on a grid node exactly."""
+    """(grid, anchored): a geometric grid with exact endpoints.  When
+    lo < 1 < hi, the interior node nearest 1 is snapped to 1, so the
+    anti-canonical class sits on a grid node exactly; `anchored` is False
+    when there is no interior node to snap, and the endpoints never move."""
     grid = np.exp(np.linspace(math.log(lo), math.log(hi), n))
     grid[0], grid[-1] = lo, hi
-    anchored = lo < 1.0 < hi
+    interior = grid[1:-1]  # a view: snapping it writes into grid
+    anchored = lo < 1.0 < hi and interior.size > 0
     if anchored:
-        grid[int(np.argmin(np.abs(grid - 1.0)))] = 1.0
+        interior[int(np.argmin(np.abs(interior - 1.0)))] = 1.0
     return grid, anchored
 
 
@@ -222,8 +224,8 @@ def scan_three_point(alpha_range=(0.05, 20.0), delta_range=(0.0, 10.0),
                      grid_counts=(200, 200), digits: int = 12) -> ScanReport:
     """Grid scan of the normalized energy on the slice, beta gauged to 1.
 
-    alpha runs geometrically (anchored so alpha = 1 is a grid node when in
-    range), delta linearly from its minimum.  Reports strict 8-neighbor
+    alpha runs geometrically (anchored so alpha = 1 is an interior grid node
+    when in range), delta linearly from its minimum.  Reports strict 8-neighbor
     local minima and the global minimum cell.
     """
     amin, amax = (float(v) for v in alpha_range)

@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -235,6 +236,29 @@ def test_energy_checks_kahler_membership_once(capsys, argv, code):
     assert codes == [code] and calls == 1
     assert _count_calls(delpezzo.kahler_violation,
                         lambda: energy.energy_composed(1, 1, 0)) == 1
+
+
+#: slice-coordinate texts of the refusal sweep; None leaves the flag out
+SWEEP_VALUES = ("-1", "0", "1", "2", "1/2", "-1/2", None)
+# sha256 over the stdout, stderr and exit code of every table-format energy
+# invocation of the sweep, captured before the slice-to-class map moved into
+# delpezzo.slice_class; it pins each Kahler refusal message and flag error
+ENERGY_SWEEP_SHA256 = "6fe7190b9e5a1c86ad42e37848a90ae8021bf732ff15b92cb00865d671f45ce2"
+
+
+def test_energy_sweep_is_pinned(capsys):
+    digest = hashlib.sha256()
+    count = 0
+    for k in ("1", "2", "3"):
+        for alpha, beta, delta in itertools.product(SWEEP_VALUES, repeat=3):
+            argv = ["energy", f"--k={k}"]
+            argv += [f"--{flag}={text}" for flag, text in
+                     (("alpha", alpha), ("beta", beta), ("delta", delta)) if text is not None]
+            code, out, err = run(capsys, *argv, "--format=table")
+            digest.update(f"{' '.join(argv)}\0{code}\0{out}\0{err}\0".encode())
+            count += 1
+    assert count == 1029
+    assert digest.hexdigest() == ENERGY_SWEEP_SHA256
 
 
 def test_energy_flag_rules(capsys):

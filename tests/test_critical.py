@@ -216,6 +216,21 @@ def test_scan_alpha_grid_is_anchored():
     assert "anchored" in report.grid.alpha_spacing
 
 
+@pytest.mark.parametrize("lo, hi, n, anchored", [
+    (0.5, 1.01, 3, True),  # the node nearest 1 is the endpoint 1.01
+    (0.99, 5.0, 2, False),  # no interior node to snap
+    (0.99, 5.0, 3, True),
+])
+def test_scan_anchor_never_moves_an_endpoint(lo, hi, n, anchored):
+    report = scan_three_point(alpha_range=(lo, hi), grid_counts=(n, 4))
+    alphas = report.alphas.tolist()
+    assert (alphas[0], alphas[-1]) == (lo, hi)
+    assert alphas == sorted(set(alphas))
+    assert (1.0 in alphas) == anchored
+    assert report.grid.alpha_spacing == (
+        "geometric (anchored at 1)" if anchored else "geometric")
+
+
 def test_scan_minima_are_strictly_below_neighbors():
     report = scan_three_point(grid_counts=(24, 24))
     values = report.values

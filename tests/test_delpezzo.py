@@ -1,4 +1,4 @@
-"""Intersection theory and hexagon parameterization of the blow-up surfaces."""
+"""Intersection theory and the slice classes of the blow-up surfaces."""
 
 from fractions import Fraction
 
@@ -6,16 +6,25 @@ import pytest
 
 from extremal_lab.delpezzo import (
     CohomologyClass,
-    HexagonParams,
-    class_to_hexagon,
-    cremona_involution,
-    cremona_normalize,
     curve_areas,
-    hexagon_to_class,
     intersect,
     kahler_violation,
     make_surface,
+    slice_class,
 )
+
+
+def hexagon_class(alpha, beta, gamma, delta) -> CohomologyClass:
+    """The 3-point class with exceptional areas (alpha, beta, gamma) whose
+    lines H - E_i - E_j have area delta plus the third of them."""
+    return CohomologyClass(alpha + beta + gamma + delta, (alpha, beta, gamma))
+
+
+def cremona(c: CohomologyClass) -> CohomologyClass:
+    """The quadratic transformation of the 3-point blow-up on classes:
+    a' = 2a - b1 - b2 - b3 and b_i' = a - b_j - b_k."""
+    a, (b1, b2, b3) = c.a, c.b
+    return CohomologyClass(2 * a - b1 - b2 - b3, (a - b2 - b3, a - b1 - b3, a - b1 - b2))
 
 
 # -- surface models ------------------------------------------------------------
@@ -81,67 +90,43 @@ def test_intersect_requires_matching_rank():
         intersect(CohomologyClass(1, (1,)), CohomologyClass(1, (1, 1)))
 
 
-# -- hexagon parameterization ---------------------------------------------------
+# -- slice classes ----------------------------------------------------------------
 
 def test_anticanonical_hexagon_coordinates():
     s = make_surface(3)
-    c = hexagon_to_class(s, HexagonParams(1, 1, 1, 0))
-    assert c == s.c1
+    assert slice_class(3, 1, 1, 0) == s.c1
 
 
 def test_one_point_hexagon():
     s = make_surface(1)
-    c = hexagon_to_class(s, HexagonParams(alpha=1, delta=1))
+    c = slice_class(1, 1, None, 1)
     assert c == CohomologyClass(2, (1,))
     assert curve_areas(s, c) == (("E1", Fraction(1)),)
 
 
+def test_slice_class_on_each_surface():
+    half = Fraction(1, 2)
+    assert slice_class(3, 2, half, 3) == CohomologyClass(6, (2, half, half))
+    assert slice_class(2, 2, half, 3) == CohomologyClass(4, (half, half))
+    assert slice_class(1, 2, half, 3) == CohomologyClass(5, (2,))
+    # k = 2 ignores alpha and k = 1 ignores beta
+    assert slice_class(2, 7, half, 3) == slice_class(2, None, half, 3)
+    assert slice_class(1, 2, 7, 3) == slice_class(1, 2, None, 3)
+    for k in (0, 4):
+        with pytest.raises(ValueError):
+            slice_class(k, 1, 1, 1)
+
+
 def test_unequal_areas_hexagon():
-    s = make_surface(3)
-    c = hexagon_to_class(s, HexagonParams(1, 2, 3, 1))
+    c = hexagon_class(1, 2, 3, 1)
     assert c == CohomologyClass(7, (1, 2, 3))
     # opposite side of the alpha-curve has area alpha + delta
     assert intersect(c, CohomologyClass(1, (0, 1, 1))) == 2
 
 
-def test_hexagon_round_trip():
-    s = make_surface(3)
-    p = HexagonParams(Fraction(1, 2), 2, Fraction(7, 3), 4)
-    assert class_to_hexagon(s, hexagon_to_class(s, p)) == p
-
-
-def test_class_to_hexagon_examples():
-    s3 = make_surface(3)
-    assert class_to_hexagon(s3, CohomologyClass(3, (1, 1, 1))) == HexagonParams(1, 1, 1, 0)
-    s1 = make_surface(1)
-    assert class_to_hexagon(s1, CohomologyClass(2, (1,))) == HexagonParams(alpha=1, delta=1)
-
-
-def test_class_to_hexagon_flags_negative_delta():
-    s = make_surface(3)
-    p = class_to_hexagon(s, CohomologyClass(1, (1, 1, 1)))
-    assert p.delta == -2  # negative: awaits a Cremona reflection
-
-
-def test_two_point_hexagon_requires_equal_areas():
-    s = make_surface(2)
-    with pytest.raises(ValueError):
-        class_to_hexagon(s, CohomologyClass(3, (1, 2)))
-
-
-def test_hexagon_wrong_parameter_set():
-    s = make_surface(2)
-    with pytest.raises(ValueError):
-        hexagon_to_class(s, HexagonParams(alpha=1, beta=1, delta=0))
-    with pytest.raises(ValueError):
-        hexagon_to_class(make_surface(3), HexagonParams(alpha=1, beta=1, delta=0))
-    with pytest.raises(ValueError):
-        hexagon_to_class(make_surface(1), HexagonParams(beta=1, delta=0))
-
-
 def test_curve_areas_match_hexagon_labels():
     s = make_surface(3)
-    areas = curve_areas(s, hexagon_to_class(s, HexagonParams(1, 2, 3, 1)))
+    areas = curve_areas(s, hexagon_class(1, 2, 3, 1))
     assert tuple(a for _, a in areas) == (1, 2, 3, 2, 3, 4)
     c1_areas = curve_areas(s, s.c1)
     assert all(a == 1 for _, a in c1_areas)
@@ -158,57 +143,33 @@ def test_opposite_side_differences_are_homologous():
         diff = CohomologyClass(line.a - exceptional.a,
                                tuple(lb - eb for lb, eb in zip(line.b, exceptional.b)))
         assert diff == common
-    omega = hexagon_to_class(s, HexagonParams(2, 3, 5, Fraction(7, 2)))
+    omega = hexagon_class(2, 3, 5, Fraction(7, 2))
     assert intersect(common, omega) == Fraction(7, 2)
 
 
 # -- Cremona action --------------------------------------------------------------
 
-def test_cremona_involution_is_involution():
-    p = HexagonParams(1, 2, 3, -1)
-    assert cremona_involution(cremona_involution(p)) == p
-
-
 def test_cremona_involution_flips_delta():
-    p = HexagonParams(2, 2, 2, -1)
-    q = cremona_involution(p)
-    assert q == HexagonParams(1, 1, 1, 1)
-
-
-def test_cremona_normalize_fixes_nonnegative_delta():
-    p = HexagonParams(1, 2, 3, 0)
-    assert cremona_normalize(p) == p
-    q = HexagonParams(1, 2, 3, 5)
-    assert cremona_normalize(q) == q
-
-
-def test_cremona_normalize_is_idempotent():
-    p = HexagonParams(3, 5, 4, -2)
-    once = cremona_normalize(p)
-    assert once.delta >= 0
-    assert cremona_normalize(once) == once
+    # on the slice the quadratic transformation is (alpha, beta, delta) ->
+    # (alpha + delta, beta + delta, -delta), the substitution the energy's
+    # sextics are invariant under
+    assert cremona(slice_class(3, 2, 2, -1)) == slice_class(3, 1, 1, 1)
+    assert cremona(slice_class(3, 1, 1, 1)) == slice_class(3, 2, 2, -1)
 
 
 def test_cremona_preserves_intersection_numbers():
     s = make_surface(3)
-    p = HexagonParams(2, 2, 2, -1)
-    before = hexagon_to_class(s, p)
-    after = hexagon_to_class(s, cremona_normalize(p))
+    before = hexagon_class(2, 3, 5, -1)
+    after = cremona(before)
     assert intersect(before, before) == intersect(after, after)
     assert intersect(before, s.c1) == intersect(after, s.c1)
 
 
 def test_cremona_permutes_curve_area_multiset():
     s = make_surface(3)
-    p = HexagonParams(2, 2, 2, -1)
-    before = sorted(a for _, a in curve_areas(s, hexagon_to_class(s, p)))
-    after = sorted(a for _, a in curve_areas(s, hexagon_to_class(s, cremona_normalize(p))))
-    assert before == after
-
-
-def test_cremona_requires_full_parameter_set():
-    with pytest.raises(ValueError):
-        cremona_involution(HexagonParams(alpha=1, delta=1))
+    before = hexagon_class(2, 3, 5, -1)
+    assert (sorted(a for _, a in curve_areas(s, before))
+            == sorted(a for _, a in curve_areas(s, cremona(before))))
 
 
 # -- Kahler cone -----------------------------------------------------------------
@@ -243,6 +204,6 @@ def test_kahler_violation_names_failure():
 def test_negative_delta_kahler_class():
     # Kahler classes may carry delta < 0 before Cremona normalization
     s = make_surface(3)
-    c = hexagon_to_class(s, HexagonParams(2, 2, 2, -1))
+    c = hexagon_class(2, 2, 2, -1)
     assert kahler_violation(s, c) is None
-    assert class_to_hexagon(s, c).delta < 0
+    assert c.a - sum(c.b) < 0

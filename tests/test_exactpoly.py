@@ -269,7 +269,7 @@ def test_isolate_sqrt_two():
     brackets = isolate_real_roots(X ** 2 - 2, (0, 10), digits=10)
     assert len(brackets) == 1
     b = brackets[0]
-    assert b.refined == "1.414213562"
+    assert fraction_to_decimal(b.midpoint, 10) == "1.414213562"
     assert b.low ** 2 < 2 < b.high ** 2 or b.low == b.high
 
 
@@ -283,7 +283,7 @@ def test_isolate_one_point_derivative_numerator():
          - f.numerator * f.denominator.partial("x"))
     brackets = isolate_real_roots(g, (0, 100), digits=10)
     assert len(brackets) == 1
-    assert brackets[0].refined == "2.183933404"
+    assert fraction_to_decimal(brackets[0].midpoint, 10) == "2.183933404"
 
 
 def test_isolate_rational_roots_with_multiplicity():
@@ -293,7 +293,7 @@ def test_isolate_rational_roots_with_multiplicity():
     for b, root in zip(brackets, (Fraction(1, 2), Fraction(3))):
         assert b.low <= root <= b.high
         assert b.high - b.low <= Fraction(1, 10 ** 11)
-    assert [b.refined for b in brackets] == ["0.5", "3"]
+    assert [fraction_to_decimal(b.midpoint, 12) for b in brackets] == ["0.5", "3"]
 
 
 def test_isolate_returns_ascending_roots():
@@ -369,7 +369,7 @@ def test_isolation_splits_roots_past_the_recursion_limit():
     p = (X - roots[0]) * (X - roots[1])
     assert count_real_roots(p, (0, 1)) == 2
     brackets = isolate_real_roots(p, (0, 1), 6)
-    assert [b.refined for b in brackets] == ["0.1", "0.1"]
+    assert [fraction_to_decimal(b.midpoint, 6) for b in brackets] == ["0.1", "0.1"]
     assert brackets[0].high <= brackets[1].low
     for b, r in zip(brackets, roots):
         assert b.low <= r <= b.high
@@ -467,7 +467,7 @@ def _plain_refine(q, lo, hi, digits):
     """Refinement by one Fraction evaluation per bisection step, after one
     float Newton jump: the reference the certified enclosure must reproduce."""
     def exact(x):
-        return exactpoly.RootBracket(x, x, fraction_to_decimal(x, digits))
+        return exactpoly.RootBracket(x, x)
 
     s_hi = _horner_sign(q, hi)
     if s_hi == 0:
@@ -513,7 +513,7 @@ def _plain_refine(q, lo, hi, digits):
             lo = mid
         else:
             hi = mid
-    return exactpoly.RootBracket(lo, hi, fraction_to_decimal((lo + hi) / 2, digits))
+    return exactpoly.RootBracket(lo, hi)
 
 
 def _plain_isolate(p, interval, digits):
