@@ -6,27 +6,4 @@ families with Sturm brackets, and scans the symmetric three-point slice with
 a vectorized numpy kernel.
 """
 
-from .exactpoly import (
-    Polynomial,
-    RationalFunction,
-    RootBracket,
-    cauchy_root_bound,
-    count_real_roots,
-    fraction_to_decimal,
-    isolate_real_roots,
-    symbols,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Polynomial",
-    "RationalFunction",
-    "RootBracket",
-    "cauchy_root_bound",
-    "count_real_roots",
-    "fraction_to_decimal",
-    "isolate_real_roots",
-    "symbols",
-    "__version__",
-]

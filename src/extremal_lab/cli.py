@@ -380,14 +380,14 @@ def _render_rows(fh, render, rows: int) -> None:
         shutil.copyfileobj(tail.buffer, fh.buffer)
 
 
-def _scan_csv(report, fh) -> None:
+def _scan_csv(report, fh, digits: int) -> None:
     """Write the csv export to the open file `fh`, one alpha row at a time.
 
     Each axis value is formatted once; a row's value and grad_norm cells go
     through one %-template built for that row.  The rows are split between
     this process and a forked child as `_render_rows` describes.
     """
-    fmt = f"%.{report.digits}g"
+    fmt = f"%.{digits}g"
     fh.write("alpha,delta,value,grad_norm\n")
     # joining the cells with the row's alpha puts it in front of each of them
     cells = ["," + fmt % d + f",{fmt},{fmt}\n" for d in report.deltas.tolist()]
@@ -401,7 +401,7 @@ def _scan_csv(report, fh) -> None:
     _render_rows(fh, render, len(alphas))
 
 
-def _scan_json(report, fh) -> None:
+def _scan_json(report, fh, digits: int) -> None:
     """Write the json export to the open file `fh`, one alpha row at a time.
 
     Everything but "cells" is rendered by json.dumps(indent=2); the cell
@@ -417,7 +417,7 @@ def _scan_json(report, fh) -> None:
             "delta_min": g.delta_min, "delta_max": g.delta_max,
             "delta_count": g.delta_count, "delta_spacing": g.delta_spacing,
         },
-        "digits": report.digits,
+        "digits": digits,
         "global_min": _cell_payload(report.global_min),
         "minima": [_cell_payload(c) for c in report.minima],
         "interior_zeros": [],
@@ -440,15 +440,15 @@ def _scan_json(report, fh) -> None:
     fh.write("\n  ]\n}\n")
 
 
-def _scan_summary(report) -> str:
+def _scan_summary(report, digits: int) -> str:
     g = report.grid
-    d = report.digits
+    fmt = f".{digits}g"
     m = report.global_min
     lines = [
         f"grid: alpha [{g.alpha_min:g}, {g.alpha_max:g}] x {g.alpha_count} ({g.alpha_spacing}), "
         f"delta [{g.delta_min:g}, {g.delta_max:g}] x {g.delta_count} ({g.delta_spacing})",
-        f"global minimum: alpha = {m.alpha:.{d}g}, delta = {m.delta:.{d}g}, "
-        f"value = {m.value:.{d}g}, grad norm = {m.grad_norm:.{d}g} "
+        f"global minimum: alpha = {m.alpha:{fmt}}, delta = {m.delta:{fmt}}, "
+        f"value = {m.value:{fmt}}, grad norm = {m.grad_norm:{fmt}} "
         f"({'boundary' if m.boundary else 'interior'})",
         f"strict local minima: {len(report.minima)}",
         # certified for every window by the resultant in tests/test_critical.py,
@@ -475,19 +475,18 @@ def cmd_scan3(args) -> int:
         alpha_range=(args.alpha_min, args.alpha_max),
         delta_range=(0.0, args.delta_max),
         grid_counts=(args.grid, args.grid),
-        digits=args.digits,
     )
     if not report.finite:
         raise UsageError("the scan overflows float64 on this window; "
                          "lower --alpha-max or --delta-max")
     if args.format == "table":
-        _emit(args.out, _scan_summary(report))
+        _emit(args.out, _scan_summary(report, args.digits))
         return 0
     path = args.out or f"scan3.{args.format}"
     with _open_out(path) as fh:
-        (_scan_csv if args.format == "csv" else _scan_json)(report, fh)
+        (_scan_csv if args.format == "csv" else _scan_json)(report, fh, args.digits)
     rows = f" ({args.grid * args.grid} rows)" if args.format == "csv" else ""
-    sys.stdout.write(f"{_scan_summary(report)}wrote {path}{rows}\n")
+    sys.stdout.write(f"{_scan_summary(report, args.digits)}wrote {path}{rows}\n")
     return 0
 
 

@@ -12,7 +12,6 @@ three-point slice energy is here as well; the float scan is in `scan`.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,7 +37,6 @@ class CriticalPointResult:
 
     variable: str
     bracket: RootBracket
-    value: Fraction  # f at the bracket midpoint, exactly
     classification: str  # always "local-min"; any other point is refused
 
 
@@ -85,8 +83,7 @@ def _critical_class(k: int, f: RationalFunction, digits: int) -> CriticalClassRe
     value = f.eval({var: br.midpoint})
     return CriticalClassReport(
         k=k,
-        critical=CriticalPointResult(variable=var, bracket=br, value=value,
-                                     classification="local-min"),
+        critical=CriticalPointResult(variable=var, bracket=br, classification="local-min"),
         normalized_energy=value,
         residual=energy.gauss_bonnet_residual(k, value),
         # one bracket per distinct root of g in the domain: the Sturm count
@@ -108,21 +105,12 @@ def two_point_class(digits: int = 12) -> CriticalClassReport:
 
 # -- exact gradient on the slice ---------------------------------------------
 
-@functools.cache
-def _grad_polys():
-    se = energy.energy_closed_form()
-    n, d = se.numerator, se.denominator
-    return (n, d, n.partial("alpha"), d.partial("alpha"),
-            n.partial("delta"), d.partial("delta"))
-
-
 def gradient(alpha, beta, delta) -> tuple[Fraction, Fraction]:
     """Exact (d/d alpha, d/d delta) of the normalized energy at fixed beta."""
     alpha, beta, delta = energy._require_kahler(
         energy.slice_kahler_violation(alpha, beta, delta), alpha, beta, delta)
     point = {"alpha": alpha, "beta": beta, "delta": delta}
-    n, d, n_a, d_a, n_d, d_d = _grad_polys()
-    nv, dv = n.eval(point), d.eval(point)
-    return ((n_a.eval(point) * dv - nv * d_a.eval(point)) / dv ** 2,
-            (n_d.eval(point) * dv - nv * d_d.eval(point)) / dv ** 2)
-
+    f = energy.energy_closed_form()
+    d_squared = f.denominator.eval(point) ** 2
+    return (f.derivative_numerator("alpha").eval(point) / d_squared,
+            f.derivative_numerator("delta").eval(point) / d_squared)

@@ -180,7 +180,7 @@ def solve_unknown_coefficient() -> Fraction:
     # residual(c) = base + c * slope must vanish identically
     base = _residual(_NUMERATOR, _VARIANCE - 276 * _UNKNOWN_MONOMIAL)
     slope = _C1_DOT_OMEGA ** 2 * _UNKNOWN_MONOMIAL / 3
-    exps, coeff = next(iter(slope.sorted_terms()))
+    exps, coeff = next(iter(slope.terms.items()))
     c = -base.coefficient(**dict(zip(slope.variables, exps))) / coeff
     if base + c * slope:
         raise ValueError("inconsistent linear system: no coefficient value "

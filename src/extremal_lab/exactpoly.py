@@ -228,10 +228,6 @@ class Polynomial:
 
     # -- structure ----------------------------------------------------------
 
-    def total_degree(self) -> int:
-        """Maximal total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
-
     def coefficient(self, **exponents: int) -> Fraction:
         """Coefficient of the monomial with the named exponents (others 0)."""
         for name, e in exponents.items():
@@ -240,32 +236,8 @@ class Polynomial:
         key = tuple(exponents.get(v, 0) for v in self.variables)
         return self.terms.get(key, Fraction(0))
 
-    def sorted_terms(self):
-        """Terms in graded-lexicographic descending order (deterministic)."""
-        return sorted(self.terms.items(), key=lambda kv: (-sum(kv[0]), tuple(-e for e in kv[0])))
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for exps, c in self.sorted_terms():
-            mono = "*".join(
-                v if e == 1 else f"{v}^{e}"
-                for v, e in zip(self.variables, exps) if e
-            )
-            if not mono:
-                piece = str(c)
-            elif c == 1:
-                piece = mono
-            elif c == -1:
-                piece = f"-{mono}"
-            else:
-                piece = f"{c}*{mono}"
-            bits.append(piece)
-        return " + ".join(bits).replace("+ -", "- ")
-
     def __repr__(self) -> str:
-        return f"Polynomial({self})"
+        return f"Polynomial({self.variables!r}, {self.terms!r})"
 
 
 def symbols(names: str) -> tuple[Polynomial, ...]:
@@ -274,11 +246,7 @@ def symbols(names: str) -> tuple[Polynomial, ...]:
 
 
 class RationalFunction:
-    """Quotient of two polynomials.
-
-    No gcd cancellation is attempted: equality is decided by
-    cross-multiplication, which is exact and needs no factorization.
-    """
+    """Quotient of two polynomials; no gcd cancellation is attempted."""
 
     __slots__ = ("numerator", "denominator")
 
@@ -292,47 +260,17 @@ class RationalFunction:
         self.numerator = n
         self.denominator = d
 
-    @staticmethod
-    def _coerce(value):
-        if isinstance(value, RationalFunction):
-            return value
-        if isinstance(value, (Polynomial, int, Fraction)):
-            return RationalFunction(value)
-        return NotImplemented
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.numerator * other.denominator == other.numerator * self.denominator
-
     def eval(self, point: Mapping[str, Scalar]) -> Fraction:
         den = self.denominator.eval(point)
         if den == 0:
             raise ZeroDivisionError(f"denominator vanishes at {dict(point)!r}")
         return self.numerator.eval(point) / den
 
-    def substitute(self, bindings) -> "RationalFunction":
-        return RationalFunction(self.numerator.substitute(bindings),
-                                self.denominator.substitute(bindings))
-
     def derivative_numerator(self, var: str) -> Polynomial:
         """n' d - n d', the numerator of the quotient rule; its sign is that of
         the derivative wherever d != 0, since the denominator d^2 is positive."""
         n, d = self.numerator, self.denominator
         return n.partial(var) * d - n * d.partial(var)
-
-    def derivative(self, var: str) -> "RationalFunction":
-        d = self.denominator
-        return RationalFunction(self.derivative_numerator(var), d * d)
-
-    def __str__(self) -> str:
-        if self.denominator == Polynomial.constant(1):
-            return str(self.numerator)
-        return f"({self.numerator}) / ({self.denominator})"
-
-    def __repr__(self) -> str:
-        return f"RationalFunction({self})"
 
 
 # -- dense univariate layer --------------------------------------------------

@@ -5,7 +5,7 @@ A slice polynomial p(alpha, delta) has degree at most 6 in each variable, so
 it is a 7x7 coefficient matrix C, and its values on a block of alpha rows are
 one product Pa[rows] @ C @ Pd^T of increasing Vandermonde matrices of the two
 axes.  The matrices of N and D are read from the closed form in `energy`, and
-those of their partials by shifting an index.  The kernel runs BLOCK_ROWS
+those of their partials from `Polynomial.partial`.  The kernel runs BLOCK_ROWS
 alpha rows at a time and applies the quotient rule in place, so besides the
 value and gradient-norm grids it holds five block-sized buffers.  No product
 has more than BLOCK_ROWS rows, whatever the grid, and with OpenBLAS 0.3 on
@@ -67,21 +67,11 @@ class ScanReport:
     grad_norms: np.ndarray
     minima: tuple[ScanCell, ...]
     global_min: ScanCell
-    digits: int
 
     @property
     def finite(self) -> bool:
         """Whether every value and gradient-norm cell is finite."""
         return bool(np.isfinite(self.values).all() and np.isfinite(self.grad_norms).all())
-
-    @property
-    def cells(self) -> list[tuple[float, float, float, float]]:
-        """Row-major (alpha outer, delta inner) cell tuples."""
-        deltas = self.deltas.tolist()
-        return [(a, d, v, g)
-                for a, values, grad_norms in zip(self.alphas.tolist(), self.values.tolist(),
-                                                 self.grad_norms.tolist())
-                for d, v, g in zip(deltas, values, grad_norms)]
 
     def interleaved_rows(self, start: int, stop: int):
         """Per alpha row in [start, stop), the tuple (value, grad_norm, value,
@@ -177,24 +167,16 @@ def _beta_one(p) -> np.ndarray:
 @functools.cache
 def _term_tables() -> tuple[np.ndarray, ...]:
     """Read-only coefficient matrices of the beta = 1 slice polynomials (n, d
-    and their alpha and delta partials); entry [i, j] multiplies
-    alpha^i delta^j.  n and d come from the closed form N / D, and a partial
-    shifts an index: C_a[i-1, k] = i C[i, k], C_d[i, k-1] = k C[i, k].  Every
-    coefficient is an integer below 2^53, so float64 holds it exactly."""
+    and their alpha and delta partials, taken by `Polynomial.partial`); entry
+    [i, j] multiplies alpha^i delta^j.  n and d come from the closed form
+    N / D.  Every coefficient is an integer below 2^53, so float64 holds it
+    exactly."""
     closed = energy.energy_closed_form()
-    n, d = _beta_one(closed.numerator), _beta_one(closed.denominator)
-    weights = np.arange(1, POWERS)
-    partials = []
-    for c in (n, d):
-        c_a = np.zeros_like(c)
-        c_a[:-1] = c[1:] * weights[:, None]
-        partials.append(c_a)
-    for c in (n, d):
-        c_d = np.zeros_like(c)
-        c_d[:, :-1] = c[:, 1:] * weights
-        partials.append(c_d)
+    n, d = closed.numerator, closed.denominator
+    partials = [p.partial(var) for var in ("alpha", "delta") for p in (n, d)]
     matrices = []
-    for c in (n, d, *partials):
+    for p in (n, d, *partials):
+        c = _beta_one(p)
         assert all(abs(v) < 2 ** 53 for v in c.flat)
         c = c.astype(np.float64)
         c.flags.writeable = False
@@ -221,7 +203,7 @@ def _strict_minima(values: np.ndarray) -> np.ndarray:
 
 
 def scan_three_point(alpha_range=(0.05, 20.0), delta_range=(0.0, 10.0),
-                     grid_counts=(200, 200), digits: int = 12) -> ScanReport:
+                     grid_counts=(200, 200)) -> ScanReport:
     """Grid scan of the normalized energy on the slice, beta gauged to 1.
 
     alpha runs geometrically (anchored so alpha = 1 is an interior grid node
@@ -260,5 +242,4 @@ def scan_three_point(alpha_range=(0.05, 20.0), delta_range=(0.0, 10.0),
                     delta_min=dmin, delta_max=dmax, delta_count=nd,
                     delta_spacing="linear")
     return ScanReport(grid=grid, alphas=alphas, deltas=deltas, values=values,
-                      grad_norms=grad_norms, minima=minima, global_min=global_min,
-                      digits=digits)
+                      grad_norms=grad_norms, minima=minima, global_min=global_min)

@@ -575,15 +575,20 @@ def test_verify_flag_space_exits_cleanly(flags):
 # The exporters write one alpha row at a time.  These oracles are the earlier
 # string-building exporters, kept to pin the layout byte for byte.
 
-def _oracle_scan_csv(report) -> str:
-    digits = report.digits
+def _oracle_cells(report) -> list[tuple[float, float, float, float]]:
+    """Row-major (alpha outer, delta inner) cell tuples of the report."""
+    return [(float(a), float(d), float(report.values[i, j]), float(report.grad_norms[i, j]))
+            for i, a in enumerate(report.alphas) for j, d in enumerate(report.deltas)]
+
+
+def _oracle_scan_csv(report, digits: int) -> str:
     lines = ["alpha,delta,value,grad_norm"]
-    for a, d, v, g in report.cells:
+    for a, d, v, g in _oracle_cells(report):
         lines.append(f"{a:.{digits}g},{d:.{digits}g},{v:.{digits}g},{g:.{digits}g}")
     return "\n".join(lines) + "\n"
 
 
-def _oracle_scan_json(report) -> str:
+def _oracle_scan_json(report, digits: int) -> str:
     g = report.grid
     payload = {
         "grid": {
@@ -592,11 +597,11 @@ def _oracle_scan_json(report) -> str:
             "delta_min": g.delta_min, "delta_max": g.delta_max,
             "delta_count": g.delta_count, "delta_spacing": g.delta_spacing,
         },
-        "digits": report.digits,
+        "digits": digits,
         "global_min": cli._cell_payload(report.global_min),
         "minima": [cli._cell_payload(c) for c in report.minima],
         "interior_zeros": [],
-        "cells": [list(row) for row in report.cells],
+        "cells": [list(row) for row in _oracle_cells(report)],
     }
     return json.dumps(payload, indent=2) + "\n"
 
@@ -605,7 +610,7 @@ def _oracle_scan_json(report) -> str:
 AWKWARD_FLOATS = (-0.0, 5e-324, 1e16, 1e-7, 2.0)
 
 
-def _hand_built_report(na: int, nd: int, digits: int, seed: int) -> ScanReport:
+def _hand_built_report(na: int, nd: int, seed: int) -> ScanReport:
     rng = np.random.default_rng(seed)
     alphas = np.sort(rng.uniform(0.05, 20.0, na))
     alphas[0] = 1e-7
@@ -629,20 +634,19 @@ def _hand_built_report(na: int, nd: int, digits: int, seed: int) -> ScanReport:
                     delta_min=0.0, delta_max=10.0, delta_count=nd,
                     delta_spacing="linear")
     return ScanReport(grid=grid, alphas=alphas, deltas=deltas, values=values,
-                      grad_norms=grad_norms, minima=minima, global_min=minima[0],
-                      digits=digits)
+                      grad_norms=grad_norms, minima=minima, global_min=minima[0])
 
 
 @pytest.mark.parametrize("digits", [6, 17])
 @pytest.mark.parametrize("shape", [(2, 2), (2, 9), (9, 2), (5, 7)])
 def test_streamed_exports_match_string_oracle(tmp_path, shape, digits):
-    report = _hand_built_report(*shape, digits=digits, seed=shape[0] * 10 + shape[1])
+    report = _hand_built_report(*shape, seed=shape[0] * 10 + shape[1])
     for name, write, oracle in (("cells.csv", cli._scan_csv, _oracle_scan_csv),
                                 ("cells.json", cli._scan_json, _oracle_scan_json)):
         path = tmp_path / name
         with open(path, "w", newline="\n") as fh:
-            write(report, fh)
-        assert path.read_bytes() == oracle(report).encode()
+            write(report, fh, digits)
+        assert path.read_bytes() == oracle(report, digits).encode()
     payload = json.loads((tmp_path / "cells.json").read_text())
     assert payload["interior_zeros"] == [] and len(payload["minima"]) == 3
 

@@ -1,10 +1,12 @@
-"""Every top-level function and class in the package is used.
+"""Every definition, class member and import in the package is used.
 
-A name counts as used when some module of the package other than
-`__init__` refers to it outside its own definition, or when the acceptance
-gate imports it: re-exporting a name from `__init__` does not make it live.
-Names are matched as identifiers, so a method or attribute that shares a
-name with a definition counts as a use of it.
+A top-level function or class counts as used when some module of the
+package other than `__init__` refers to it outside its own definition, or
+when the acceptance gate imports it: re-exporting a name from `__init__`
+does not make it live.  A method, property or dataclass field counts as used
+when some module of the package reads it as an attribute outside its own
+body, or when the acceptance gate does.  Names are matched as identifiers,
+so a use of any member or definition of the same name counts.
 """
 
 import ast
@@ -28,10 +30,19 @@ def _names(node: ast.AST) -> Counter:
     return out
 
 
+def _attribute_reads(node: ast.AST) -> Counter:
+    """Attribute names loaded under `node`; assignments to them do not count."""
+    return Counter(sub.attr for sub in ast.walk(node)
+                   if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load))
+
+
+def _modules() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
 def _unused_definitions() -> set[str]:
     """`module.name` of each top-level def or class no other code refers to."""
-    modules = {path.stem: ast.parse(path.read_text())
-               for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"}
+    modules = {stem: tree for stem, tree in _modules().items() if stem != "__init__"}
     used = sum((_names(tree) for tree in modules.values()), Counter())
     unused = set()
     for stem, tree in modules.items():
@@ -43,8 +54,61 @@ def _unused_definitions() -> set[str]:
     return unused
 
 
+def _unused_members() -> set[str]:
+    """`module.Class.member` of each non-dunder method, property or field that
+    neither the package, outside the member's own body, nor the gate reads."""
+    modules = _modules()
+    read = sum((_attribute_reads(tree) for tree in modules.values()),
+               _attribute_reads(ast.parse(ACCEPTANCE.read_text())))
+    unused = set()
+    for stem, tree in modules.items():
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef):
+                    name = node.name
+                elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    name = node.target.id
+                else:
+                    continue
+                if not (name.startswith("__") and name.endswith("__")) \
+                        and read[name] - _attribute_reads(node)[name] == 0:
+                    unused.add(f"{stem}.{cls.name}.{name}")
+    return unused
+
+
+def _unused_imports() -> set[str]:
+    """`module.name` of each name a module imports and never reads; a name
+    listed in the module's `__all__` counts as read."""
+    unused = set()
+    for stem, tree in _modules().items():
+        read = {sub.id for sub in ast.walk(tree)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                read.update(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    # `import a.b` binds `a`
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unused.add(f"{stem}.{name}")
+    return unused
+
+
 def test_every_definition_is_used():
     gate = {alias.name for node in ast.walk(ast.parse(ACCEPTANCE.read_text()))
             if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert sorted(name for name in _unused_definitions()
                   if name.split(".")[1] not in gate) == []
+
+
+def test_every_class_member_is_read():
+    assert sorted(_unused_members()) == []
+
+
+def test_every_import_is_read():
+    assert sorted(_unused_imports()) == []

@@ -258,6 +258,25 @@ def test_sextics_are_cremona_invariant():
     assert se.denominator.substitute(image) == se.denominator
 
 
+def test_slice_minimum_is_certified():
+    # N/D >= 2 on the Kahler slice with delta >= 0, with equality only at
+    # alpha = beta, delta = 0.  w^2 > 0 on a Kahler class, and
+    #   3 w^2 (N - 2 D) = ((c1.w)^2 - 6 w^2) D + 72 F^2
+    #   (c1.w)^2 - 6 w^2 = 4 (alpha - beta)^2 + 3 delta^2,
+    # while every coefficient of D is positive, so D > 0 there: the right side
+    # is >= 0, and 0 only where 4 (alpha - beta)^2 + 3 delta^2 is.  The
+    # Cremona invariance above carries the bound to delta < 0.
+    se = energy_closed_form()
+    n, d = se.numerator, se.denominator
+    a = ALPHA + 2 * BETA + DELTA  # the class (a; alpha, beta, beta)
+    w2, c1w = a ** 2 - ALPHA ** 2 - 2 * BETA ** 2, 3 * a - ALPHA - 2 * BETA
+    assert (w2, c1w) == (energy._OMEGA_SQ, energy._C1_DOT_OMEGA)
+    hodge = 4 * (ALPHA - BETA) ** 2 + 3 * DELTA ** 2
+    assert 3 * w2 * (n - 2 * d) == hodge * d + 72 * energy._FUTAKI_CORE ** 2
+    assert c1w ** 2 - 6 * w2 == hodge
+    assert len(d.terms) == 18 and all(c > 0 for c in d.terms.values())
+
+
 # -- Gauss-Bonnet residual -----------------------------------------------------------
 
 def test_residual_examples():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from extremal_lab import scan as _kernels
-from extremal_lab.critical import _grad_polys, gradient
+from extremal_lab.critical import gradient
 from extremal_lab.energy import energy_closed_form
 from extremal_lab.scan import _geometric_grid, _term_tables, scan_eval, scan_three_point
 
@@ -57,13 +57,16 @@ def test_scan_cells_match_exact_evaluation():
 # -- lean kernel against whole-array oracle ------------------------------------
 #
 # The oracles are the earlier table builder, which substitutes beta = 1 into
-# the exact gradient polynomials, and the earlier kernel, which builds every
+# N, D and their partials, and the earlier kernel, which builds every
 # product and quotient as a whole-array temporary.  The kernel must match
 # them bit for bit.
 
 def _oracle_term_tables():
+    closed = energy_closed_form()
+    n, d = closed.numerator, closed.denominator
+    partials = [p.partial(var) for var in ("alpha", "delta") for p in (n, d)]
     matrices = []
-    for p in _grad_polys():
+    for p in (n, d, *partials):
         q = p.substitute({"beta": 1})
         c = np.zeros((_kernels.POWERS, _kernels.POWERS))
         for (i, j), coef in q.terms.items():
