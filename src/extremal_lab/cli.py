@@ -15,6 +15,7 @@ import io
 import json
 import math
 import os
+import re
 import stat
 import sys
 from dataclasses import dataclass
@@ -34,10 +35,10 @@ MAX_DIGITS = 800
 #: digit of its longest flag: 3162 at 200, inside Python's 4300-digit
 #: int-to-str limit, in 9 ms (Python 3.11, x86-64 Linux)
 MAX_RATIONAL_DIGITS = 200
-#: cap on --grid cells per axis.  Peak RSS grows with grid^2; at 1024 scan3
-#: peaked at 48 MiB for each of table, csv and json (two grid arrays plus
-#: block buffers in the kernel, exports streamed row by row) with Python 3.11
-#: and numpy 2.4 on x86-64 Linux
+#: cap on --grid cells per axis.  An export's peak RSS grows with grid^2: at
+#: 1024 csv and json peaked at 48 MiB (two grid arrays plus block buffers,
+#: written row by row).  The table format holds no grid-sized array and
+#: peaked at 34 MiB (Python 3.11, numpy 2.4, x86-64 Linux)
 MAX_GRID = 1024
 
 PI_SQUARED = math.pi ** 2
@@ -482,6 +483,8 @@ def cmd_scan3(args) -> int:
     if args.format == "table":
         _emit(args.out, _scan_summary(report, args.digits))
         return 0
+    # evaluates the grids here, so the export's forked child calls no BLAS
+    report.values
     path = args.out or f"scan3.{args.format}"
     with _open_out(path) as fh:
         (_scan_csv if args.format == "csv" else _scan_json)(report, fh, args.digits)
@@ -539,8 +542,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_rationals(argv: list[str]) -> list[str]:
+    """argv with `--alpha -1/2` joined into `--alpha=-1/2`, and so on: argparse
+    takes a token like -1/2 or -1e5 for an option, but not in the = form."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in ("--alpha", "--beta", "--delta") and re.match(r"-[0-9.]", token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(
+        _join_negative_rationals(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (UsageError, ValueError, OSError) as exc:

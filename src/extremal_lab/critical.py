@@ -12,11 +12,13 @@ three-point slice energy is here as well; the float scan is in `scan`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import energy
 from .exactpoly import (
+    Polynomial,
     RationalFunction,
     RootBracket,
     _u_primitive,
@@ -105,6 +107,11 @@ def two_point_class(digits: int = 12) -> CriticalClassReport:
 
 # -- exact gradient on the slice ---------------------------------------------
 
+@functools.cache
+def _slice_derivative_numerator(var: str) -> Polynomial:
+    return energy.energy_closed_form().derivative_numerator(var)
+
+
 def gradient(alpha, beta, delta) -> tuple[Fraction, Fraction]:
     """Exact (d/d alpha, d/d delta) of the normalized energy at fixed beta."""
     alpha, beta, delta = energy._require_kahler(
@@ -112,5 +119,5 @@ def gradient(alpha, beta, delta) -> tuple[Fraction, Fraction]:
     point = {"alpha": alpha, "beta": beta, "delta": delta}
     f = energy.energy_closed_form()
     d_squared = f.denominator.eval(point) ** 2
-    return (f.derivative_numerator("alpha").eval(point) / d_squared,
-            f.derivative_numerator("delta").eval(point) / d_squared)
+    return (_slice_derivative_numerator("alpha").eval(point) / d_squared,
+            _slice_derivative_numerator("delta").eval(point) / d_squared)

@@ -5,12 +5,15 @@ A slice polynomial p(alpha, delta) has degree at most 6 in each variable, so
 it is a 7x7 coefficient matrix C, and its values on a block of alpha rows are
 one product Pa[rows] @ C @ Pd^T of increasing Vandermonde matrices of the two
 axes.  The matrices of N and D are read from the closed form in `energy`, and
-those of their partials from `Polynomial.partial`.  The kernel runs BLOCK_ROWS
-alpha rows at a time and applies the quotient rule in place, so besides the
-value and gradient-norm grids it holds five block-sized buffers.  No product
+those of their partials from `Polynomial.partial`.  The kernel `_blocks`
+runs BLOCK_ROWS alpha rows at a time in five block-sized buffers.  No product
 has more than BLOCK_ROWS rows, whatever the grid, and with OpenBLAS 0.3 on
 x86-64 such a product has the same bits on one thread or two; a cell's last
 bit can still depend on the BLAS build and the CPU.
+`scan_three_point` reduces the blocks as they come, so the scan and the
+table summary hold no grid-sized array.  The value and gradient-norm grids
+are built when `ScanReport.values` or `.grad_norms` is first read: by the
+csv and json exports, which thus run the kernel twice, and by tests.
 The scan reports the grid's minima and proves nothing: that the slice has
 no critical point with delta > 0 is certified exactly, by a resultant whose
 coefficients never change sign, in tests/test_critical.py
@@ -22,7 +25,15 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 from dataclasses import dataclass
+
+# OpenBLAS starts a worker thread per core on load unless this variable, which
+# a caller may still set, says otherwise.  The kernel's products are small and
+# their bits do not depend on it.  On 2 cores with OpenBLAS 0.3.31 one thread
+# cut the CPU time of importing numpy from 0.26 to 0.19 s and of scan3 --grid
+# 1000 from 0.35 to 0.28 s (medians of 15 interleaved pairs).
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -63,15 +74,22 @@ class ScanReport:
     grid: GridSpec
     alphas: np.ndarray
     deltas: np.ndarray
-    values: np.ndarray
-    grad_norms: np.ndarray
     minima: tuple[ScanCell, ...]
     global_min: ScanCell
+    finite: bool  # every value and gradient-norm cell is finite
+
+    @functools.cached_property
+    def _grids(self) -> tuple[np.ndarray, np.ndarray]:
+        # evaluated on first read: the scan itself keeps no grid-sized array
+        return scan_eval(self.alphas, self.deltas, _term_tables())
 
     @property
-    def finite(self) -> bool:
-        """Whether every value and gradient-norm cell is finite."""
-        return bool(np.isfinite(self.values).all() and np.isfinite(self.grad_norms).all())
+    def values(self) -> np.ndarray:
+        return self._grids[0]
+
+    @property
+    def grad_norms(self) -> np.ndarray:
+        return self._grids[1]
 
     def interleaved_rows(self, start: int, stop: int):
         """Per alpha row in [start, stop), the tuple (value, grad_norm, value,
@@ -83,39 +101,31 @@ class ScanReport:
             yield tuple(pairs.tolist())
 
 
-def scan_eval(alphas, deltas, matrices):
-    """Evaluate value and gradient norm on the alpha x delta grid.
+def _blocks(alphas, deltas, matrices):
+    """Yield (start, values, grad_norms) for the grid's alpha rows [start,
+    start + BLOCK_ROWS), in row order, as views the next block overwrites.
 
-    `matrices` holds six POWERS x POWERS coefficient matrices: numerator,
-    denominator, and their alpha and delta partials.  Returns (values,
-    grad_norms) as float64 arrays of shape (len(alphas), len(deltas)).
-    Cells where float64 overflows come out inf or nan, without a warning;
-    the caller decides what a non-finite cell means.
-
-    The grid is evaluated BLOCK_ROWS alpha rows at a time, in five
-    block-sized buffers; `values` and `grad_norms` are the only grid-sized
-    arrays.  In each block every polynomial is one product
-    Pa[rows] @ C @ Pd^T, and the quotient rule then runs in place with the
-    operands and order of values = n / d, ga = (n_a * d - n * d_a) / (d * d),
-    gd likewise and grad_norms = sqrt(ga * ga + gd * gd), so every cell
-    rounds as it would with whole-block temporaries.
+    Every polynomial is one product Pa[rows] @ C @ Pd^T, and the quotient
+    rule runs in place with the operands and order of values = n / d,
+    ga = (n_a * d - n * d_a) / (d * d), gd likewise and grad_norms =
+    sqrt(ga * ga + gd * gd), so every cell rounds as with whole-block
+    temporaries.  Overflowing cells come out inf or nan without a warning.
     """
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore"):  # a power of a huge axis value is inf
         pa = np.vander(np.asarray(alphas, dtype=np.float64), POWERS, increasing=True)
         pd = np.vander(np.asarray(deltas, dtype=np.float64), POWERS, increasing=True)
-        c_n, c_d, c_na, c_da, c_nd, c_dd = matrices
-        shape = (pa.shape[0], pd.shape[0])
-        values, grad_norms = np.empty(shape), np.empty(shape)
-        workspace = np.empty((5, min(shape[0], BLOCK_ROWS), shape[1]))
-        for start in range(0, shape[0], BLOCK_ROWS):
-            stop = min(start + BLOCK_ROWS, shape[0])
-            block = pa[start:stop]
-            # nd_prime holds n * d_a, then n * d_d
-            n, d, ga, gd, nd_prime = workspace[:, :stop - start]
+    c_n, c_d, c_na, c_da, c_nd, c_dd = matrices
+    workspace = np.empty((5, min(pa.shape[0], BLOCK_ROWS), pd.shape[0]))
+    for start in range(0, pa.shape[0], BLOCK_ROWS):
+        block = pa[start:start + BLOCK_ROWS]
+        # nd_prime holds n * d_a, then n * d_d
+        n, d, ga, gd, nd_prime = workspace[:, :block.shape[0]]
 
-            def grid(c, out):
-                return np.matmul(block @ c, pd.T, out=out)
+        def grid(c, out):
+            return np.matmul(block @ c, pd.T, out=out)
 
+        # not held across the yield, where the caller's code runs
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             grid(c_n, n)
             grid(c_d, d)
             grid(c_na, ga)
@@ -128,15 +138,32 @@ def scan_eval(alphas, deltas, matrices):
             grid(c_dd, nd_prime)
             nd_prime *= n
             gd -= nd_prime
-            np.divide(n, d, out=values[start:stop])
+            np.divide(n, d, out=n)
             d *= d
             ga /= d
             gd /= d
             ga *= ga
             gd *= gd
             ga += gd
-            np.sqrt(ga, out=grad_norms[start:stop])
-        return values, grad_norms
+            np.sqrt(ga, out=ga)
+        yield start, n, ga
+
+
+def scan_eval(alphas, deltas, matrices):
+    """Evaluate value and gradient norm on the alpha x delta grid.
+
+    `matrices` holds six POWERS x POWERS coefficient matrices: numerator,
+    denominator, and their alpha and delta partials.  Returns (values,
+    grad_norms) as float64 arrays of shape (len(alphas), len(deltas)), with
+    the bits `_blocks` gives them; the caller decides what a non-finite
+    cell means.
+    """
+    values = np.empty((len(alphas), len(deltas)))
+    grad_norms = np.empty_like(values)
+    for start, value_block, grad_block in _blocks(alphas, deltas, matrices):
+        values[start:start + len(value_block)] = value_block
+        grad_norms[start:start + len(grad_block)] = grad_block
+    return values, grad_norms
 
 
 def _geometric_grid(lo: float, hi: float, n: int):
@@ -202,13 +229,45 @@ def _strict_minima(values: np.ndarray) -> np.ndarray:
     return strict
 
 
+def _summarize(blocks):
+    """(minima, global_min, finite) of the grid that `blocks` yields as
+    `_blocks` does.  A cell is (i, j, value, grad_norm): minima are those of
+    `_strict_minima` on the whole value grid, in row-major order, and
+    global_min is the one np.argmin picks.  A block's minima need the next
+    block's first row, so each block is copied into `slab`, between the rows
+    above and below it, and reduced one block late."""
+    minima, global_min, finite = [], None, True
+    start = rows = 0  # the held block is alpha rows [start, start + rows)
+    for block in itertools.chain(blocks, [None]):
+        if rows:
+            # slab[0] is the row above the held block, unless it is the first
+            top, bottom = (0 if start else 1), 1 + rows + (block is not None)
+            if block is not None:
+                slab[1 + rows] = block[1][0]
+            mask = _strict_minima(slab[top:bottom])[1 - top:1 - top + rows]
+            minima.extend((start + i, j, float(slab[1 + i, j]), float(grads[i, j]))
+                          for i, j in np.argwhere(mask).tolist())
+            slab[0] = slab[rows]
+        if block is None:
+            return minima, global_min, finite
+        start, values, grad_norms = block
+        finite = finite and bool(np.isfinite(values).all() and np.isfinite(grad_norms).all())
+        i, j = divmod(int(np.argmin(values)), values.shape[1])
+        if global_min is None or np.argmin((global_min[2], values[i, j])):
+            global_min = (start + i, j, float(values[i, j]), float(grad_norms[i, j]))
+        if not rows:  # the first block is the largest
+            slab, grads = np.empty((len(values) + 2, values.shape[1])), np.empty_like(values)
+        rows = len(values)
+        slab[1:1 + rows], grads[:rows] = values, grad_norms
+
+
 def scan_three_point(alpha_range=(0.05, 20.0), delta_range=(0.0, 10.0),
                      grid_counts=(200, 200)) -> ScanReport:
     """Grid scan of the normalized energy on the slice, beta gauged to 1.
 
     alpha runs geometrically (anchored so alpha = 1 is an interior grid node
     when in range), delta linearly from its minimum.  Reports strict 8-neighbor
-    local minima and the global minimum cell.
+    local minima, the global minimum cell and whether every cell is finite.
     """
     amin, amax = (float(v) for v in alpha_range)
     dmin, dmax = (float(v) for v in delta_range)
@@ -224,22 +283,17 @@ def scan_three_point(alpha_range=(0.05, 20.0), delta_range=(0.0, 10.0),
 
     alphas, anchored = _geometric_grid(amin, amax, na)
     deltas = np.linspace(dmin, dmax, nd)
-    values, grad_norms = scan_eval(alphas, deltas, _term_tables())
+    minima, global_min, finite = _summarize(_blocks(alphas, deltas, _term_tables()))
 
-    def cell(i: int, j: int) -> ScanCell:
-        return ScanCell(i=int(i), j=int(j),
-                        alpha=float(alphas[i]), delta=float(deltas[j]),
-                        value=float(values[i, j]), grad_norm=float(grad_norms[i, j]),
-                        boundary=bool(deltas[j] == 0.0))
-
-    minima = tuple(cell(i, j) for i, j in np.argwhere(_strict_minima(values)))
-
-    global_min = cell(*np.unravel_index(np.argmin(values), values.shape))
+    def cell(i: int, j: int, value: float, grad_norm: float) -> ScanCell:
+        return ScanCell(i=i, j=j, alpha=float(alphas[i]), delta=float(deltas[j]),
+                        value=value, grad_norm=grad_norm, boundary=bool(deltas[j] == 0.0))
 
     spacing = "geometric (anchored at 1)" if anchored else "geometric"
     grid = GridSpec(alpha_min=amin, alpha_max=amax, alpha_count=na,
                     alpha_spacing=spacing,
                     delta_min=dmin, delta_max=dmax, delta_count=nd,
                     delta_spacing="linear")
-    return ScanReport(grid=grid, alphas=alphas, deltas=deltas, values=values,
-                      grad_norms=grad_norms, minima=minima, global_min=global_min)
+    return ScanReport(grid=grid, alphas=alphas, deltas=deltas,
+                      minima=tuple(cell(*c) for c in minima), global_min=cell(*global_min),
+                      finite=finite)

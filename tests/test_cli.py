@@ -261,6 +261,40 @@ def test_energy_sweep_is_pinned(capsys):
     assert digest.hexdigest() == ENERGY_SWEEP_SHA256
 
 
+@pytest.mark.parametrize("argv, code", [
+    (("--k", "3", "--alpha", "1", "--beta", "1", "--delta", "-1/2"), 0),
+    (("--k", "3", "--alpha", "2e5", "--beta", "2e5", "--delta", "-1e5", "--format", "json"), 0),
+    (("--k", "3", "--alpha", "-1/3", "--beta", "-.5", "--delta", "1"), 2),  # not Kahler
+    (("--k", "1", "--alpha", "1", "--delta", "-1/2"), 2),
+    (("--k", "2", "--beta", "3", "--delta", "-1e5"), 2),
+    (("--k", "1", "--alpha", "-1/0"), 2),  # not a rational
+])
+def test_negative_rational_flags_take_the_space_form(capsys, argv, code):
+    joined = []
+    for token in argv:
+        if joined and joined[-1] in ("--alpha", "--beta", "--delta") and token.startswith("-"):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    assert len(joined) < len(argv)
+    results = []
+    for form in (argv, joined):
+        try:
+            status = cli.main(["energy", *form])
+        except SystemExit as exc:
+            status = exc.code
+        results.append((status, *capsys.readouterr()))
+    assert results[0] == results[1]
+    assert results[0][0] == code
+
+
+def test_a_flag_after_a_rational_flag_is_still_refused(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["energy", "--delta", "--k", "1", "--alpha", "1"])
+    assert exc.value.code == 2
+    assert "argument --delta: expected one argument" in capsys.readouterr().err
+
+
 def test_energy_flag_rules(capsys):
     code, _, err = run(capsys, "energy", "--k", "3", "--alpha", "1")
     assert code == 2 and "k=3 takes" in err
@@ -633,8 +667,11 @@ def _hand_built_report(na: int, nd: int, seed: int) -> ScanReport:
                     alpha_count=na, alpha_spacing="geometric",
                     delta_min=0.0, delta_max=10.0, delta_count=nd,
                     delta_spacing="linear")
-    return ScanReport(grid=grid, alphas=alphas, deltas=deltas, values=values,
-                      grad_norms=grad_norms, minima=minima, global_min=minima[0])
+    report = ScanReport(grid=grid, alphas=alphas, deltas=deltas, minima=minima,
+                        global_min=minima[0], finite=True)
+    # the grids a read of report.values would evaluate and cache
+    vars(report)["_grids"] = (values, grad_norms)
+    return report
 
 
 @pytest.mark.parametrize("digits", [6, 17])
@@ -703,6 +740,42 @@ def test_forked_export_matches_single_process(capsys, monkeypatch, tmp_path, gri
         assert len(forks) == (cores > 1)
         exports[cores] = path.read_bytes()
     assert exports[1] == exports[2]
+
+
+def _count_grid_evaluations(monkeypatch) -> list[int]:
+    """The pid of each process that calls scan.scan_eval, as the parent sees
+    them; a call in a forked child raises there, so the export fails."""
+    parent, calls, real = os.getpid(), [], scan.scan_eval
+
+    def scan_eval(*args):
+        if os.getpid() != parent:
+            raise AssertionError("the export child evaluated the grids")
+        calls.append(parent)
+        return real(*args)
+
+    monkeypatch.setattr(scan, "scan_eval", scan_eval)
+    return calls
+
+
+def test_scan3_table_never_evaluates_the_grids(capsys, monkeypatch):
+    expected = run(capsys, "scan3", "--grid", "130", *SEEDED_WINDOW)
+    calls = _count_grid_evaluations(monkeypatch)
+    assert run(capsys, "scan3", "--grid", "130", *SEEDED_WINDOW) == expected
+    assert expected[0] == 0 and calls == []
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_scan3_export_evaluates_the_grids_once_in_the_parent(capsys, monkeypatch, tmp_path,
+                                                              fmt, cores):
+    forks = _count_forks(monkeypatch, cores)
+    calls = _count_grid_evaluations(monkeypatch)
+    code, out, err = run(capsys, "scan3", "--grid", "37", "--format", fmt,
+                         "--out", str(tmp_path / f"cells.{fmt}"))
+    assert (code, err) == (0, "")
+    assert len(calls) == 1 and len(forks) == (cores > 1)
+    digest = hashlib.sha256((tmp_path / f"cells.{fmt}").read_bytes()).hexdigest()
+    assert digest == SCAN3_EXPORT_SHA256[fmt, ()]
 
 
 def _fail_in_rows(monkeypatch, child: bool):
@@ -944,3 +1017,24 @@ def test_scan3_export_does_not_depend_on_blas_threads(tmp_path, grid):
         assert res.returncode == 0, res.stderr
         exports.add(path.read_bytes())
     assert len(exports) == 1
+
+
+def _blas_is_openblas() -> bool:
+    try:
+        return "openblas" in np.__config__.CONFIG["Build Dependencies"]["blas"]["name"]
+    except (AttributeError, KeyError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/task")
+@pytest.mark.skipif(not _blas_is_openblas(), reason="numpy is not built on OpenBLAS")
+def test_scan_loads_openblas_without_worker_threads():
+    # one thread by default; an explicit OPENBLAS_NUM_THREADS still wins
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    count = "import os, extremal_lab.scan; print(len(os.listdir('/proc/self/task')))"
+    res = _python(count, environ=base)
+    assert (res.returncode, res.stdout) == (0, "1\n"), res.stderr
+    if len(os.sched_getaffinity(0)) > 1:
+        res = _python(count, environ=dict(base, OPENBLAS_NUM_THREADS="2"))
+        assert (res.returncode, res.stdout) == (0, "2\n"), res.stderr

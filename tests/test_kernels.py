@@ -127,20 +127,118 @@ def test_scan_eval_blocks_match_whole_array_oracle(shape, window):
         assert grad_norms[rows].tobytes() == want_norms.tobytes()
 
 
-def test_scan_peak_memory_is_under_two_and_a_half_grid_arrays():
-    # numpy reports its data buffers to tracemalloc.  values and grad_norms
-    # are the only grid-sized arrays; the five block buffers, the minima
-    # mask and its comparison temporaries add about a third of one.  The
-    # whole-grid kernel with a padded copy for the minima test peaked at 5.02.
-    n = 1000
+def _scan_peak(shape) -> int:
+    """tracemalloc's peak over one scan_three_point; numpy reports its data
+    buffers to tracemalloc."""
     scan_three_point(grid_counts=(4, 4))  # builds the cached term tables
     tracemalloc.start()
     try:
-        scan_three_point(grid_counts=(n, n))
+        scan_three_point(grid_counts=shape)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * n * n * 8
+    return peak
+
+
+def test_scan_peak_memory_is_under_three_quarters_of_a_grid_array():
+    # the scan holds no grid-sized array: the five block buffers and the held
+    # block, its gradient norms and its minima mask come to 0.51 of one.
+    # Keeping the value and gradient-norm grids peaked at 2.34, and the
+    # whole-grid kernel with a padded copy for the minima test at 5.02.
+    n = 1000
+    assert _scan_peak((n, n)) <= 0.75 * n * n * 8
+
+
+def test_scan_peak_memory_does_not_grow_with_alpha_rows():
+    assert _scan_peak((4000, 1000)) <= 1.1 * _scan_peak((1000, 1000))
+
+
+# -- the streamed summary against the whole-grid oracle ------------------------
+
+def _oracle_summary(values, grad_norms):
+    """(minima, global_min, finite) as `_summarize` gives them, taken on the
+    whole grids."""
+    def cell(i, j):
+        return (i, j, float(values[i, j]), float(grad_norms[i, j]))
+
+    minima = [cell(i, j) for i, j in np.argwhere(_kernels._strict_minima(values)).tolist()]
+    i, j = np.unravel_index(np.argmin(values), values.shape)
+    finite = bool(np.isfinite(values).all() and np.isfinite(grad_norms).all())
+    return minima, cell(int(i), int(j)), finite
+
+
+def _same(got, want) -> bool:
+    """Equality of summaries in which a NaN equals a NaN."""
+    return repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (64, 9), (65, 9), (129, 7), (1003, 300)])
+@pytest.mark.parametrize("window", WINDOWS)
+def test_summary_matches_whole_grid_oracle(shape, window):
+    amin, amax, dmax = window
+    alphas, _ = _geometric_grid(amin, amax, shape[0])
+    deltas = np.linspace(0.0, dmax, shape[1])
+    want = _oracle_summary(*scan_eval(alphas, deltas, _term_tables()))
+    got = _kernels._summarize(_kernels._blocks(alphas, deltas, _term_tables()))
+    assert got == want
+    report = scan_three_point((amin, amax), (0.0, dmax), shape)
+    assert [(c.i, c.j, c.value, c.grad_norm) for c in report.minima] == want[0]
+    g = report.global_min
+    assert (g.i, g.j, g.value, g.grad_norm) == want[1]
+    assert report.finite is want[2]
+
+
+def test_summary_of_a_non_finite_window_matches_whole_grid_oracle():
+    report = scan_three_point(delta_range=(0.0, 1e300), grid_counts=(130, 9))
+    want = _oracle_summary(report.values, report.grad_norms)
+    assert not want[2] and math.isnan(want[1][2])
+    got = _kernels._summarize(_kernels._blocks(report.alphas, report.deltas, _term_tables()))
+    assert _same(got, want)
+    assert report.finite is False
+    g = report.global_min
+    assert _same((g.i, g.j, g.value, g.grad_norm), want[1])
+
+
+def _one_buffer_blocks(values, grad_norms):
+    """`values` and `grad_norms` as `_blocks` yields a grid: BLOCK_ROWS rows
+    at a time, in one buffer that the next block overwrites."""
+    buffer = np.empty((2, _kernels.BLOCK_ROWS, values.shape[1]))
+    for start in range(0, len(values), _kernels.BLOCK_ROWS):
+        rows = slice(start, start + _kernels.BLOCK_ROWS)
+        value_block, grad_block = buffer[:, :len(values[rows])]
+        value_block[...], grad_block[...] = values[rows], grad_norms[rows]
+        yield start, value_block, grad_block
+        buffer[...] = np.nan
+
+
+def test_summary_finds_minima_on_block_edges():
+    # a plateau with strict minima on rows 63, 64 and 127, the last and first
+    # rows of blocks, and two cells that are lower than every neighbour in
+    # their own block but not lower than one across the block edge
+    values = np.full((200, 6), 2.0)
+    values[63, 0] = values[64, 3] = values[64, 5] = values[127, 5] = -1.0
+    values[63, 5] = values[64, 0] = 0.0
+    grad_norms = np.arange(values.size, dtype=np.float64).reshape(values.shape)
+    got = _kernels._summarize(_one_buffer_blocks(values, grad_norms))
+    assert got == _oracle_summary(values, grad_norms)
+    assert [(i, j) for i, j, *_ in got[0]] == [(63, 0), (64, 3), (64, 5), (127, 5)]
+    assert got[1] == (63, 0, -1.0, 378.0)
+
+
+@pytest.mark.parametrize("na", [1, 2, 63, 64, 65, 128, 129, 200])
+def test_summary_of_hand_built_blocks_matches_whole_grid_oracle(na):
+    rng = np.random.default_rng(na)
+    for trial in range(30):
+        # four levels: ties, plateaus and minima on every row, edges included
+        values = rng.integers(0, 4, size=(na, 5)).astype(np.float64)
+        grad_norms = rng.uniform(0.0, 1.0, size=values.shape)
+        if trial % 3 == 1:
+            # a non-finite window: inf, -inf and NaN values in any block
+            values.flat[rng.integers(0, values.size, size=3)] = [np.inf, -np.inf, np.nan]
+        elif trial % 3 == 2:
+            grad_norms.flat[rng.integers(0, values.size)] = np.inf
+        got = _kernels._summarize(_one_buffer_blocks(values, grad_norms))
+        assert _same(got, _oracle_summary(values, grad_norms))
 
 
 # -- strict minima against the padded-copy oracle -----------------------------
