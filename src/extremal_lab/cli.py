@@ -330,6 +330,8 @@ def cmd_critical(args) -> int:
 # -- scan3 --------------------------------------------------------------------
 
 def _cell_payload(cell) -> dict:
+    # vars(cell) is this dict, but tests/test_dead_api.py counts a field as
+    # used only where it is read as an attribute, and i, j are read only here
     return {"i": cell.i, "j": cell.j, "alpha": cell.alpha, "delta": cell.delta,
             "value": cell.value, "grad_norm": cell.grad_norm,
             "boundary": cell.boundary}
@@ -405,19 +407,14 @@ def _scan_csv(report, fh, digits: int) -> None:
 def _scan_json(report, fh, digits: int) -> None:
     """Write the json export to the open file `fh`, one alpha row at a time.
 
-    Everything but "cells" is rendered by json.dumps(indent=2); the cell
-    array follows in the same layout.  Cells are finite, so each prints as
-    float.__repr__, as json writes finite floats.  The rows are split between
-    this process and a forked child as `_render_rows` describes.
+    Everything but "cells" is rendered by json.dumps(indent=2), the grid
+    keyed by GridSpec's fields; the cell array follows in the same layout.
+    Cells are finite, so each prints as float.__repr__, as json writes
+    finite floats.  The rows are split between this process and a forked
+    child as `_render_rows` describes.
     """
-    g = report.grid
     head = {
-        "grid": {
-            "alpha_min": g.alpha_min, "alpha_max": g.alpha_max,
-            "alpha_count": g.alpha_count, "alpha_spacing": g.alpha_spacing,
-            "delta_min": g.delta_min, "delta_max": g.delta_max,
-            "delta_count": g.delta_count, "delta_spacing": g.delta_spacing,
-        },
+        "grid": vars(report.grid),
         "digits": digits,
         "global_min": _cell_payload(report.global_min),
         "minima": [_cell_payload(c) for c in report.minima],
@@ -470,7 +467,10 @@ def cmd_scan3(args) -> int:
         raise UsageError("alpha range must satisfy 0 < --alpha-min < --alpha-max")
     if args.delta_max <= 0:
         raise UsageError("--delta-max must be positive")
-    from . import scan  # the only command that needs numpy
+    try:
+        from . import scan  # the only command that needs numpy
+    except ImportError as exc:
+        raise UsageError("scan3 needs numpy, which cannot be imported") from exc
 
     report = scan.scan_three_point(
         alpha_range=(args.alpha_min, args.alpha_max),
@@ -496,8 +496,11 @@ def cmd_scan3(args) -> int:
 # -- entry point --------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False here and on each subparser: a flag is spelled in
+    # full, so --del -1/2 is refused like --del=-1/2 rather than slipping
+    # past _join_negative_rationals
     parser = argparse.ArgumentParser(
-        prog="extremal-lab",
+        prog="extremal-lab", allow_abbrev=False,
         description="Exact Calabi-energy computations on blow-ups of the "
                     "projective plane: identity verification, certified "
                     "critical classes, and slice scans.")
@@ -513,11 +516,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[common], allow_abbrev=False,
                        help="run the verification record suite")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("energy", parents=[common],
+    p = sub.add_parser("energy", parents=[common], allow_abbrev=False,
                        help="energy decomposition at one Kahler class")
     p.add_argument("--k", type=int, choices=(1, 2, 3), required=True,
                    help="number of blown-up points")
@@ -526,12 +529,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=_fraction_arg, help="opposite-side excess (default 0)")
     p.set_defaults(func=cmd_energy)
 
-    p = sub.add_parser("critical", parents=[common],
+    p = sub.add_parser("critical", parents=[common], allow_abbrev=False,
                        help="certified critical class of the k-point energy")
     p.add_argument("--k", type=int, required=True, help="1 or 2")
     p.set_defaults(func=cmd_critical)
 
-    p = sub.add_parser("scan3", parents=[common],
+    p = sub.add_parser("scan3", parents=[common], allow_abbrev=False,
                        help="grid scan of the three-point slice (beta = 1 gauge)")
     p.add_argument("--grid", type=int, default=200,
                    help=f"cells per axis (2 to {MAX_GRID}, default 200)")

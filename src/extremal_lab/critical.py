@@ -16,7 +16,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import energy
+from . import delpezzo, energy
 from .exactpoly import (
     Polynomial,
     RationalFunction,
@@ -114,8 +114,8 @@ def _slice_derivative_numerator(var: str) -> Polynomial:
 
 def gradient(alpha, beta, delta) -> tuple[Fraction, Fraction]:
     """Exact (d/d alpha, d/d delta) of the normalized energy at fixed beta."""
-    alpha, beta, delta = energy._require_kahler(
-        energy.slice_kahler_violation(alpha, beta, delta), alpha, beta, delta)
+    alpha, beta, delta = energy.kahler_point(delpezzo.slice_surface(alpha, beta),
+                                             alpha, beta, delta)
     point = {"alpha": alpha, "beta": beta, "delta": delta}
     f = energy.energy_closed_form()
     d_squared = f.denominator.eval(point) ** 2

@@ -3,7 +3,8 @@
 Second cohomology is modeled in the basis {H, E_1..E_k} with intersection
 form diag(1, -1, ..., -1) and the sign convention omega = a*H - sum(b_i E_i),
 so the slice coordinates of `slice_class` are literally exceptional-curve
-areas.
+areas.  Coefficients are kept as given: Fractions, or the slice polynomials
+from which `energy` reads c1.w and w^2.
 """
 
 from __future__ import annotations
@@ -23,10 +24,6 @@ class CohomologyClass:
 
     a: Fraction
     b: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", tuple(Fraction(x) for x in self.b))
 
     @property
     def k(self) -> int:
@@ -76,6 +73,13 @@ def make_surface(k: int) -> SurfaceModel:
                         minus_one_curves=tuple(curves))
 
 
+def slice_surface(alpha, beta) -> int:
+    """The k of the blow-up a slice point lives on: zero areas blow down, so
+    alpha = 0 gives the 2-point surface, beta = 0 the 1-point surface and
+    both the plane (k = 0).  A negative area stays, to be refused."""
+    return (alpha != 0) + 2 * (beta != 0)
+
+
 def slice_class(k: int, alpha, beta, delta) -> CohomologyClass:
     """The slice point (alpha, beta, delta) as a class of the k-point blow-up.
 
@@ -86,8 +90,8 @@ def slice_class(k: int, alpha, beta, delta) -> CohomologyClass:
     """
     if k not in (1, 2, 3):
         raise ValueError(f"k must be 1, 2, or 3, got {k!r}")
-    areas = tuple(map(Fraction, {1: (alpha,), 2: (beta, beta), 3: (alpha, beta, beta)}[k]))
-    return CohomologyClass(Fraction(delta) + sum(areas), areas)
+    areas = {1: (alpha,), 2: (beta, beta), 3: (alpha, beta, beta)}[k]
+    return CohomologyClass(delta + sum(areas), areas)
 
 
 def curve_areas(s: SurfaceModel, c: CohomologyClass) -> tuple[tuple[str, Fraction], ...]:

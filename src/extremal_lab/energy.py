@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from . import delpezzo
 from .delpezzo import NotKahlerError
@@ -58,9 +57,10 @@ _ALPHA = Polynomial.variable("alpha")
 _BETA = Polynomial.variable("beta")
 _DELTA = Polynomial.variable("delta")
 
-_A_COEFF = _ALPHA + 2 * _BETA + _DELTA            # hyperplane coefficient of the class
-_C1_DOT_OMEGA = 2 * _A_COEFF + _DELTA             # c1 . omega = 2 alpha + 4 beta + 3 delta
-_OMEGA_SQ = _A_COEFF ** 2 - _ALPHA ** 2 - 2 * _BETA ** 2
+# the slice class (alpha + 2 beta + delta; alpha, beta, beta) over the slice
+_OMEGA = delpezzo.slice_class(3, _ALPHA, _BETA, _DELTA)
+_C1_DOT_OMEGA = delpezzo.intersect(delpezzo.make_surface(3).c1, _OMEGA)
+_OMEGA_SQ = delpezzo.intersect(_OMEGA, _OMEGA)
 # w^2 F(Xi,[w]) = 4 (beta - alpha) delta (delta^2/3 + beta delta + beta^2)
 _FUTAKI_CORE = (_BETA - _ALPHA) * _DELTA * (_DELTA ** 2 / 3 + _BETA * _DELTA + _BETA ** 2)
 _UNKNOWN_MONOMIAL = Polynomial(_VARS, {(1, 4, 1): 1})
@@ -85,37 +85,25 @@ def energy_closed_form() -> RationalFunction:
     return RationalFunction(_NUMERATOR, _VARIANCE)
 
 
-def surface_kahler_violation(k: int, alpha, beta, delta) -> Optional[str]:
-    """Why slice_class(k, alpha, beta, delta) is not a Kahler class of the
-    k-point blow-up, or None; k = 0 is the plane, where delta must be
-    positive.  Nothing blows down: each exceptional curve of the surface
-    must have positive area.
+def kahler_point(k: int, alpha, beta, delta) -> tuple[Fraction, Fraction, Fraction]:
+    """The slice point as Fractions, read on the k-point blow-up.
+
+    The areas the surface lacks (alpha at k = 2, beta at k = 1, both at
+    k = 0; either may be None) are set to 0.  Raises NotKahlerError unless
+    slice_class(k, alpha, beta, delta) is a Kahler class, so no area blows
+    down; k = 0 is the plane, where delta must be positive.
     """
+    alpha = Fraction(alpha) if k & 1 else Fraction(0)
+    beta = Fraction(beta) if k & 2 else Fraction(0)
+    delta = Fraction(delta)
     if k == 0:
-        return None if delta > 0 else f"hyperplane multiple delta = {delta} is not positive"
-    return delpezzo.kahler_violation(delpezzo.make_surface(k),
-                                     delpezzo.slice_class(k, alpha, beta, delta))
-
-
-def slice_kahler_violation(alpha, beta, delta) -> Optional[str]:
-    """Why (alpha, beta, delta) is not a Kahler slice class, or None.
-
-    This is the blow-down rule: zero areas blow down, so the point is read
-    on the k-point blow-up whose k has bit 1 set iff alpha != 0 and bit 2
-    iff beta != 0 (alpha = 0 gives the 2-point surface, beta = 0 the 1-point
-    surface, both zero the plane).  A negative area stays, and is refused
-    as a curve of negative area.  With alpha and beta positive, delta = 0
-    (the anti-canonical ray) is allowed.
-    """
-    alpha, beta, delta = Fraction(alpha), Fraction(beta), Fraction(delta)
-    return surface_kahler_violation((alpha != 0) + 2 * (beta != 0), alpha, beta, delta)
-
-
-def _require_kahler(violation: Optional[str], alpha, beta, delta) -> tuple[Fraction, Fraction, Fraction]:
-    """The slice point as Fractions, or NotKahlerError with `violation`."""
+        violation = None if delta > 0 else f"hyperplane multiple delta = {delta} is not positive"
+    else:
+        violation = delpezzo.kahler_violation(delpezzo.make_surface(k),
+                                              delpezzo.slice_class(k, alpha, beta, delta))
     if violation is not None:
         raise NotKahlerError(f"class is not Kahler: {violation}")
-    return Fraction(alpha), Fraction(beta), Fraction(delta)
+    return alpha, beta, delta
 
 
 def _composition(alpha: Fraction, beta: Fraction, delta: Fraction) -> EnergyBreakdown:
@@ -137,20 +125,15 @@ def energy_composed(alpha, beta, delta) -> EnergyBreakdown:
 
     average_term = 32 (c1.w)^2 / w^2 and futaki_term = 144 G^2 / (w^2 D)
     with G = w^2 F(Xi,[w]); both as exact multiples of pi^2.  Zero areas
-    blow down, as in slice_kahler_violation.
+    blow down, as in delpezzo.slice_surface.
     """
-    violation = slice_kahler_violation(alpha, beta, delta)
-    return _composition(*_require_kahler(violation, alpha, beta, delta))
+    return _composition(*kahler_point(delpezzo.slice_surface(alpha, beta), alpha, beta, delta))
 
 
 def surface_energy(k: int, alpha, beta, delta) -> EnergyBreakdown:
     """energy_composed at slice_class(k, alpha, beta, delta), a class of the
-    k-point blow-up.  The area the surface lacks (alpha at k = 2, beta at
-    k = 1; it may be None) is 0 on the slice, as slice_kahler_violation
-    reads k.  Raises NotKahlerError unless surface_kahler_violation accepts
-    the class, so no area blows down."""
-    point = (alpha if k & 1 else 0, beta if k & 2 else 0, delta)
-    return _composition(*_require_kahler(surface_kahler_violation(k, *point), *point))
+    k-point blow-up, whose lacking areas kahler_point sets to 0."""
+    return _composition(*kahler_point(k, alpha, beta, delta))
 
 
 def _residual(num: Polynomial, den: Polynomial) -> Polynomial:

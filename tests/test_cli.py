@@ -295,6 +295,19 @@ def test_a_flag_after_a_rational_flag_is_still_refused(capsys):
     assert "argument --delta: expected one argument" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, unrecognized", [
+    (("energy", "--k", "3", "--alpha", "1", "--beta", "1", "--del", "-1/2"), "--del -1/2"),
+    (("energy", "--k", "3", "--alpha", "1", "--beta", "1", "--del=-1/2"), "--del=-1/2"),
+    (("verify", "--dig", "12"), "--dig 12"),
+])
+def test_abbreviated_flags_are_refused(capsys, argv, unrecognized):
+    # every flag is spelled in full, so both spellings of --del fail alike
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {unrecognized}\n")
+
+
 def test_energy_flag_rules(capsys):
     code, _, err = run(capsys, "energy", "--k", "3", "--alpha", "1")
     assert code == 2 and "k=3 takes" in err
@@ -622,6 +635,12 @@ def _oracle_scan_csv(report, digits: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _oracle_cell(cell) -> dict:
+    return {"i": cell.i, "j": cell.j, "alpha": cell.alpha, "delta": cell.delta,
+            "value": cell.value, "grad_norm": cell.grad_norm,
+            "boundary": cell.boundary}
+
+
 def _oracle_scan_json(report, digits: int) -> str:
     g = report.grid
     payload = {
@@ -632,8 +651,8 @@ def _oracle_scan_json(report, digits: int) -> str:
             "delta_count": g.delta_count, "delta_spacing": g.delta_spacing,
         },
         "digits": digits,
-        "global_min": cli._cell_payload(report.global_min),
-        "minima": [cli._cell_payload(c) for c in report.minima],
+        "global_min": _oracle_cell(report.global_min),
+        "minima": [_oracle_cell(c) for c in report.minima],
         "interior_zeros": [],
         "cells": [list(row) for row in _oracle_cells(report)],
     }
@@ -976,9 +995,10 @@ def test_exact_path_never_imports_numpy():
         blocked = _python(BLOCK_NUMPY + RUN_MAIN, *argv)
         assert plain.returncode == blocked.returncode == 0, blocked.stderr
         assert blocked.stdout == plain.stdout
-    # the block does bite: scan3 cannot run without numpy
+    # the block does bite: scan3 cannot run without numpy, and says so
     res = _python(BLOCK_NUMPY + RUN_MAIN, "scan3", "--grid", "2")
-    assert res.returncode != 0 and "numpy" in res.stderr
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == "error: scan3 needs numpy, which cannot be imported\n"
 
 
 # -- scan3 in a fresh process -----------------------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from extremal_lab import exactpoly
 from extremal_lab.critical import (
     DEFAULT_SEARCH_BOUND,
     _critical_class,
@@ -91,6 +92,24 @@ PINNED_BRACKETS = {
 def test_critical_brackets_are_pinned(builder):
     b = builder(20).critical.bracket
     assert (str(b.low), str(b.high)) == PINNED_BRACKETS[builder]
+
+
+@pytest.mark.parametrize("digits", [6, 12, 150, 310, 580, 800])
+@pytest.mark.parametrize("builder", [page_class, two_point_class])
+def test_first_newton_window_certifies(monkeypatch, builder, digits):
+    # the fast path of deep refinement: a refused window falls back to one
+    # exact sign per bisection step, tens of times slower at these digits
+    certified = []
+    enclosure = exactpoly._newton_enclosure
+
+    def recording(*args):
+        L, H, el, eh, D = window = enclosure(*args)
+        certified.append((el, eh) != (L, H))
+        return window
+
+    monkeypatch.setattr(exactpoly, "_newton_enclosure", recording)
+    builder(digits)
+    assert certified and certified[0]
 
 
 @pytest.mark.parametrize("builder", [page_class, two_point_class])

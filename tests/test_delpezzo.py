@@ -11,6 +11,7 @@ from extremal_lab.delpezzo import (
     kahler_violation,
     make_surface,
     slice_class,
+    slice_surface,
 )
 
 
@@ -102,6 +103,15 @@ def test_one_point_hexagon():
     c = slice_class(1, 1, None, 1)
     assert c == CohomologyClass(2, (1,))
     assert curve_areas(s, c) == (("E1", Fraction(1)),)
+
+
+def test_slice_surface_blows_zero_areas_down():
+    assert slice_surface(1, 1) == 3
+    assert slice_surface(0, 1) == 2
+    assert slice_surface(1, 0) == 1
+    assert slice_surface(0, 0) == 0
+    # a negative area stays, to be refused by the Kahler test
+    assert slice_surface(-1, Fraction(1, 2)) == 3
 
 
 def test_slice_class_on_each_surface():

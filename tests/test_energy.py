@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from extremal_lab import energy
-from extremal_lab.delpezzo import NotKahlerError
+from extremal_lab.delpezzo import NotKahlerError, slice_surface
 from extremal_lab.energy import (
     energy_closed_form,
     energy_composed,
     gauss_bonnet_residual,
+    kahler_point,
     one_point_energy,
-    slice_kahler_violation,
     solve_unknown_coefficient,
     two_point_energy,
     verify_identity,
@@ -224,14 +224,35 @@ def test_two_point_agreement_on_samples():
 
 # -- domain handling ----------------------------------------------------------------
 
-def test_slice_kahler_violation_messages():
-    assert slice_kahler_violation(1, 1, 0) is None
-    assert slice_kahler_violation(0, 1, 1) is None  # two-point blow-down
-    assert slice_kahler_violation(1, 0, 1) is None  # one-point blow-down
-    assert slice_kahler_violation(0, 0, 1) is None  # plane
-    assert slice_kahler_violation(-1, 1, 0) is not None
-    assert slice_kahler_violation(0, 1, 0) is not None
-    assert slice_kahler_violation(0, 0, 0) is not None
+def slice_point(alpha, beta, delta):
+    """kahler_point on the surface the blow-down rule reads the point on."""
+    return kahler_point(slice_surface(alpha, beta), alpha, beta, delta)
+
+
+def test_kahler_point_messages():
+    for point, violation in (
+            ((-1, 1, 0), "self-intersection Q(c,c) = -2 is not positive"),
+            ((0, 1, 0), "curve H-E1-E2 has area 0 <= 0"),  # two-point surface
+            ((0, 0, 0), "hyperplane multiple delta = 0 is not positive"),  # plane
+            ((0, 0, Fraction(-1, 2)), "hyperplane multiple delta = -1/2 is not positive")):
+        with pytest.raises(NotKahlerError) as exc:
+            slice_point(*point)
+        assert str(exc.value) == f"class is not Kahler: {violation}"
+
+
+@pytest.mark.parametrize("k, point, expected", [
+    (3, (1, 1, 0), (1, 1, 0)),
+    (2, (None, 1, 1), (0, 1, 1)),  # two-point blow-down
+    (2, (7, 1, 1), (0, 1, 1)),  # the area the surface lacks is 0
+    (1, (1, None, 1), (1, 0, 1)),  # one-point blow-down
+    (1, (1, 7, 1), (1, 0, 1)),
+    (0, (None, None, 1), (0, 0, 1)),  # plane
+    (3, (Fraction(1, 2), 2, 0.25), (Fraction(1, 2), 2, Fraction(1, 4))),
+])
+def test_kahler_point_returns_fractions(k, point, expected):
+    got = kahler_point(k, *point)
+    assert got == expected
+    assert all(type(x) is Fraction for x in got)
 
 
 def test_energy_rejects_non_kahler_input():
@@ -247,7 +268,7 @@ def test_plane_value():
 
 def test_negative_delta_kahler_class_accepted():
     # Cremona-reflected classes evaluate like their normalized images
-    assert slice_kahler_violation(2, 2, -1) is None
+    assert slice_point(2, 2, -1) == (2, 2, -1)
     assert energy_composed(2, 2, -1).normalized == closed_value(1, 1, 1)
 
 
