@@ -35,10 +35,9 @@ MAX_DIGITS = 800
 #: digit of its longest flag: 3162 at 200, inside Python's 4300-digit
 #: int-to-str limit, in 9 ms (Python 3.11, x86-64 Linux)
 MAX_RATIONAL_DIGITS = 200
-#: cap on --grid cells per axis.  An export's peak RSS grows with grid^2: at
-#: 1024 csv and json peaked at 48 MiB (two grid arrays plus block buffers,
-#: written row by row).  The table format holds no grid-sized array and
-#: peaked at 34 MiB (Python 3.11, numpy 2.4, x86-64 Linux)
+#: cap on --grid cells per axis.  No format holds a grid-sized array, only
+#: 64-row blocks: at 1024 the table, csv and json each peaked at 34 MiB
+#: (Python 3.11, numpy 2.4, x86-64 Linux)
 MAX_GRID = 1024
 
 PI_SQUARED = math.pi ** 2
@@ -85,13 +84,19 @@ def _check_digits(digits: int) -> None:
 def _open_out(path: Optional[str]):
     """The text stream for the --out `path`, or stdout when path is None or "".
 
-    A regular or absent file is written to a new sibling of its real path,
-    opened with "x" so its mode follows the umask, and os.replace moves the
-    sibling over it once the block succeeds; any exception removes the
-    sibling instead.  Anything else (os.devnull, a FIFO) is written in place.
-    An OSError leaving the block names `path`, never the sibling.
+    A `path` naming stdout's own file, as /dev/stdout does, is written through
+    sys.stdout.  Any other regular or absent file is written to a new sibling
+    of its real path, opened with "x" so its mode follows the umask, and
+    os.replace moves the sibling over it once the block succeeds; any
+    exception removes the sibling instead.  Anything else (os.devnull, a
+    FIFO) is written in place.  An OSError leaving the block names `path`,
+    never the sibling.
     """
-    if not path:
+    try:  # a stdout captured in memory has no descriptor, so no path names it
+        to_stdout = not path or os.path.samestat(os.stat(path), os.fstat(sys.stdout.fileno()))
+    except (OSError, ValueError):  # io.UnsupportedOperation is both
+        to_stdout = False
+    if to_stdout:
         yield sys.stdout
         return
     try:
@@ -346,9 +351,10 @@ def _render_rows(fh, render, rows: int) -> None:
     process renders [0, rows // 2) into `fh`; the child's bytes are then
     appended undecoded, so the file does not depend on the core count.  The
     work is CPython float formatting, which one interpreter runs on one core;
-    fork hands the child the report without pickling it.  The child calls no
-    BLAS, and it leaves through os._exit, with status 0 only once its rows
-    are flushed.
+    fork hands the child the report without pickling it.  Each process
+    evaluates its own rows through `ScanReport.interleaved_rows`, which gives
+    them the scan's bits.  The child leaves through os._exit, with status 0
+    only once its rows are flushed.
     """
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
             and len(os.sched_getaffinity(0)) > 1):
@@ -483,8 +489,6 @@ def cmd_scan3(args) -> int:
     if args.format == "table":
         _emit(args.out, _scan_summary(report, args.digits))
         return 0
-    # evaluates the grids here, so the export's forked child calls no BLAS
-    report.values
     path = args.out or f"scan3.{args.format}"
     with _open_out(path) as fh:
         (_scan_csv if args.format == "csv" else _scan_json)(report, fh, args.digits)

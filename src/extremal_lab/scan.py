@@ -5,15 +5,16 @@ A slice polynomial p(alpha, delta) has degree at most 6 in each variable, so
 it is a 7x7 coefficient matrix C, and its values on a block of alpha rows are
 one product Pa[rows] @ C @ Pd^T of increasing Vandermonde matrices of the two
 axes.  The matrices of N and D are read from the closed form in `energy`, and
-those of their partials from `Polynomial.partial`.  The kernel `_blocks`
-runs BLOCK_ROWS alpha rows at a time in five block-sized buffers.  No product
-has more than BLOCK_ROWS rows, whatever the grid, and with OpenBLAS 0.3 on
-x86-64 such a product has the same bits on one thread or two; a cell's last
-bit can still depend on the BLAS build and the CPU.
-`scan_three_point` reduces the blocks as they come, so the scan and the
-table summary hold no grid-sized array.  The value and gradient-norm grids
-are built when `ScanReport.values` or `.grad_norms` is first read: by the
-csv and json exports, which thus run the kernel twice, and by tests.
+those of their partials from `Polynomial.partial`.  The kernel `_blocks`,
+the one code that evaluates cells, runs BLOCK_ROWS alpha rows at a time in
+five block-sized buffers.  No product has more than BLOCK_ROWS rows, and with
+OpenBLAS 0.3 on x86-64 such a product has the same bits on one thread or
+two; a cell's last bit can still depend on the BLAS build, the CPU and, with
+some kernels, the row its block starts at.  `scan_three_point` reduces the
+blocks as they come, and `ScanReport.interleaved_rows`, which the csv and
+json exports read, evaluates its rows again in the same blocks; no scan3
+path holds a grid-sized array.  Only tests read the whole grids of
+`ScanReport.values` and `.grad_norms`.
 The scan reports the grid's minima and proves nothing: that the slice has
 no critical point with delta > 0 is certified exactly, by a resultant whose
 coefficients never change sign, in tests/test_critical.py
@@ -80,8 +81,13 @@ class ScanReport:
 
     @functools.cached_property
     def _grids(self) -> tuple[np.ndarray, np.ndarray]:
-        # evaluated on first read: the scan itself keeps no grid-sized array
-        return scan_eval(self.alphas, self.deltas, _term_tables())
+        # built on first read, by tests and the acceptance gate; no scan3 path reads it
+        values = np.empty((self.alphas.size, self.deltas.size))
+        grad_norms = np.empty_like(values)
+        for start, value_block, grad_block in _blocks(self.alphas, self.deltas, _term_tables()):
+            values[start:start + len(value_block)] = value_block
+            grad_norms[start:start + len(grad_block)] = grad_block
+        return values, grad_norms
 
     @property
     def values(self) -> np.ndarray:
@@ -93,9 +99,14 @@ class ScanReport:
 
     def interleaved_rows(self, start: int, stop: int):
         """Per alpha row in [start, stop), the tuple (value, grad_norm, value,
-        grad_norm, ...) of Python floats along delta."""
+        grad_norm, ...) of Python floats along delta, evaluated in the scan's
+        own blocks, each whole, from the one holding `start`: a block starting
+        at another row can move a cell's last bit."""
+        first = start - start % BLOCK_ROWS
+        blocks = _blocks(self.alphas[first:], self.deltas, _term_tables())
+        rows = (row for _, *block in blocks for row in zip(*block))
         pairs = np.empty(2 * self.deltas.size)
-        for values, grad_norms in zip(self.values[start:stop], self.grad_norms[start:stop]):
+        for values, grad_norms in itertools.islice(rows, start - first, stop - first):
             pairs[0::2] = values
             pairs[1::2] = grad_norms
             yield tuple(pairs.tolist())
@@ -147,23 +158,6 @@ def _blocks(alphas, deltas, matrices):
             ga += gd
             np.sqrt(ga, out=ga)
         yield start, n, ga
-
-
-def scan_eval(alphas, deltas, matrices):
-    """Evaluate value and gradient norm on the alpha x delta grid.
-
-    `matrices` holds six POWERS x POWERS coefficient matrices: numerator,
-    denominator, and their alpha and delta partials.  Returns (values,
-    grad_norms) as float64 arrays of shape (len(alphas), len(deltas)), with
-    the bits `_blocks` gives them; the caller decides what a non-finite
-    cell means.
-    """
-    values = np.empty((len(alphas), len(deltas)))
-    grad_norms = np.empty_like(values)
-    for start, value_block, grad_block in _blocks(alphas, deltas, matrices):
-        values[start:start + len(value_block)] = value_block
-        grad_norms[start:start + len(grad_block)] = grad_block
-    return values, grad_norms
 
 
 def _geometric_grid(lo: float, hi: float, n: int):

@@ -14,6 +14,7 @@ import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -663,7 +664,25 @@ def _oracle_scan_json(report, digits: int) -> str:
 AWKWARD_FLOATS = (-0.0, 5e-324, 1e16, 1e-7, 2.0)
 
 
-def _hand_built_report(na: int, nd: int, seed: int) -> ScanReport:
+def _hand_built_blocks(alphas, values, grad_norms):
+    """A stand-in for scan._blocks that yields the hand-built grids' rows
+    from the first alpha it is given on, three rows at a time in one buffer
+    that the next block overwrites."""
+    def blocks(axis, deltas, matrices):
+        first = int(np.searchsorted(alphas, axis[0]))
+        assert np.array_equal(axis, alphas[first:])
+        buffer = np.empty((2, 3, len(deltas)))
+        for start in range(first, len(alphas), 3):
+            rows = slice(start, start + 3)
+            value_block, grad_block = buffer[:, :len(values[rows])]
+            value_block[...], grad_block[...] = values[rows], grad_norms[rows]
+            yield start, value_block, grad_block
+            buffer[...] = np.nan
+
+    return blocks
+
+
+def _hand_built_report(monkeypatch, na: int, nd: int, seed: int) -> ScanReport:
     rng = np.random.default_rng(seed)
     alphas = np.sort(rng.uniform(0.05, 20.0, na))
     alphas[0] = 1e-7
@@ -686,17 +705,17 @@ def _hand_built_report(na: int, nd: int, seed: int) -> ScanReport:
                     alpha_count=na, alpha_spacing="geometric",
                     delta_min=0.0, delta_max=10.0, delta_count=nd,
                     delta_spacing="linear")
-    report = ScanReport(grid=grid, alphas=alphas, deltas=deltas, minima=minima,
-                        global_min=minima[0], finite=True)
-    # the grids a read of report.values would evaluate and cache
-    vars(report)["_grids"] = (values, grad_norms)
-    return report
+    # the kernel's one way out: interleaved_rows and the oracles' report.values
+    # both read these grids through it
+    monkeypatch.setattr(scan, "_blocks", _hand_built_blocks(alphas, values, grad_norms))
+    return ScanReport(grid=grid, alphas=alphas, deltas=deltas, minima=minima,
+                      global_min=minima[0], finite=True)
 
 
 @pytest.mark.parametrize("digits", [6, 17])
 @pytest.mark.parametrize("shape", [(2, 2), (2, 9), (9, 2), (5, 7)])
-def test_streamed_exports_match_string_oracle(tmp_path, shape, digits):
-    report = _hand_built_report(*shape, seed=shape[0] * 10 + shape[1])
+def test_streamed_exports_match_string_oracle(monkeypatch, tmp_path, shape, digits):
+    report = _hand_built_report(monkeypatch, *shape, seed=shape[0] * 10 + shape[1])
     for name, write, oracle in (("cells.csv", cli._scan_csv, _oracle_scan_csv),
                                 ("cells.json", cli._scan_json, _oracle_scan_json)):
         path = tmp_path / name
@@ -747,7 +766,7 @@ def _count_forks(monkeypatch, cores):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("grid", [2, 3, 37, 38])
+@pytest.mark.parametrize("grid", [2, 3, 37, 38, 130, 270])
 def test_forked_export_matches_single_process(capsys, monkeypatch, tmp_path, grid, fmt):
     exports = {}
     for cores in (1, 2):
@@ -761,40 +780,60 @@ def test_forked_export_matches_single_process(capsys, monkeypatch, tmp_path, gri
     assert exports[1] == exports[2]
 
 
-def _count_grid_evaluations(monkeypatch) -> list[int]:
-    """The pid of each process that calls scan.scan_eval, as the parent sees
-    them; a call in a forked child raises there, so the export fails."""
-    parent, calls, real = os.getpid(), [], scan.scan_eval
+def _forbid_whole_grids(monkeypatch):
+    """Make a read of ScanReport's whole grids raise: in this process the
+    error reaches the test, and a forked export child exits 1 on it, so the
+    export fails."""
+    def grids(self):
+        raise AssertionError("a scan3 run built the whole grids")
 
-    def scan_eval(*args):
-        if os.getpid() != parent:
-            raise AssertionError("the export child evaluated the grids")
-        calls.append(parent)
-        return real(*args)
-
-    monkeypatch.setattr(scan, "scan_eval", scan_eval)
-    return calls
+    monkeypatch.setattr(ScanReport, "_grids", property(grids))
 
 
 def test_scan3_table_never_evaluates_the_grids(capsys, monkeypatch):
     expected = run(capsys, "scan3", "--grid", "130", *SEEDED_WINDOW)
-    calls = _count_grid_evaluations(monkeypatch)
-    assert run(capsys, "scan3", "--grid", "130", *SEEDED_WINDOW) == expected
-    assert expected[0] == 0 and calls == []
+    _forbid_whole_grids(monkeypatch)
+    for cores in (1, 2):
+        forks = _count_forks(monkeypatch, cores)
+        assert run(capsys, "scan3", "--grid", "130", *SEEDED_WINDOW) == expected
+        assert forks == []
+    assert expected[0] == 0
 
 
 @pytest.mark.parametrize("cores", [1, 2])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_scan3_export_evaluates_the_grids_once_in_the_parent(capsys, monkeypatch, tmp_path,
-                                                              fmt, cores):
+def test_scan3_export_never_evaluates_the_grids(capsys, monkeypatch, tmp_path, fmt, cores):
     forks = _count_forks(monkeypatch, cores)
-    calls = _count_grid_evaluations(monkeypatch)
+    _forbid_whole_grids(monkeypatch)
     code, out, err = run(capsys, "scan3", "--grid", "37", "--format", fmt,
                          "--out", str(tmp_path / f"cells.{fmt}"))
     assert (code, err) == (0, "")
-    assert len(calls) == 1 and len(forks) == (cores > 1)
+    assert len(forks) == (cores > 1)
     digest = hashlib.sha256((tmp_path / f"cells.{fmt}").read_bytes()).hexdigest()
     assert digest == SCAN3_EXPORT_SHA256[fmt, ()]
+
+
+def _export_peak(shape) -> int:
+    """tracemalloc's peak over one scan and its csv export, rendered in
+    process, to os.devnull; numpy reports its data buffers to tracemalloc."""
+    scan.scan_three_point(grid_counts=(4, 4))  # builds the cached term tables
+    tracemalloc.start()
+    try:
+        report = scan.scan_three_point(grid_counts=shape)
+        with open(os.devnull, "w") as fh:
+            cli._scan_csv(report, fh, 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_export_peak_memory_does_not_grow_with_alpha_rows(monkeypatch):
+    # the export holds no grid-sized array: 1.91 and 1.98 MiB.  An export
+    # that built the value and gradient grids read 1.91 and 3.29 MiB
+    forks = _count_forks(monkeypatch, 1)
+    assert _export_peak((256, 500)) <= 1.1 * _export_peak((64, 500))
+    assert forks == []
 
 
 def _fail_in_rows(monkeypatch, child: bool):
@@ -979,10 +1018,11 @@ RUN_MAIN = "import sys; from extremal_lab.cli import main; sys.exit(main(sys.arg
 BLOCK_NUMPY = "import sys; sys.modules['numpy'] = None; "
 
 
-def _python(code, *argv, environ=os.environ, **kwargs):
+def _python(code, *argv, environ=os.environ, stdout=subprocess.PIPE, **kwargs):
     path = os.pathsep.join(filter(None, (PACKAGE_ROOT, os.environ.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
-                          text=True, env=dict(environ, PYTHONPATH=path), **kwargs)
+    return subprocess.run([sys.executable, "-c", code, *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True,
+                          env=dict(environ, PYTHONPATH=path), **kwargs)
 
 
 def test_exact_path_never_imports_numpy():
@@ -1012,6 +1052,25 @@ def test_scan3_overflow_refusal_prints_no_warning(tmp_path):
     assert len(lines) == 1 and lines[0].startswith("error:") and "--delta-max" in lines[0]
     assert "Warning" not in res.stderr
     assert res.stdout == "" and not any(tmp_path.iterdir())
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+@pytest.mark.parametrize("argv", [("critical", "--k", "1", "--format", "csv"),
+                                  ("scan3", "--grid", "70", "--format", "csv")])
+def test_out_to_dev_stdout_writes_through_stdout(tmp_path, argv):
+    # stdout redirected to a regular file: --out /dev/stdout must append to
+    # it, not replace the file, and the scan summary must follow the cells
+    plain = _python(RUN_MAIN, *argv, "--out", "out.txt", cwd=tmp_path)
+    assert plain.returncode == 0, plain.stderr
+    export = (tmp_path / "out.txt").read_text()
+    log = tmp_path / "log.txt"
+    log.write_text("earlier line\n")
+    with open(log, "a") as fh:
+        res = _python(RUN_MAIN, *argv, "--out", "/dev/stdout", cwd=tmp_path, stdout=fh)
+    assert (res.returncode, res.stderr) == (0, "")
+    summary = plain.stdout.replace("wrote out.txt", "wrote /dev/stdout")
+    assert log.read_text() == "earlier line\n" + export + summary
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["log.txt", "out.txt"]
 
 
 def _pin_to_one_cpu():

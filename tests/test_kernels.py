@@ -11,7 +11,7 @@ import pytest
 from extremal_lab import scan as _kernels
 from extremal_lab.critical import gradient
 from extremal_lab.energy import energy_closed_form
-from extremal_lab.scan import _geometric_grid, _term_tables, scan_eval, scan_three_point
+from extremal_lab.scan import _geometric_grid, _term_tables, scan_three_point
 
 #: float64 rounding bound set before measuring: 7x7 products of integer
 #: coefficients below 2^53 lose a few ulps, and the gradient a few more
@@ -34,9 +34,6 @@ def test_invalid_backend_name_rejected():
     # numpy is the only scan path: a backend keyword is refused, not ignored
     with pytest.raises(TypeError, match="backend"):
         scan_three_point(grid_counts=(4, 4), backend="fortran")
-    axis = np.linspace(0.5, 2.0, 4)
-    with pytest.raises(TypeError, match="backend"):
-        _kernels.scan_eval(axis, axis, _term_tables(), backend="numpy")
 
 
 def test_scan_cells_match_exact_evaluation():
@@ -75,6 +72,13 @@ def _oracle_term_tables():
     return matrices
 
 
+def _whole_grids(alphas, deltas):
+    """(values, grad_norms) on the whole grid, stacked from copies of the
+    blocks that `_blocks` yields."""
+    blocks = [(v.copy(), g.copy()) for _, v, g in _kernels._blocks(alphas, deltas, _term_tables())]
+    return tuple(np.concatenate(grids) for grids in zip(*blocks))
+
+
 def _oracle_scan_eval(alphas, deltas, matrices):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         pa = np.vander(np.asarray(alphas, dtype=np.float64), _kernels.POWERS, increasing=True)
@@ -102,7 +106,7 @@ def test_scan_eval_matches_whole_array_oracle(shape, window):
     amin, amax, dmax = window
     alphas, _ = _geometric_grid(amin, amax, shape[0])
     deltas = np.linspace(0.0, dmax, shape[1])
-    values, grad_norms = scan_eval(alphas, deltas, _term_tables())
+    values, grad_norms = _whole_grids(alphas, deltas)
     want_values, want_norms = _oracle_scan_eval(alphas, deltas, _oracle_term_tables())
     assert values.shape == grad_norms.shape == shape
     assert values.tobytes() == want_values.tobytes()
@@ -118,13 +122,28 @@ def test_scan_eval_blocks_match_whole_array_oracle(shape, window):
     amin, amax, dmax = window
     alphas, _ = _geometric_grid(amin, amax, shape[0])
     deltas = np.linspace(0.0, dmax, shape[1])
-    values, grad_norms = scan_eval(alphas, deltas, _term_tables())
+    values, grad_norms = _whole_grids(alphas, deltas)
     tables = _oracle_term_tables()
     for start in range(0, shape[0], _kernels.BLOCK_ROWS):
         rows = slice(start, start + _kernels.BLOCK_ROWS)
         want_values, want_norms = _oracle_scan_eval(alphas[rows], deltas, tables)
         assert values[rows].tobytes() == want_values.tobytes()
         assert grad_norms[rows].tobytes() == want_norms.tobytes()
+
+
+@pytest.mark.parametrize("n", [130, 270])
+def test_interleaved_rows_match_whole_grids(n):
+    # a range evaluates its rows from the block holding its first row, as the
+    # scan does, so each row keeps its bits wherever the range starts; with
+    # some BLAS kernels a block starting at row 65 moves last bits
+    amin, amax, dmax = WINDOWS[1]
+    report = scan_three_point((amin, amax), (0.0, dmax), (n, n))
+    for start in (0, 1, 63, 64, 65, n // 2, n - 1):
+        for stop in sorted({start + 1, max(start + 1, n // 2), n}):
+            rows = np.array(list(report.interleaved_rows(start, stop)))
+            assert rows.shape == (stop - start, 2 * n)
+            assert rows[:, 0::2].tobytes() == report.values[start:stop].tobytes()
+            assert rows[:, 1::2].tobytes() == report.grad_norms[start:stop].tobytes()
 
 
 def _scan_peak(shape) -> int:
@@ -178,7 +197,7 @@ def test_summary_matches_whole_grid_oracle(shape, window):
     amin, amax, dmax = window
     alphas, _ = _geometric_grid(amin, amax, shape[0])
     deltas = np.linspace(0.0, dmax, shape[1])
-    want = _oracle_summary(*scan_eval(alphas, deltas, _term_tables()))
+    want = _oracle_summary(*_whole_grids(alphas, deltas))
     got = _kernels._summarize(_kernels._blocks(alphas, deltas, _term_tables()))
     assert got == want
     report = scan_three_point((amin, amax), (0.0, dmax), shape)
