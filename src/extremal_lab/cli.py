@@ -10,25 +10,25 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import io
-import json
 import math
 import os
 import re
 import stat
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Optional
 
-from . import __version__, critical, energy
+# json, csv, critical and numpy are imported where they are used, so each
+# command loads only what it runs
+from . import __version__, energy
 from .delpezzo import make_surface
 from .exactpoly import fraction_to_decimal
 
-#: cap on --digits.  At 800, verify took 0.18 s and critical --k 2 0.12 s end
-#: to end (Python 3.11, x86-64 Linux), mostly interpreter start and imports;
-#: the exact work grows faster than linearly in the digits
+#: cap on --digits.  At 800, verify took 0.12 s and critical --k 2 0.09 s end
+#: to end (Python 3.11, x86-64 Linux), about half of it interpreter start; the
+#: package imports in 9 ms, and the exact work grows faster than linearly in
+#: the digits
 MAX_DIGITS = 800
 #: cap on the length of a rational flag, its decimal exponent counted in full
 #: (1e300 counts 303).  energy prints integers of up to about 16 digits per
@@ -47,14 +47,12 @@ class UsageError(Exception):
     """Bad flag combinations or out-of-domain requests; exit code 2."""
 
 
-@dataclass(frozen=True)
-class VerificationRecord:
-    name: str
-    expected: str
-    computed: str
-    abs_error: Optional[str]  # None when the check could not produce a number
-    tolerance: str
-    passed: bool
+class VerificationRecord(namedtuple("VerificationRecord",
+                                    "name expected computed abs_error tolerance passed")):
+    """One check's strings and verdict; abs_error is None when the check
+    could not produce a number."""
+
+    __slots__ = ()
 
 
 def _fraction_arg(text: str) -> Fraction:
@@ -81,23 +79,26 @@ def _check_digits(digits: int) -> None:
 
 
 @contextlib.contextmanager
-def _open_out(path: Optional[str]):
+def _open_out(path: str | None):
     """The text stream for the --out `path`, or stdout when path is None or "".
 
-    A `path` naming stdout's own file, as /dev/stdout does, is written through
-    sys.stdout.  Any other regular or absent file is written to a new sibling
-    of its real path, opened with "x" so its mode follows the umask, and
-    os.replace moves the sibling over it once the block succeeds; any
-    exception removes the sibling instead.  Anything else (os.devnull, a
-    FIFO) is written in place.  An OSError leaving the block names `path`,
-    never the sibling.
+    A `path` naming stdout's or stderr's own file, as /dev/stdout and
+    /dev/stderr do, is written through that stream.  Any other regular or
+    absent file is written to a new sibling of its real path, opened with
+    "x" so its mode follows the umask, and os.replace moves the sibling over
+    it once the block succeeds; any exception removes the sibling instead.
+    Anything else (os.devnull, a FIFO) is written in place.  An OSError
+    leaving the block names `path`, never the sibling.
     """
-    try:  # a stdout captured in memory has no descriptor, so no path names it
-        to_stdout = not path or os.path.samestat(os.stat(path), os.fstat(sys.stdout.fileno()))
-    except (OSError, ValueError):  # io.UnsupportedOperation is both
-        to_stdout = False
-    if to_stdout:
-        yield sys.stdout
+    def names(stream) -> bool:
+        try:  # a stream captured in memory has no descriptor, so no path names it
+            return os.path.samestat(os.stat(path), os.fstat(stream.fileno()))
+        except (OSError, ValueError):  # io.UnsupportedOperation is both
+            return False
+
+    stream = next(filter(names, (sys.stdout, sys.stderr)), None) if path else sys.stdout
+    if stream is not None:
+        yield stream
         return
     try:
         regular = stat.S_ISREG(os.stat(path).st_mode)
@@ -119,7 +120,7 @@ def _open_out(path: Optional[str]):
         raise
 
 
-def _emit(path: Optional[str], text: str) -> None:
+def _emit(path: str | None, text: str) -> None:
     with _open_out(path) as fh:
         fh.write(text)
 
@@ -137,6 +138,8 @@ def _render_table(header, rows) -> str:
 
 
 def _csv_text(header, rows) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -147,6 +150,8 @@ def _csv_text(header, rows) -> str:
 # -- verify -------------------------------------------------------------------
 
 def _verify_records(digits: int) -> list[VerificationRecord]:
+    from . import critical
+
     internal = max(digits, 12)
     recs: list[VerificationRecord] = []
 
@@ -209,6 +214,8 @@ def _records_table(recs) -> str:
 
 
 def _records_json(recs) -> str:
+    import json
+
     payload = [{"name": r.name, "expected": r.expected, "computed": r.computed,
                 "abs_error": r.abs_error, "tolerance": r.tolerance,
                 "pass": r.passed} for r in recs]
@@ -262,6 +269,8 @@ def cmd_energy(args) -> int:
         raise UsageError("the energy of this class overflows float64; "
                          "bring --alpha, --beta and --delta closer in size")
     if args.format == "json":
+        import json
+
         payload = {
             "k": k,
             "alpha": None if alpha is None else str(alpha),
@@ -290,12 +299,16 @@ def cmd_critical(args) -> int:
     if args.k not in (1, 2):
         raise UsageError("--k must be 1 or 2; the three-point family has no single "
                          "critical parameter, use the scan3 subcommand instead")
+    from . import critical
+
     report = critical.page_class(args.digits) if args.k == 1 else critical.two_point_class(args.digits)
     c = report.critical
     root, ratio, value, three, residual = (fraction_to_decimal(x, args.digits) for x in (
         c.bracket.midpoint, report.line_to_exceptional_ratio, report.normalized_energy,
         3 * report.normalized_energy, report.residual))
     if args.format == "json":
+        import json
+
         payload = {
             "k": report.k,
             "variable": c.variable,
@@ -335,7 +348,7 @@ def cmd_critical(args) -> int:
 # -- scan3 --------------------------------------------------------------------
 
 def _cell_payload(cell) -> dict:
-    # vars(cell) is this dict, but tests/test_dead_api.py counts a field as
+    # cell._asdict() is this dict, but tests/test_dead_api.py counts a field as
     # used only where it is read as an attribute, and i, j are read only here
     return {"i": cell.i, "j": cell.j, "alpha": cell.alpha, "delta": cell.delta,
             "value": cell.value, "grad_norm": cell.grad_norm,
@@ -419,8 +432,10 @@ def _scan_json(report, fh, digits: int) -> None:
     finite floats.  The rows are split between this process and a forked
     child as `_render_rows` describes.
     """
+    import json
+
     head = {
-        "grid": vars(report.grid),
+        "grid": report.grid._asdict(),
         "digits": digits,
         "global_min": _cell_payload(report.global_min),
         "minima": [_cell_payload(c) for c in report.minima],
@@ -561,7 +576,7 @@ def _join_negative_rationals(argv: list[str]) -> list[str]:
     return out
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(
         _join_negative_rationals(sys.argv[1:] if argv is None else argv))
     try:

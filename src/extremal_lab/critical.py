@@ -13,14 +13,13 @@ three-point slice energy is here as well; the float scan is in `scan`.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import delpezzo, energy
 from .exactpoly import (
     Polynomial,
     RationalFunction,
-    RootBracket,
     _u_primitive,
     _u_sign,
     cauchy_root_bound,
@@ -33,26 +32,22 @@ from .exactpoly import (
 DEFAULT_SEARCH_BOUND = 10 ** 4
 
 
-@dataclass(frozen=True)
-class CriticalPointResult:
-    """The certified critical point of a univariate rational function."""
+class CriticalPointResult(namedtuple("CriticalPointResult",
+                                     "variable bracket classification")):
+    """The certified critical point of a univariate rational function: the
+    variable's name, its RootBracket, and the classification, always
+    "local-min"; any other point is refused."""
 
-    variable: str
-    bracket: RootBracket
-    classification: str  # always "local-min"; any other point is refused
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CriticalClassReport:
-    """Critical class of the k-point energy plus its certificates."""
+class CriticalClassReport(namedtuple("CriticalClassReport", (
+        "k critical normalized_energy residual root_count search_bound "
+        "derivative_root_bound"))):
+    """Critical class of the k-point energy plus its certificates: every
+    field but k, root_count and critical is a Fraction."""
 
-    k: int
-    critical: CriticalPointResult
-    normalized_energy: Fraction
-    residual: Fraction
-    root_count: int
-    search_bound: Fraction
-    derivative_root_bound: Fraction
+    __slots__ = ()
 
     @property
     def line_to_exceptional_ratio(self) -> Fraction:

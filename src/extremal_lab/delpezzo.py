@@ -9,21 +9,18 @@ from which `energy` reads c1.w and w^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Optional
 
 
 class NotKahlerError(ValueError):
     """A class failed one of the listed positivity conditions."""
 
 
-@dataclass(frozen=True)
-class CohomologyClass:
-    """Class a*H - sum(b_i E_i); b has one entry per blown-up point."""
+class CohomologyClass(namedtuple("CohomologyClass", "a b")):
+    """Class a*H - sum(b_i E_i); b is a tuple with one entry per blown-up point."""
 
-    a: Fraction
-    b: tuple[Fraction, ...]
+    __slots__ = ()
 
     @property
     def k(self) -> int:
@@ -37,15 +34,11 @@ def intersect(x: CohomologyClass, y: CohomologyClass) -> Fraction:
     return x.a * y.a - sum(p * q for p, q in zip(x.b, y.b))
 
 
-@dataclass(frozen=True)
-class SurfaceModel:
-    """The k-point blow-up: topology plus its full list of (-1)-curves."""
+class SurfaceModel(namedtuple("SurfaceModel", "k euler signature c1 minus_one_curves")):
+    """The k-point blow-up: topology, c1, and its full list of (-1)-curves as
+    (label, CohomologyClass) pairs."""
 
-    k: int
-    euler: int
-    signature: int
-    c1: CohomologyClass
-    minus_one_curves: tuple[tuple[str, CohomologyClass], ...]
+    __slots__ = ()
 
 
 def make_surface(k: int) -> SurfaceModel:
@@ -101,7 +94,7 @@ def curve_areas(s: SurfaceModel, c: CohomologyClass) -> tuple[tuple[str, Fractio
     return tuple((label, intersect(c, curve)) for label, curve in s.minus_one_curves)
 
 
-def kahler_violation(s: SurfaceModel, c: CohomologyClass) -> Optional[str]:
+def kahler_violation(s: SurfaceModel, c: CohomologyClass) -> str | None:
     """First violated positivity condition, or None when the class is Kahler."""
     if c.k != s.k:
         raise ValueError(f"class has k={c.k}, surface has k={s.k}")

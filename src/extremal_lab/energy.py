@@ -21,7 +21,7 @@ slice specializations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import delpezzo
@@ -66,18 +66,16 @@ _FUTAKI_CORE = (_BETA - _ALPHA) * _DELTA * (_DELTA ** 2 / 3 + _BETA * _DELTA + _
 _UNKNOWN_MONOMIAL = Polynomial(_VARS, {(1, 4, 1): 1})
 
 
-@dataclass(frozen=True)
-class EnergyBreakdown:
-    """Decomposition of A at one class; all terms are multiples of pi^2.
+class EnergyBreakdown(namedtuple("EnergyBreakdown",
+                                 "average_term futaki_term total normalized")):
+    """Decomposition of A at one class; each term is a Fraction, the multiple
+    of pi^2.
 
     average_term + futaki_term = total, and normalized = total / 96 is the
     dimensionless value A / 96 pi^2.
     """
 
-    average_term: Fraction
-    futaki_term: Fraction
-    total: Fraction
-    normalized: Fraction
+    __slots__ = ()
 
 
 def energy_closed_form() -> RationalFunction:

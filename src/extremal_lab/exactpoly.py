@@ -14,12 +14,10 @@ estimate ever decides a bracket.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Mapping
 from fractions import Fraction
 from math import ceil, gcd, isfinite, lcm, log2
-from typing import Mapping, Union
-
-Scalar = Union[int, Fraction]
 
 
 class Polynomial:
@@ -69,7 +67,7 @@ class Polynomial:
         return cls()
 
     @classmethod
-    def constant(cls, value: Scalar) -> "Polynomial":
+    def constant(cls, value: int | Fraction) -> "Polynomial":
         return cls((), {(): Fraction(value)})
 
     @classmethod
@@ -196,7 +194,7 @@ class Polynomial:
                 out[exps[:i] + (e - 1,) + exps[i + 1:]] = c * e
         return Polynomial(self.variables, out)
 
-    def eval(self, point: Mapping[str, Scalar]) -> Fraction:
+    def eval(self, point: Mapping[str, int | Fraction]) -> Fraction:
         """Exact value at a rational point; every variable must be bound."""
         missing = [v for v in self.variables if v not in point]
         if missing:
@@ -210,7 +208,7 @@ class Polynomial:
             total += val
         return total
 
-    def substitute(self, bindings: Mapping[str, Union["Polynomial", Scalar]]) -> "Polynomial":
+    def substitute(self, bindings: Mapping[str, Polynomial | int | Fraction]) -> "Polynomial":
         """Replace symbols by polynomials or rationals; unbound symbols persist."""
         out = Polynomial.zero()
         for exps, c in self.terms.items():
@@ -260,7 +258,7 @@ class RationalFunction:
         self.numerator = n
         self.denominator = d
 
-    def eval(self, point: Mapping[str, Scalar]) -> Fraction:
+    def eval(self, point: Mapping[str, int | Fraction]) -> Fraction:
         den = self.denominator.eval(point)
         if den == 0:
             raise ZeroDivisionError(f"denominator vanishes at {dict(point)!r}")
@@ -442,16 +440,14 @@ def cauchy_root_bound(p: Polynomial) -> Fraction:
     return 1 + max(abs(c) for c in cs[:-1]) / lead
 
 
-@dataclass(frozen=True)
-class RootBracket:
-    """Certified enclosure of one real root.
+class RootBracket(namedtuple("RootBracket", "low high")):
+    """Certified enclosure of one real root, by two Fractions.
 
     The squarefree part of the isolated polynomial has opposite nonzero signs
     at low and high; low == high marks an exact rational root.
     """
 
-    low: Fraction
-    high: Fraction
+    __slots__ = ()
 
     @property
     def midpoint(self) -> Fraction:

@@ -27,7 +27,7 @@ import functools
 import itertools
 import math
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 
 # OpenBLAS starts a worker thread per core on load unless this variable, which
 # a caller may still set, says otherwise.  The kernel's products are small and
@@ -47,37 +47,25 @@ POWERS = 7
 BLOCK_ROWS = 64
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    alpha_min: float
-    alpha_max: float
-    alpha_count: int
-    alpha_spacing: str
-    delta_min: float
-    delta_max: float
-    delta_count: int
-    delta_spacing: str
+class GridSpec(namedtuple("GridSpec", "alpha_min alpha_max alpha_count alpha_spacing "
+                                      "delta_min delta_max delta_count delta_spacing")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ScanCell:
-    i: int
-    j: int
-    alpha: float
-    delta: float
-    value: float
-    grad_norm: float
-    boundary: bool  # lies on the delta = 0 edge of the fundamental domain
+class ScanCell(namedtuple("ScanCell", "i j alpha delta value grad_norm boundary")):
+    """One grid cell; boundary is True when it lies on the delta = 0 edge of
+    the fundamental domain."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
-class ScanReport:
-    grid: GridSpec
-    alphas: np.ndarray
-    deltas: np.ndarray
-    minima: tuple[ScanCell, ...]
-    global_min: ScanCell
-    finite: bool  # every value and gradient-norm cell is finite
+class ScanReport(namedtuple("ScanReport", "grid alphas deltas minima global_min finite")):
+    """A scan's GridSpec, its axes as arrays, its strict local minima and
+    global minimum as ScanCells, and whether every value and gradient-norm
+    cell is finite.  No __slots__, so cached_property has a __dict__, and
+    equality is identity: the fields hold arrays."""
+
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     @functools.cached_property
     def _grids(self) -> tuple[np.ndarray, np.ndarray]:

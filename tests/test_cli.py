@@ -1018,10 +1018,11 @@ RUN_MAIN = "import sys; from extremal_lab.cli import main; sys.exit(main(sys.arg
 BLOCK_NUMPY = "import sys; sys.modules['numpy'] = None; "
 
 
-def _python(code, *argv, environ=os.environ, stdout=subprocess.PIPE, **kwargs):
+def _python(code, *argv, environ=os.environ, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, **kwargs):
     path = os.pathsep.join(filter(None, (PACKAGE_ROOT, os.environ.get("PYTHONPATH"))))
     return subprocess.run([sys.executable, "-c", code, *argv], stdout=stdout,
-                          stderr=subprocess.PIPE, text=True,
+                          stderr=stderr, text=True,
                           env=dict(environ, PYTHONPATH=path), **kwargs)
 
 
@@ -1039,6 +1040,34 @@ def test_exact_path_never_imports_numpy():
     res = _python(BLOCK_NUMPY + RUN_MAIN, "scan3", "--grid", "2")
     assert (res.returncode, res.stdout) == (2, "")
     assert res.stderr == "error: scan3 needs numpy, which cannot be imported\n"
+
+
+#: modules the exact commands must not load: start-up is most of their time
+HEAVY_MODULES = {"dataclasses", "inspect", "typing", "json", "csv"}
+
+
+def _loaded_modules(code, *argv) -> set:
+    """The modules loaded once `code` has run in a fresh interpreter."""
+    res = _python(f"import sys; {code}; print(*sys.modules)", *argv)
+    assert res.returncode == 0, res.stderr
+    return set(res.stdout.splitlines()[-1].split())
+
+
+def test_exact_path_loads_no_heavy_modules():
+    # measured against a bare interpreter under the same environment, whose
+    # site may load typing itself
+    bare = _loaded_modules("pass")
+    run_main = "from extremal_lab.cli import main; main(sys.argv[1:])"
+    for argv in (("verify",), ("critical", "--k", "2"),
+                 ("energy", "--k", "3", "--alpha", "1", "--beta", "1")):
+        added = _loaded_modules(run_main, *argv, "--format", "table") - bare
+        assert "extremal_lab.energy" in added
+        assert not added & HEAVY_MODULES, argv
+        if argv[0] == "energy":
+            assert "extremal_lab.critical" not in added
+    # scan adds nothing heavy to what numpy itself loads
+    added = _loaded_modules("import extremal_lab.scan") - _loaded_modules("import numpy")
+    assert "extremal_lab.scan" in added and not added & HEAVY_MODULES
 
 
 # -- scan3 in a fresh process -----------------------------------------------------
@@ -1071,6 +1100,22 @@ def test_out_to_dev_stdout_writes_through_stdout(tmp_path, argv):
     summary = plain.stdout.replace("wrote out.txt", "wrote /dev/stdout")
     assert log.read_text() == "earlier line\n" + export + summary
     assert sorted(p.name for p in tmp_path.iterdir()) == ["log.txt", "out.txt"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stderr"), reason="needs /dev/stderr")
+def test_out_to_dev_stderr_writes_through_stderr(tmp_path):
+    # stderr appended to a regular file: --out /dev/stderr must append to
+    # it too, not replace the file and its earlier lines
+    argv = ("critical", "--k", "1", "--format", "csv")
+    plain = _python(RUN_MAIN, *argv, cwd=tmp_path)
+    assert plain.returncode == 0, plain.stderr
+    log = tmp_path / "err.txt"
+    log.write_text("earlier line\n")
+    with open(log, "a") as fh:
+        res = _python(RUN_MAIN, *argv, "--out", "/dev/stderr", cwd=tmp_path, stderr=fh)
+    assert (res.returncode, res.stdout) == (0, "")
+    assert log.read_text() == "earlier line\n" + plain.stdout
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["err.txt"]
 
 
 def _pin_to_one_cpu():

@@ -3,10 +3,11 @@
 A top-level function or class counts as used when some module of the
 package other than `__init__` refers to it outside its own definition, or
 when the acceptance gate imports it: re-exporting a name from `__init__`
-does not make it live.  A method, property or dataclass field counts as used
-when some module of the package reads it as an attribute outside its own
-body, or when the acceptance gate does.  Names are matched as identifiers,
-so a use of any member or definition of the same name counts.
+does not make it live.  A method, property or record field (a name in the
+`namedtuple("X", "a b c")` base of a class) counts as used when some module
+of the package reads it as an attribute outside its own body, or when the
+acceptance gate does.  Names are matched as identifiers, so a use of any
+member or definition of the same name counts.
 """
 
 import ast
@@ -54,6 +55,13 @@ def _unused_definitions() -> set[str]:
     return unused
 
 
+def _record_fields(cls: ast.ClassDef) -> list[str]:
+    """The field names of a `namedtuple("X", "a b c")` base of `cls`."""
+    return [name for base in cls.bases
+            if isinstance(base, ast.Call) and _names(base.func)["namedtuple"]
+            for name in ast.literal_eval(base.args[1]).replace(",", " ").split()]
+
+
 def _unused_members() -> set[str]:
     """`module.Class.member` of each non-dunder method, property or field that
     neither the package, outside the member's own body, nor the gate reads."""
@@ -63,15 +71,15 @@ def _unused_members() -> set[str]:
     unused = set()
     for stem, tree in modules.items():
         for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            members = [(name, None) for name in _record_fields(cls)]
             for node in cls.body:
                 if isinstance(node, ast.FunctionDef):
-                    name = node.name
+                    members.append((node.name, node))
                 elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                    name = node.target.id
-                else:
-                    continue
-                if not (name.startswith("__") and name.endswith("__")) \
-                        and read[name] - _attribute_reads(node)[name] == 0:
+                    members.append((node.target.id, node))
+            for name, node in members:
+                own = _attribute_reads(node)[name] if node else 0
+                if not (name.startswith("__") and name.endswith("__")) and read[name] == own:
                     unused.add(f"{stem}.{cls.name}.{name}")
     return unused
 
