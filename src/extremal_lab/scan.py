@@ -11,10 +11,9 @@ five block-sized buffers.  No product has more than BLOCK_ROWS rows, and with
 OpenBLAS 0.3 on x86-64 such a product has the same bits on one thread or
 two; a cell's last bit can still depend on the BLAS build, the CPU and, with
 some kernels, the row its block starts at.  `scan_three_point` reduces the
-blocks as they come, and `ScanReport.interleaved_rows`, which the csv and
-json exports read, evaluates its rows again in the same blocks; no scan3
-path holds a grid-sized array.  Only tests read the whole grids of
-`ScanReport.values` and `.grad_norms`.
+blocks as they come, and `ScanReport.interleaved_rows`, the one read of
+cells the csv and json exports make, evaluates its rows again in the same
+blocks; nothing holds a grid-sized array.
 The scan reports the grid's minima and proves nothing: that the slice has
 no critical point with delta > 0 is certified exactly, by a resultant whose
 coefficients never change sign, in tests/test_critical.py
@@ -62,28 +61,11 @@ class ScanCell(namedtuple("ScanCell", "i j alpha delta value grad_norm boundary"
 class ScanReport(namedtuple("ScanReport", "grid alphas deltas minima global_min finite")):
     """A scan's GridSpec, its axes as arrays, its strict local minima and
     global minimum as ScanCells, and whether every value and gradient-norm
-    cell is finite.  No __slots__, so cached_property has a __dict__, and
-    equality is identity: the fields hold arrays."""
+    cell is finite.  Cells are read through `interleaved_rows`.  Equality is
+    identity: the fields hold arrays."""
 
+    __slots__ = ()
     __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
-
-    @functools.cached_property
-    def _grids(self) -> tuple[np.ndarray, np.ndarray]:
-        # built on first read, by tests and the acceptance gate; no scan3 path reads it
-        values = np.empty((self.alphas.size, self.deltas.size))
-        grad_norms = np.empty_like(values)
-        for start, value_block, grad_block in _blocks(self.alphas, self.deltas, _term_tables()):
-            values[start:start + len(value_block)] = value_block
-            grad_norms[start:start + len(grad_block)] = grad_block
-        return values, grad_norms
-
-    @property
-    def values(self) -> np.ndarray:
-        return self._grids[0]
-
-    @property
-    def grad_norms(self) -> np.ndarray:
-        return self._grids[1]
 
     def interleaved_rows(self, start: int, stop: int):
         """Per alpha row in [start, stop), the tuple (value, grad_norm, value,
@@ -91,7 +73,7 @@ class ScanReport(namedtuple("ScanReport", "grid alphas deltas minima global_min 
         own blocks, each whole, from the one holding `start`: a block starting
         at another row can move a cell's last bit."""
         first = start - start % BLOCK_ROWS
-        blocks = _blocks(self.alphas[first:], self.deltas, _term_tables())
+        blocks = _blocks(self.alphas[first:], self.deltas)
         rows = (row for _, *block in blocks for row in zip(*block))
         pairs = np.empty(2 * self.deltas.size)
         for values, grad_norms in itertools.islice(rows, start - first, stop - first):
@@ -100,20 +82,21 @@ class ScanReport(namedtuple("ScanReport", "grid alphas deltas minima global_min 
             yield tuple(pairs.tolist())
 
 
-def _blocks(alphas, deltas, matrices):
+def _blocks(alphas, deltas):
     """Yield (start, values, grad_norms) for the grid's alpha rows [start,
     start + BLOCK_ROWS), in row order, as views the next block overwrites.
 
-    Every polynomial is one product Pa[rows] @ C @ Pd^T, and the quotient
-    rule runs in place with the operands and order of values = n / d,
-    ga = (n_a * d - n * d_a) / (d * d), gd likewise and grad_norms =
-    sqrt(ga * ga + gd * gd), so every cell rounds as with whole-block
-    temporaries.  Overflowing cells come out inf or nan without a warning.
+    Every polynomial is one product Pa[rows] @ C @ Pd^T, C from
+    `_term_tables`, and the quotient rule runs in place with the operands
+    and order of values = n / d, ga = (n_a * d - n * d_a) / (d * d), gd
+    likewise and grad_norms = sqrt(ga * ga + gd * gd), so every cell rounds
+    as with whole-block temporaries.  Overflowing cells come out inf or nan
+    without a warning.
     """
     with np.errstate(over="ignore"):  # a power of a huge axis value is inf
         pa = np.vander(np.asarray(alphas, dtype=np.float64), POWERS, increasing=True)
         pd = np.vander(np.asarray(deltas, dtype=np.float64), POWERS, increasing=True)
-    c_n, c_d, c_na, c_da, c_nd, c_dd = matrices
+    c_n, c_d, c_na, c_da, c_nd, c_dd = _term_tables()
     workspace = np.empty((5, min(pa.shape[0], BLOCK_ROWS), pd.shape[0]))
     for start in range(0, pa.shape[0], BLOCK_ROWS):
         block = pa[start:start + BLOCK_ROWS]
@@ -265,7 +248,7 @@ def scan_three_point(alpha_range=(0.05, 20.0), delta_range=(0.0, 10.0),
 
     alphas, anchored = _geometric_grid(amin, amax, na)
     deltas = np.linspace(dmin, dmax, nd)
-    minima, global_min, finite = _summarize(_blocks(alphas, deltas, _term_tables()))
+    minima, global_min, finite = _summarize(_blocks(alphas, deltas))
 
     def cell(i: int, j: int, value: float, grad_norm: float) -> ScanCell:
         return ScanCell(i=i, j=j, alpha=float(alphas[i]), delta=float(deltas[j]),

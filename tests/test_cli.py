@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, exercised in process through main()."""
 
+import collections
 import contextlib
 import hashlib
 import io
@@ -25,6 +26,8 @@ from hypothesis import example, given, settings, strategies as st
 from extremal_lab import cli, delpezzo, energy, scan
 from extremal_lab.exactpoly import Polynomial
 from extremal_lab.scan import GridSpec, ScanCell, ScanReport
+
+from scan_blocks import _one_buffer_blocks, _whole_grids
 
 EXPECTED_RECORD_NAMES = [
     "energy identity residual",
@@ -625,7 +628,8 @@ def test_verify_flag_space_exits_cleanly(flags):
 
 def _oracle_cells(report) -> list[tuple[float, float, float, float]]:
     """Row-major (alpha outer, delta inner) cell tuples of the report."""
-    return [(float(a), float(d), float(report.values[i, j]), float(report.grad_norms[i, j]))
+    values, grad_norms = _whole_grids(report.alphas, report.deltas)
+    return [(float(a), float(d), float(values[i, j]), float(grad_norms[i, j]))
             for i, a in enumerate(report.alphas) for j, d in enumerate(report.deltas)]
 
 
@@ -668,16 +672,10 @@ def _hand_built_blocks(alphas, values, grad_norms):
     """A stand-in for scan._blocks that yields the hand-built grids' rows
     from the first alpha it is given on, three rows at a time in one buffer
     that the next block overwrites."""
-    def blocks(axis, deltas, matrices):
+    def blocks(axis, deltas):
         first = int(np.searchsorted(alphas, axis[0]))
         assert np.array_equal(axis, alphas[first:])
-        buffer = np.empty((2, 3, len(deltas)))
-        for start in range(first, len(alphas), 3):
-            rows = slice(start, start + 3)
-            value_block, grad_block = buffer[:, :len(values[rows])]
-            value_block[...], grad_block[...] = values[rows], grad_norms[rows]
-            yield start, value_block, grad_block
-            buffer[...] = np.nan
+        return _one_buffer_blocks(values[first:], grad_norms[first:], 3)
 
     return blocks
 
@@ -705,7 +703,7 @@ def _hand_built_report(monkeypatch, na: int, nd: int, seed: int) -> ScanReport:
                     alpha_count=na, alpha_spacing="geometric",
                     delta_min=0.0, delta_max=10.0, delta_count=nd,
                     delta_spacing="linear")
-    # the kernel's one way out: interleaved_rows and the oracles' report.values
+    # the kernel's one way out: interleaved_rows and the oracles' _whole_grids
     # both read these grids through it
     monkeypatch.setattr(scan, "_blocks", _hand_built_blocks(alphas, values, grad_norms))
     return ScanReport(grid=grid, alphas=alphas, deltas=deltas, minima=minima,
@@ -780,19 +778,8 @@ def test_forked_export_matches_single_process(capsys, monkeypatch, tmp_path, gri
     assert exports[1] == exports[2]
 
 
-def _forbid_whole_grids(monkeypatch):
-    """Make a read of ScanReport's whole grids raise: in this process the
-    error reaches the test, and a forked export child exits 1 on it, so the
-    export fails."""
-    def grids(self):
-        raise AssertionError("a scan3 run built the whole grids")
-
-    monkeypatch.setattr(ScanReport, "_grids", property(grids))
-
-
-def test_scan3_table_never_evaluates_the_grids(capsys, monkeypatch):
+def test_scan3_table_never_forks(capsys, monkeypatch):
     expected = run(capsys, "scan3", "--grid", "130", *SEEDED_WINDOW)
-    _forbid_whole_grids(monkeypatch)
     for cores in (1, 2):
         forks = _count_forks(monkeypatch, cores)
         assert run(capsys, "scan3", "--grid", "130", *SEEDED_WINDOW) == expected
@@ -800,17 +787,33 @@ def test_scan3_table_never_evaluates_the_grids(capsys, monkeypatch):
     assert expected[0] == 0
 
 
-@pytest.mark.parametrize("cores", [1, 2])
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_scan3_export_never_evaluates_the_grids(capsys, monkeypatch, tmp_path, fmt, cores):
-    forks = _count_forks(monkeypatch, cores)
-    _forbid_whole_grids(monkeypatch)
-    code, out, err = run(capsys, "scan3", "--grid", "37", "--format", fmt,
-                         "--out", str(tmp_path / f"cells.{fmt}"))
-    assert (code, err) == (0, "")
-    assert len(forks) == (cores > 1)
-    digest = hashlib.sha256((tmp_path / f"cells.{fmt}").read_bytes()).hexdigest()
-    assert digest == SCAN3_EXPORT_SHA256[fmt, ()]
+def _count_kernel_rows(monkeypatch) -> collections.Counter:
+    """Wrap scan._blocks to count, per alpha, how often its row is yielded.
+    A forked export child's rows are not counted, so patch one core."""
+    evaluated = collections.Counter()
+    kernel = scan._blocks
+
+    def blocks(alphas, deltas):
+        for start, values, grad_norms in kernel(alphas, deltas):
+            evaluated.update(alphas[start:start + len(values)].tolist())
+            yield start, values, grad_norms
+
+    monkeypatch.setattr(scan, "_blocks", blocks)
+    return evaluated
+
+
+@pytest.mark.parametrize("fmt, most", [("table", 1), ("csv", 2), ("json", 2)])
+def test_scan3_evaluates_each_alpha_row_at_most(capsys, monkeypatch, tmp_path, fmt, most):
+    # the summary evaluates every row once, and an export evaluates each row
+    # once more as it writes it; no run evaluates a row a third time
+    forks = _count_forks(monkeypatch, 1)
+    evaluated = _count_kernel_rows(monkeypatch)
+    out = ("--out", str(tmp_path / f"cells.{fmt}"))
+    code, _, err = run(capsys, "scan3", "--grid", "130", *SEEDED_WINDOW,
+                       "--format", fmt, *(out if fmt != "table" else ()))
+    assert (code, err, forks) == (0, "", [])
+    assert len(evaluated) == 130
+    assert 1 <= min(evaluated.values()) and max(evaluated.values()) <= most
 
 
 def _export_peak(shape) -> int:

@@ -19,6 +19,8 @@ from extremal_lab.energy import energy_closed_form, one_point_energy, two_point_
 from extremal_lab.exactpoly import Polynomial, RationalFunction, symbols
 from extremal_lab.scan import scan_three_point
 
+from scan_blocks import _whole_grids
+
 X, = symbols("x")
 
 # independently computed to 30 digits; tests compare well inside bracket width
@@ -252,7 +254,7 @@ def test_scan_anchor_never_moves_an_endpoint(lo, hi, n, anchored):
 
 def test_scan_minima_are_strictly_below_neighbors():
     report = scan_three_point(grid_counts=(24, 24))
-    values = report.values
+    values, _ = _whole_grids(report.alphas, report.deltas)
     for cell in report.minima:
         for di in (-1, 0, 1):
             for dj in (-1, 0, 1):
@@ -266,8 +268,8 @@ def test_scan_minima_are_strictly_below_neighbors():
 def test_scan_is_deterministic():
     a = scan_three_point(grid_counts=(16, 16))
     b = scan_three_point(grid_counts=(16, 16))
-    assert a.values.tobytes() == b.values.tobytes()
-    assert a.grad_norms.tobytes() == b.grad_norms.tobytes()
+    grids_a, grids_b = (_whole_grids(r.alphas, r.deltas) for r in (a, b))
+    assert [g.tobytes() for g in grids_a] == [g.tobytes() for g in grids_b]
     assert a.minima == b.minima
     assert a.global_min == b.global_min
 
@@ -276,8 +278,8 @@ def test_scan_cells_match_indexed_lookup():
     # interleaved_rows is what the exporters read: per alpha row, the
     # (value, grad_norm) pairs along delta as Python floats
     report = scan_three_point(grid_counts=(6, 5))
-    expected = [tuple(x for j in range(5)
-                      for x in (float(report.values[i, j]), float(report.grad_norms[i, j])))
+    values, grad_norms = _whole_grids(report.alphas, report.deltas)
+    expected = [tuple(x for j in range(5) for x in (float(values[i, j]), float(grad_norms[i, j])))
                 for i in range(6)]
     rows = list(report.interleaved_rows(0, 6))
     assert rows == expected
@@ -291,7 +293,8 @@ def test_scan_grid_values_match_exact_evaluation():
     a = Fraction(float(report.alphas[i]))
     d = Fraction(float(report.deltas[j]))
     exact = closed_value(a, 1, d)
-    assert abs(report.values[i, j] - float(exact)) < 1e-9
+    values, _ = _whole_grids(report.alphas, report.deltas)
+    assert abs(values[i, j] - float(exact)) < 1e-9
 
 
 def test_scan_range_validation():

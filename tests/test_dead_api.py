@@ -7,7 +7,8 @@ does not make it live.  A method, property or record field (a name in the
 `namedtuple("X", "a b c")` base of a class) counts as used when some module
 of the package reads it as an attribute outside its own body, or when the
 acceptance gate does.  Names are matched as identifiers, so a use of any
-member or definition of the same name counts.
+member or definition of the same name counts.  Every record (a class with a
+`namedtuple` base) declares `__slots__ = ()`, so no instance has a `__dict__`.
 """
 
 import ast
@@ -120,3 +121,15 @@ def test_every_class_member_is_read():
 
 def test_every_import_is_read():
     assert sorted(_unused_imports()) == []
+
+
+def test_every_record_declares_empty_slots():
+    unslotted = []
+    for stem, tree in _modules().items():
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            slots = [ast.literal_eval(node.value) for node in cls.body
+                     if isinstance(node, ast.Assign) and any(
+                         isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets)]
+            if _record_fields(cls) and slots != [()]:
+                unslotted.append(f"{stem}.{cls.name}")
+    assert unslotted == []

@@ -13,6 +13,8 @@ from extremal_lab.critical import gradient
 from extremal_lab.energy import energy_closed_form
 from extremal_lab.scan import _geometric_grid, _term_tables, scan_three_point
 
+from scan_blocks import _one_buffer_blocks, _whole_grids
+
 #: float64 rounding bound set before measuring: 7x7 products of integer
 #: coefficients below 2^53 lose a few ulps, and the gradient a few more
 RELATIVE_TOLERANCE = 1e-12
@@ -38,6 +40,7 @@ def test_invalid_backend_name_rejected():
 
 def test_scan_cells_match_exact_evaluation():
     report = scan_three_point(grid_counts=(9, 7))
+    values, grad_norms = _whole_grids(report.alphas, report.deltas)
     quotient = energy_closed_form()
     for i, a in enumerate(report.alphas.tolist()):
         for j, d in enumerate(report.deltas.tolist()):
@@ -45,9 +48,9 @@ def test_scan_cells_match_exact_evaluation():
             value = float(quotient.eval(point))
             ga, gd = gradient(a, 1, d)
             norm = math.sqrt(ga * ga + gd * gd)
-            assert math.isclose(report.values[i, j], value,
+            assert math.isclose(values[i, j], value,
                                 rel_tol=RELATIVE_TOLERANCE, abs_tol=0.0)
-            assert math.isclose(report.grad_norms[i, j], norm,
+            assert math.isclose(grad_norms[i, j], norm,
                                 rel_tol=RELATIVE_TOLERANCE, abs_tol=0.0)
 
 
@@ -70,13 +73,6 @@ def _oracle_term_tables():
             c[i, j] = coef.numerator
         matrices.append(c)
     return matrices
-
-
-def _whole_grids(alphas, deltas):
-    """(values, grad_norms) on the whole grid, stacked from copies of the
-    blocks that `_blocks` yields."""
-    blocks = [(v.copy(), g.copy()) for _, v, g in _kernels._blocks(alphas, deltas, _term_tables())]
-    return tuple(np.concatenate(grids) for grids in zip(*blocks))
 
 
 def _oracle_scan_eval(alphas, deltas, matrices):
@@ -138,12 +134,13 @@ def test_interleaved_rows_match_whole_grids(n):
     # some BLAS kernels a block starting at row 65 moves last bits
     amin, amax, dmax = WINDOWS[1]
     report = scan_three_point((amin, amax), (0.0, dmax), (n, n))
+    values, grad_norms = _whole_grids(report.alphas, report.deltas)
     for start in (0, 1, 63, 64, 65, n // 2, n - 1):
         for stop in sorted({start + 1, max(start + 1, n // 2), n}):
             rows = np.array(list(report.interleaved_rows(start, stop)))
             assert rows.shape == (stop - start, 2 * n)
-            assert rows[:, 0::2].tobytes() == report.values[start:stop].tobytes()
-            assert rows[:, 1::2].tobytes() == report.grad_norms[start:stop].tobytes()
+            assert rows[:, 0::2].tobytes() == values[start:stop].tobytes()
+            assert rows[:, 1::2].tobytes() == grad_norms[start:stop].tobytes()
 
 
 def _scan_peak(shape) -> int:
@@ -198,7 +195,7 @@ def test_summary_matches_whole_grid_oracle(shape, window):
     alphas, _ = _geometric_grid(amin, amax, shape[0])
     deltas = np.linspace(0.0, dmax, shape[1])
     want = _oracle_summary(*_whole_grids(alphas, deltas))
-    got = _kernels._summarize(_kernels._blocks(alphas, deltas, _term_tables()))
+    got = _kernels._summarize(_kernels._blocks(alphas, deltas))
     assert got == want
     report = scan_three_point((amin, amax), (0.0, dmax), shape)
     assert [(c.i, c.j, c.value, c.grad_norm) for c in report.minima] == want[0]
@@ -209,25 +206,13 @@ def test_summary_matches_whole_grid_oracle(shape, window):
 
 def test_summary_of_a_non_finite_window_matches_whole_grid_oracle():
     report = scan_three_point(delta_range=(0.0, 1e300), grid_counts=(130, 9))
-    want = _oracle_summary(report.values, report.grad_norms)
+    want = _oracle_summary(*_whole_grids(report.alphas, report.deltas))
     assert not want[2] and math.isnan(want[1][2])
-    got = _kernels._summarize(_kernels._blocks(report.alphas, report.deltas, _term_tables()))
+    got = _kernels._summarize(_kernels._blocks(report.alphas, report.deltas))
     assert _same(got, want)
     assert report.finite is False
     g = report.global_min
     assert _same((g.i, g.j, g.value, g.grad_norm), want[1])
-
-
-def _one_buffer_blocks(values, grad_norms):
-    """`values` and `grad_norms` as `_blocks` yields a grid: BLOCK_ROWS rows
-    at a time, in one buffer that the next block overwrites."""
-    buffer = np.empty((2, _kernels.BLOCK_ROWS, values.shape[1]))
-    for start in range(0, len(values), _kernels.BLOCK_ROWS):
-        rows = slice(start, start + _kernels.BLOCK_ROWS)
-        value_block, grad_block = buffer[:, :len(values[rows])]
-        value_block[...], grad_block[...] = values[rows], grad_norms[rows]
-        yield start, value_block, grad_block
-        buffer[...] = np.nan
 
 
 def test_summary_finds_minima_on_block_edges():
@@ -238,7 +223,7 @@ def test_summary_finds_minima_on_block_edges():
     values[63, 0] = values[64, 3] = values[64, 5] = values[127, 5] = -1.0
     values[63, 5] = values[64, 0] = 0.0
     grad_norms = np.arange(values.size, dtype=np.float64).reshape(values.shape)
-    got = _kernels._summarize(_one_buffer_blocks(values, grad_norms))
+    got = _kernels._summarize(_one_buffer_blocks(values, grad_norms, _kernels.BLOCK_ROWS))
     assert got == _oracle_summary(values, grad_norms)
     assert [(i, j) for i, j, *_ in got[0]] == [(63, 0), (64, 3), (64, 5), (127, 5)]
     assert got[1] == (63, 0, -1.0, 378.0)
@@ -256,7 +241,7 @@ def test_summary_of_hand_built_blocks_matches_whole_grid_oracle(na):
             values.flat[rng.integers(0, values.size, size=3)] = [np.inf, -np.inf, np.nan]
         elif trial % 3 == 2:
             grad_norms.flat[rng.integers(0, values.size)] = np.inf
-        got = _kernels._summarize(_one_buffer_blocks(values, grad_norms))
+        got = _kernels._summarize(_one_buffer_blocks(values, grad_norms, _kernels.BLOCK_ROWS))
         assert _same(got, _oracle_summary(values, grad_norms))
 
 
