@@ -1,5 +1,7 @@
 """Command-line interface: verification records, energy evaluation,
-certified critical classes, and the three-point grid scan.
+certified critical classes, and the three-point grid scan.  `_report` is
+the one place verify, energy and critical switch on --format; `main`
+checks --digits once for every subcommand, before any other flag.
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 usage, parse, or
 domain errors.  Output is deterministic for a fixed configuration; every
@@ -16,7 +18,6 @@ import os
 import re
 import stat
 import sys
-from collections import namedtuple
 from fractions import Fraction
 
 # json, csv, critical and numpy are imported where they are used, so each
@@ -47,14 +48,6 @@ class UsageError(Exception):
     """Bad flag combinations or out-of-domain requests; exit code 2."""
 
 
-class VerificationRecord(namedtuple("VerificationRecord",
-                                    "name expected computed abs_error tolerance passed")):
-    """One check's strings and verdict; abs_error is None when the check
-    could not produce a number."""
-
-    __slots__ = ()
-
-
 def _fraction_arg(text: str) -> Fraction:
     # sized before Fraction builds the integers: 1e1000000000 never gets built
     size = len(text)
@@ -71,11 +64,6 @@ def _fraction_arg(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
-
-
-def _check_digits(digits: int) -> None:
-    if not 6 <= digits <= MAX_DIGITS:
-        raise UsageError(f"--digits must be between 6 and {MAX_DIGITS}")
 
 
 @contextlib.contextmanager
@@ -120,50 +108,61 @@ def _open_out(path: str | None):
         raise
 
 
-def _emit(path: str | None, text: str) -> None:
-    with _open_out(path) as fh:
+#: how csv and the table spell the cells that are not strings: a verify
+#: record's missing abs_error and its verdict
+_CELL_WORDS = {"csv": {None: "", True: "true", False: "false"},
+               "table": {None: "-", True: "pass", False: "FAIL"}}
+#: header keys the table spells otherwise
+_TABLE_LABELS = {"name": "record", "abs_error": "abs error", "pass": "status"}
+
+
+def _report(args, header, rows, payload) -> None:
+    """Write `payload` as json, or `header` and `rows` (cells str, None or
+    bool) as csv or a table, in `args.format` to `args.out`."""
+    if args.format == "json":
+        import json
+
+        text = json.dumps(payload, indent=2) + "\n"
+    else:
+        words = _CELL_WORDS[args.format]
+        rows = [[c if isinstance(c, str) else words[c] for c in row] for row in rows]
+        if args.format == "csv":
+            import csv
+
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+            text = buf.getvalue()
+        else:
+            header = [_TABLE_LABELS.get(h, h) for h in header]
+            widths = [max(map(len, col)) for col in zip(header, *rows)]
+            text = "".join(
+                "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip() + "\n"
+                for cells in (header, ["-" * w for w in widths], *rows))
+    with _open_out(args.out) as fh:
         fh.write(text)
-
-
-def _render_table(header, rows) -> str:
-    cols = list(zip(header, *rows))
-    widths = [max(len(str(c)) for c in col) for col in cols]
-
-    def line(cells):
-        return "  ".join(str(c).ljust(w) for c, w in zip(cells, widths)).rstrip()
-
-    out = [line(header), line(["-" * w for w in widths])]
-    out.extend(line(r) for r in rows)
-    return "\n".join(out) + "\n"
-
-
-def _csv_text(header, rows) -> str:
-    import csv
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
 
 
 # -- verify -------------------------------------------------------------------
 
-def _verify_records(digits: int) -> list[VerificationRecord]:
+def _verify_records(digits: int) -> list[dict]:
+    """The verify records, each keyed name, expected, computed, abs_error,
+    tolerance and pass; abs_error is None when the check could not produce
+    a number."""
     from . import critical
 
     internal = max(digits, 12)
-    recs: list[VerificationRecord] = []
+    recs: list[dict] = []
 
     def dec(x: Fraction) -> str:
         return fraction_to_decimal(x, digits)
 
     def add(name, expected, computed, err, tolerance):
-        passed = err is not None and err <= Fraction(tolerance)
-        recs.append(VerificationRecord(
-            name=name, expected=expected, computed=computed,
-            abs_error=None if err is None else dec(err),
-            tolerance=tolerance, passed=passed))
+        recs.append({"name": name, "expected": expected, "computed": computed,
+                     "abs_error": None if err is None else dec(err),
+                     "tolerance": tolerance,
+                     "pass": err is not None and err <= Fraction(tolerance)})
 
     ok, residual = energy.verify_identity()
     if ok:
@@ -205,42 +204,15 @@ def _verify_records(digits: int) -> list[VerificationRecord]:
     return recs
 
 
-def _records_table(recs) -> str:
-    header = ("record", "expected", "computed", "abs error", "tolerance", "status")
-    rows = [(r.name, r.expected, r.computed,
-             "-" if r.abs_error is None else r.abs_error,
-             r.tolerance, "pass" if r.passed else "FAIL") for r in recs]
-    return _render_table(header, rows)
-
-
-def _records_json(recs) -> str:
-    import json
-
-    payload = [{"name": r.name, "expected": r.expected, "computed": r.computed,
-                "abs_error": r.abs_error, "tolerance": r.tolerance,
-                "pass": r.passed} for r in recs]
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def _records_csv(recs) -> str:
-    rows = [(r.name, r.expected, r.computed,
-             "" if r.abs_error is None else r.abs_error,
-             r.tolerance, "true" if r.passed else "false") for r in recs]
-    return _csv_text(("name", "expected", "computed", "abs_error", "tolerance", "pass"), rows)
-
-
 def cmd_verify(args) -> int:
-    _check_digits(args.digits)
     recs = _verify_records(args.digits)
-    render = {"json": _records_json, "csv": _records_csv, "table": _records_table}
-    _emit(args.out, render[args.format](recs))
-    return 0 if all(r.passed for r in recs) else 1
+    _report(args, list(recs[0]), [list(r.values()) for r in recs], recs)
+    return 0 if all(r["pass"] for r in recs) else 1
 
 
 # -- energy -------------------------------------------------------------------
 
 def cmd_energy(args) -> int:
-    _check_digits(args.digits)
     k, alpha, beta = args.k, args.alpha, args.beta
     delta = Fraction(0) if args.delta is None else args.delta
     if k == 3:
@@ -253,7 +225,6 @@ def cmd_energy(args) -> int:
         raise UsageError("k=1 takes --alpha and optional --delta (no --beta)")
     breakdown = energy.surface_energy(k, alpha, beta, delta)
 
-    digits = args.digits
     quantities = [
         ("average term", breakdown.average_term, True),
         ("futaki term", breakdown.futaki_term, True),
@@ -268,34 +239,24 @@ def cmd_energy(args) -> int:
     if not finite:
         raise UsageError("the energy of this class overflows float64; "
                          "bring --alpha, --beta and --delta closer in size")
-    if args.format == "json":
-        import json
-
-        payload = {
-            "k": k,
-            "alpha": None if alpha is None else str(alpha),
-            "beta": None if beta is None else str(beta),
-            "delta": str(delta),
-        }
-        for (name, value, pi2), flt in zip(quantities, floats):
-            key = name.replace(" ", "_")
-            entry = {"pi2_multiple" if pi2 else "exact": str(value),
-                     "value": flt}
-            payload[key] = entry
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        rows = [(name, f"{value} pi^2" if pi2 else str(value),
-                 f"{flt:.{digits}g}") for (name, value, pi2), flt in zip(quantities, floats)]
-        header = ("quantity", "exact", "float")
-        text = _csv_text(header, rows) if args.format == "csv" else _render_table(header, rows)
-    _emit(args.out, text)
+    payload = {
+        "k": k,
+        "alpha": None if alpha is None else str(alpha),
+        "beta": None if beta is None else str(beta),
+        "delta": str(delta),
+    }
+    rows = []
+    for (name, value, pi2), flt in zip(quantities, floats):
+        payload[name.replace(" ", "_")] = {"pi2_multiple" if pi2 else "exact": str(value),
+                                           "value": flt}
+        rows.append((name, f"{value} pi^2" if pi2 else str(value), f"{flt:.{args.digits}g}"))
+    _report(args, ("quantity", "exact", "float"), rows, payload)
     return 0
 
 
 # -- critical -----------------------------------------------------------------
 
 def cmd_critical(args) -> int:
-    _check_digits(args.digits)
     if args.k not in (1, 2):
         raise UsageError("--k must be 1 or 2; the three-point family has no single "
                          "critical parameter, use the scan3 subcommand instead")
@@ -306,42 +267,35 @@ def cmd_critical(args) -> int:
     root, ratio, value, three, residual = (fraction_to_decimal(x, args.digits) for x in (
         c.bracket.midpoint, report.line_to_exceptional_ratio, report.normalized_energy,
         3 * report.normalized_energy, report.residual))
-    if args.format == "json":
-        import json
-
-        payload = {
-            "k": report.k,
-            "variable": c.variable,
-            "bracket": {"low": str(c.bracket.low), "high": str(c.bracket.high)},
-            "refined_root": root,
-            "classification": c.classification,
-            "line_to_exceptional_ratio": ratio,
-            "normalized_energy": value,
-            "three_times_normalized": three,
-            "residual": residual,
-            "root_count": report.root_count,
-            "search_bound": str(report.search_bound),
-            "derivative_root_bound": str(report.derivative_root_bound),
-        }
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        rows = [
-            ("variable", c.variable),
-            ("bracket low", str(c.bracket.low)),
-            ("bracket high", str(c.bracket.high)),
-            ("refined root", root),
-            ("classification", c.classification),
-            ("line/exceptional ratio", ratio),
-            ("normalized energy", value),
-            ("3 * normalized energy", three),
-            ("trace-free Ricci deficit", residual),
-            ("derivative roots in domain", str(report.root_count)),
-            ("search bound", str(report.search_bound)),
-            ("derivative root bound", str(report.derivative_root_bound)),
-        ]
-        header = ("quantity", "value")
-        text = _csv_text(header, rows) if args.format == "csv" else _render_table(header, rows)
-    _emit(args.out, text)
+    payload = {
+        "k": report.k,
+        "variable": c.variable,
+        "bracket": {"low": str(c.bracket.low), "high": str(c.bracket.high)},
+        "refined_root": root,
+        "classification": c.classification,
+        "line_to_exceptional_ratio": ratio,
+        "normalized_energy": value,
+        "three_times_normalized": three,
+        "residual": residual,
+        "root_count": report.root_count,
+        "search_bound": str(report.search_bound),
+        "derivative_root_bound": str(report.derivative_root_bound),
+    }
+    rows = [
+        ("variable", c.variable),
+        ("bracket low", str(c.bracket.low)),
+        ("bracket high", str(c.bracket.high)),
+        ("refined root", root),
+        ("classification", c.classification),
+        ("line/exceptional ratio", ratio),
+        ("normalized energy", value),
+        ("3 * normalized energy", three),
+        ("trace-free Ricci deficit", residual),
+        ("derivative roots in domain", str(report.root_count)),
+        ("search bound", str(report.search_bound)),
+        ("derivative root bound", str(report.derivative_root_bound)),
+    ]
+    _report(args, ("quantity", "value"), rows, payload)
     return 0
 
 
@@ -478,7 +432,6 @@ def _scan_summary(report, digits: int) -> str:
 
 
 def cmd_scan3(args) -> int:
-    _check_digits(args.digits)
     if not 2 <= args.grid <= MAX_GRID:
         raise UsageError(f"--grid must be between 2 and {MAX_GRID}")
     for flag in ("alpha_min", "alpha_max", "delta_max"):
@@ -502,7 +455,8 @@ def cmd_scan3(args) -> int:
         raise UsageError("the scan overflows float64 on this window; "
                          "lower --alpha-max or --delta-max")
     if args.format == "table":
-        _emit(args.out, _scan_summary(report, args.digits))
+        with _open_out(args.out) as fh:
+            fh.write(_scan_summary(report, args.digits))
         return 0
     path = args.out or f"scan3.{args.format}"
     with _open_out(path) as fh:
@@ -580,6 +534,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(
         _join_negative_rationals(sys.argv[1:] if argv is None else argv))
     try:
+        # every subcommand takes --digits, so it is checked here, first
+        if not 6 <= args.digits <= MAX_DIGITS:
+            raise UsageError(f"--digits must be between 6 and {MAX_DIGITS}")
         return args.func(args)
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -114,6 +114,14 @@ def test_verify_detects_injected_fault(capsys, monkeypatch):
     untouched = [r for r in json.loads(out)
                  if r["name"] not in (identity["name"], recovery["name"])]
     assert all(r["pass"] for r in untouched)
+    # the table and csv spell the missing error and the verdict their own way
+    code, out, err = run(capsys, "verify")
+    assert code == 1
+    assert re.search(r"^variance coefficient recovery +276 +inconsistent system +- +0 +FAIL$",
+                     out, re.M)
+    code, out, err = run(capsys, "verify", "--format", "csv")
+    assert code == 1
+    assert "\nvariance coefficient recovery,276,inconsistent system,,0,false\n" in out
 
 
 def test_verify_out_writes_file(capsys, tmp_path):
@@ -1063,11 +1071,13 @@ def test_exact_path_loads_no_heavy_modules():
     run_main = "from extremal_lab.cli import main; main(sys.argv[1:])"
     for argv in (("verify",), ("critical", "--k", "2"),
                  ("energy", "--k", "3", "--alpha", "1", "--beta", "1")):
-        added = _loaded_modules(run_main, *argv, "--format", "table") - bare
-        assert "extremal_lab.energy" in added
-        assert not added & HEAVY_MODULES, argv
-        if argv[0] == "energy":
-            assert "extremal_lab.critical" not in added
+        for fmt in ("table", "json", "csv"):
+            added = _loaded_modules(run_main, *argv, "--format", fmt) - bare
+            assert "extremal_lab.energy" in added
+            # json loads only for --format json and csv only for --format csv
+            assert added & HEAVY_MODULES == HEAVY_MODULES & {fmt}, (argv, fmt)
+            if argv[0] == "energy":
+                assert "extremal_lab.critical" not in added, fmt
     # scan adds nothing heavy to what numpy itself loads
     added = _loaded_modules("import extremal_lab.scan") - _loaded_modules("import numpy")
     assert "extremal_lab.scan" in added and not added & HEAVY_MODULES
