@@ -309,82 +309,30 @@ def _cell_payload(cell) -> dict:
             "boundary": cell.boundary}
 
 
-def _render_rows(fh, render, rows: int) -> None:
-    """Write alpha rows [0, rows) to the open export `fh`, where
-    `render(out, start, stop)` writes rows [start, stop) to the file `out`.
-
-    With more than one core available and os.fork present, a forked child
-    renders rows [rows // 2, rows) into an unlinked temporary file while this
-    process renders [0, rows // 2) into `fh`; the child's bytes are then
-    appended undecoded, so the file does not depend on the core count.  The
-    work is CPython float formatting, which one interpreter runs on one core;
-    fork hands the child the report without pickling it.  Each process
-    evaluates its own rows through `ScanReport.interleaved_rows`, which gives
-    them the scan's bits.  The child leaves through os._exit, with status 0
-    only once its rows are flushed.
-    """
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) > 1):
-        render(fh, 0, rows)
-        return
-    # imported here, as numpy is in cmd_scan3, to keep them off the exact commands
-    import shutil
-    import tempfile
-
-    half = rows // 2
-    with tempfile.TemporaryFile("w+", encoding=fh.encoding, newline="\n") as tail:
-        for stream in (fh, sys.stdout, sys.stderr):
-            stream.flush()  # nothing buffered before the fork is written twice
-        pid = os.fork()
-        if pid == 0:
-            status = 1
-            try:
-                render(tail, half, rows)
-                tail.flush()
-                status = 0
-            finally:
-                os._exit(status)  # no traceback, no exit handlers, no flushes
-        try:
-            render(fh, 0, half)
-        finally:
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        if status != 0:
-            raise OSError(f"the child process rendering alpha rows "
-                          f"{half} to {rows - 1} exited with status {status}")
-        fh.flush()
-        tail.seek(0)
-        shutil.copyfileobj(tail.buffer, fh.buffer)
-
-
 def _scan_csv(report, fh, digits: int) -> None:
-    """Write the csv export to the open file `fh`, one alpha row at a time.
+    """Write the csv export to the open file `fh`, one alpha row at a time,
+    every row in this process.
 
     Each axis value is formatted once; a row's value and grad_norm cells go
-    through one %-template built for that row.  The rows are split between
-    this process and a forked child as `_render_rows` describes.
+    through one %-template built for that row.
     """
     fmt = f"%.{digits}g"
     fh.write("alpha,delta,value,grad_norm\n")
     # joining the cells with the row's alpha puts it in front of each of them
     cells = ["," + fmt % d + f",{fmt},{fmt}\n" for d in report.deltas.tolist()]
-    alphas = report.alphas.tolist()
-
-    def render(out, start, stop):
-        for alpha, row in zip(alphas[start:stop], report.interleaved_rows(start, stop)):
-            lead = fmt % alpha
-            out.write((lead + lead.join(cells)) % row)
-
-    _render_rows(fh, render, len(alphas))
+    for alpha, row in zip(report.alphas.tolist(), report.interleaved_rows()):
+        lead = fmt % alpha
+        fh.write((lead + lead.join(cells)) % row)
 
 
 def _scan_json(report, fh, digits: int) -> None:
-    """Write the json export to the open file `fh`, one alpha row at a time.
+    """Write the json export to the open file `fh`, one alpha row at a time,
+    every row in this process.
 
     Everything but "cells" is rendered by json.dumps(indent=2), the grid
     keyed by GridSpec's fields; the cell array follows in the same layout.
     Cells are finite, so each prints as float.__repr__, as json writes
-    finite floats.  The rows are split between this process and a forked
-    child as `_render_rows` describes.
+    finite floats.
     """
     import json
 
@@ -400,16 +348,11 @@ def _scan_json(report, fh, digits: int) -> None:
     # a cell is "    [\n      alpha,\n      delta,\n      value,\n      grad_norm\n    ]"
     cells = [",\n      " + repr(d) + ",\n      %r,\n      %r\n    ]"
              for d in report.deltas.tolist()]
-    alphas = report.alphas.tolist()
-
-    def render(out, start, stop):
-        sep = ",\n" if start else ""
-        for alpha, row in zip(alphas[start:stop], report.interleaved_rows(start, stop)):
-            lead = "    [\n      " + repr(alpha)
-            out.write(sep + (lead + (",\n" + lead).join(cells)) % row)
-            sep = ",\n"
-
-    _render_rows(fh, render, len(alphas))
+    sep = ""
+    for alpha, row in zip(report.alphas.tolist(), report.interleaved_rows()):
+        lead = "    [\n      " + repr(alpha)
+        fh.write(sep + (lead + (",\n" + lead).join(cells)) % row)
+        sep = ",\n"
     fh.write("\n  ]\n}\n")
 
 

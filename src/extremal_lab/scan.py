@@ -67,19 +67,16 @@ class ScanReport(namedtuple("ScanReport", "grid alphas deltas minima global_min 
     __slots__ = ()
     __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
-    def interleaved_rows(self, start: int, stop: int):
-        """Per alpha row in [start, stop), the tuple (value, grad_norm, value,
-        grad_norm, ...) of Python floats along delta, evaluated in the scan's
-        own blocks, each whole, from the one holding `start`: a block starting
-        at another row can move a cell's last bit."""
-        first = start - start % BLOCK_ROWS
-        blocks = _blocks(self.alphas[first:], self.deltas)
-        rows = (row for _, *block in blocks for row in zip(*block))
+    def interleaved_rows(self):
+        """Per alpha row, in order, the tuple (value, grad_norm, value,
+        grad_norm, ...) of Python floats along delta, evaluated again from
+        row 0 in the scan's own blocks, so every cell has the summary's bits."""
         pairs = np.empty(2 * self.deltas.size)
-        for values, grad_norms in itertools.islice(rows, start - first, stop - first):
-            pairs[0::2] = values
-            pairs[1::2] = grad_norms
-            yield tuple(pairs.tolist())
+        for _, values, grad_norms in _blocks(self.alphas, self.deltas):
+            for value_row, grad_row in zip(values, grad_norms):
+                pairs[0::2] = value_row
+                pairs[1::2] = grad_row
+                yield tuple(pairs.tolist())
 
 
 def _blocks(alphas, deltas):

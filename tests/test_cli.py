@@ -12,7 +12,6 @@ import re
 import stat
 import subprocess
 import sys
-import tempfile
 import threading
 import time
 import tracemalloc
@@ -677,13 +676,11 @@ AWKWARD_FLOATS = (-0.0, 5e-324, 1e16, 1e-7, 2.0)
 
 
 def _hand_built_blocks(alphas, values, grad_norms):
-    """A stand-in for scan._blocks that yields the hand-built grids' rows
-    from the first alpha it is given on, three rows at a time in one buffer
-    that the next block overwrites."""
+    """A stand-in for scan._blocks that yields the hand-built grids, three
+    rows at a time in one buffer that the next block overwrites."""
     def blocks(axis, deltas):
-        first = int(np.searchsorted(alphas, axis[0]))
-        assert np.array_equal(axis, alphas[first:])
-        return _one_buffer_blocks(values[first:], grad_norms[first:], 3)
+        assert np.array_equal(axis, alphas)
+        return _one_buffer_blocks(values, grad_norms, 3)
 
     return blocks
 
@@ -753,51 +750,28 @@ def test_scan3_exports_are_pinned(capsys, tmp_path, fmt, window):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SCAN3_EXPORT_SHA256[fmt, window]
 
 
-# -- scan3 export split ----------------------------------------------------------
+# -- scan3 export in one process ------------------------------------------------
 #
-# With two or more cores a forked child renders the second half of the alpha
-# rows; the affinity mask decides, so patching it selects either path.
+# The csv and json exports write every alpha row in the process that ran the
+# scan, evaluating the rows again from row 0 in the summary's blocks.
 
-def _count_forks(monkeypatch, cores):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
-    forks = []
-    real_fork = os.fork
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_scan3_never_forks(capsys, monkeypatch, tmp_path, fmt):
+    # two allowed cores, where an exporter that split its rows would fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
     def fork():
-        forks.append(1)
-        return real_fork()
+        raise AssertionError("scan3 forked")
 
-    monkeypatch.setattr(os, "fork", fork)
-    return forks
-
-
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("grid", [2, 3, 37, 38, 130, 270])
-def test_forked_export_matches_single_process(capsys, monkeypatch, tmp_path, grid, fmt):
-    exports = {}
-    for cores in (1, 2):
-        forks = _count_forks(monkeypatch, cores)
-        path = tmp_path / f"cells-{cores}.{fmt}"
-        code, out, err = run(capsys, "scan3", "--grid", str(grid), *SEEDED_WINDOW,
-                             "--format", fmt, "--out", str(path))
-        assert (code, err) == (0, "")
-        assert len(forks) == (cores > 1)
-        exports[cores] = path.read_bytes()
-    assert exports[1] == exports[2]
-
-
-def test_scan3_table_never_forks(capsys, monkeypatch):
-    expected = run(capsys, "scan3", "--grid", "130", *SEEDED_WINDOW)
-    for cores in (1, 2):
-        forks = _count_forks(monkeypatch, cores)
-        assert run(capsys, "scan3", "--grid", "130", *SEEDED_WINDOW) == expected
-        assert forks == []
-    assert expected[0] == 0
+    monkeypatch.setattr(os, "fork", fork, raising=False)
+    out = ("--out", str(tmp_path / f"cells.{fmt}"))
+    code, _, err = run(capsys, "scan3", "--grid", "130", *SEEDED_WINDOW,
+                       "--format", fmt, *(out if fmt != "table" else ()))
+    assert (code, err) == (0, "")
 
 
 def _count_kernel_rows(monkeypatch) -> collections.Counter:
-    """Wrap scan._blocks to count, per alpha, how often its row is yielded.
-    A forked export child's rows are not counted, so patch one core."""
+    """Wrap scan._blocks to count, per alpha, how often its row is yielded."""
     evaluated = collections.Counter()
     kernel = scan._blocks
 
@@ -810,23 +784,22 @@ def _count_kernel_rows(monkeypatch) -> collections.Counter:
     return evaluated
 
 
-@pytest.mark.parametrize("fmt, most", [("table", 1), ("csv", 2), ("json", 2)])
-def test_scan3_evaluates_each_alpha_row_at_most(capsys, monkeypatch, tmp_path, fmt, most):
-    # the summary evaluates every row once, and an export evaluates each row
-    # once more as it writes it; no run evaluates a row a third time
-    forks = _count_forks(monkeypatch, 1)
+@pytest.mark.parametrize("fmt, times", [("table", 1), ("csv", 2), ("json", 2)])
+def test_scan3_evaluates_each_alpha_row_at_most(capsys, monkeypatch, tmp_path, fmt, times):
+    # the summary evaluates every row once, and an export evaluates every row
+    # exactly once more as it writes it
     evaluated = _count_kernel_rows(monkeypatch)
     out = ("--out", str(tmp_path / f"cells.{fmt}"))
     code, _, err = run(capsys, "scan3", "--grid", "130", *SEEDED_WINDOW,
                        "--format", fmt, *(out if fmt != "table" else ()))
-    assert (code, err, forks) == (0, "", [])
+    assert (code, err) == (0, "")
     assert len(evaluated) == 130
-    assert 1 <= min(evaluated.values()) and max(evaluated.values()) <= most
+    assert set(evaluated.values()) == {times}
 
 
 def _export_peak(shape) -> int:
-    """tracemalloc's peak over one scan and its csv export, rendered in
-    process, to os.devnull; numpy reports its data buffers to tracemalloc."""
+    """tracemalloc's peak over one scan and its csv export to os.devnull;
+    numpy reports its data buffers to tracemalloc."""
     scan.scan_three_point(grid_counts=(4, 4))  # builds the cached term tables
     tracemalloc.start()
     try:
@@ -839,71 +812,42 @@ def _export_peak(shape) -> int:
     return peak
 
 
-def test_export_peak_memory_does_not_grow_with_alpha_rows(monkeypatch):
+def test_export_peak_memory_does_not_grow_with_alpha_rows():
     # the export holds no grid-sized array: 1.91 and 1.98 MiB.  An export
     # that built the value and gradient grids read 1.91 and 3.29 MiB
-    forks = _count_forks(monkeypatch, 1)
     assert _export_peak((256, 500)) <= 1.1 * _export_peak((64, 500))
-    assert forks == []
 
 
-def _fail_in_rows(monkeypatch, child: bool):
-    """Make ScanReport.interleaved_rows raise on the child's rows (those at
-    or past n // 2) or on the parent's rows."""
+def _fail_in_rows(monkeypatch):
+    """Make ScanReport.interleaved_rows raise at alpha row n // 2."""
     rows = ScanReport.interleaved_rows
 
-    def failing_rows(self, start, stop):
-        for i, row in enumerate(rows(self, start, stop), start):
-            if (i >= self.alphas.size // 2) == child:
+    def failing_rows(self):
+        for i, row in enumerate(rows(self)):
+            if i == self.alphas.size // 2:
                 raise RuntimeError("injected failure")
             yield row
 
     monkeypatch.setattr(ScanReport, "interleaved_rows", failing_rows)
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_failing_export_child_exits_two(capfd, monkeypatch, tmp_path, fmt):
-    _fail_in_rows(monkeypatch, child=True)
-    forks = _count_forks(monkeypatch, 2)
-    temp_dir = tmp_path / "tmp"
-    temp_dir.mkdir()
-    monkeypatch.setattr(tempfile, "tempdir", str(temp_dir))
-    path = tmp_path / f"cells.{fmt}"
-    code = cli.main(["scan3", "--grid", "8", "--format", fmt, "--out", str(path)])
-    out, err = capfd.readouterr()
-    assert code == 2 and len(forks) == 1
-    assert out == ""
-    assert err.startswith("error:") and err.count("\n") == 1, err
-    assert str(path) in err and "exited with status 1" in err
-    assert "Traceback" not in err and "injected" not in err
-    assert list(temp_dir.iterdir()) == []
-    # neither the export nor its sibling temporary file is left behind
-    assert list(tmp_path.iterdir()) == [temp_dir]
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_export_child_is_reaped_when_the_parent_half_fails(capfd, monkeypatch, tmp_path):
-    _fail_in_rows(monkeypatch, child=False)
-    forks = _count_forks(monkeypatch, 2)
-    with pytest.raises(RuntimeError, match="injected"):
-        cli.main(["scan3", "--grid", "8", "--format", "csv", "--out", str(tmp_path / "c.csv")])
-    assert len(forks) == 1
-    assert list(tmp_path.iterdir()) == []
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.mark.parametrize("child", [True, False])
-def test_failed_export_keeps_the_previous_out_file(capfd, monkeypatch, tmp_path, child):
-    _fail_in_rows(monkeypatch, child=child)
-    _count_forks(monkeypatch, 2)
-    path = tmp_path / "cells.csv"
-    path.write_bytes(b"previous export\n")
-    with contextlib.suppress(RuntimeError):
-        assert cli.main(["scan3", "--grid", "8", "--format", "csv", "--out", str(path)]) == 2
-    assert list(tmp_path.iterdir()) == [path]
-    assert path.read_bytes() == b"previous export\n"
+@pytest.mark.parametrize("previous", [True, False])
+def test_failed_export_keeps_the_previous_out_file(capfd, monkeypatch, tmp_path, previous):
+    # the failure propagates, and neither a half-written export nor its
+    # sibling temporary file is left where the earlier file (if any) was
+    _fail_in_rows(monkeypatch)
+    for fmt in ("csv", "json"):
+        folder = tmp_path / fmt
+        folder.mkdir()
+        path = folder / f"cells.{fmt}"
+        if previous:
+            path.write_bytes(b"previous export\n")
+        with pytest.raises(RuntimeError, match="injected"):
+            cli.main(["scan3", "--grid", "8", "--format", fmt, "--out", str(path)])
+        assert capfd.readouterr() == ("", "")
+        assert list(folder.iterdir()) == ([path] if previous else [])
+        if previous:
+            assert path.read_bytes() == b"previous export\n"
 
 
 def test_out_write_error_names_the_out_path(capsys, tmp_path):
