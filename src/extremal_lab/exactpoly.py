@@ -3,13 +3,13 @@
 Coefficients are `fractions.Fraction`, terms live in a dict keyed by
 exponent tuples, and every ring operation stays exact.  A dense univariate
 layer provides Sturm chains over primitive integer coefficients (built by
-integer pseudo-division), certified root counting on half-open intervals,
-and bisection brackets whose endpoints remain exact rationals.  Signs are
-taken by integer Horner evaluation.  Refinement proposes one float Newton
-bracket, then runs Newton on scaled integers to a root enclosure that two
-exact signs certify; bisection reads the sign of every midpoint outside
-that enclosure from its side, so no float result and no unchecked Newton
-estimate ever decides a bracket.
+integer pseudo-division; a chain's last member is gcd(p, p')), certified
+root counting on half-open intervals, and bisection brackets whose endpoints
+remain exact rationals.  Signs are taken by integer Horner evaluation.
+Refinement proposes one float Newton bracket, then runs Newton once on
+scaled integers to a root enclosure that two exact signs certify; bisection
+reads the sign of every midpoint outside that enclosure from its side, so
+no float result and no unchecked Newton estimate ever decides a bracket.
 """
 
 from __future__ import annotations
@@ -275,9 +275,9 @@ class RationalFunction:
 #
 # Coefficient lists are indexed by exponent and trimmed; [] is the zero
 # polynomial.  `_u_primitive` turns rational coefficients into coprime
-# integers; everything after it (division, gcd, squarefree part, Sturm chain)
-# stays in integers, normalized to primitive content at every step, which
-# changes no sign anywhere and keeps coefficient growth down.
+# integers; everything after it (division, Sturm chain, and the squarefree
+# part, p over its chain's last member) stays in integers, made primitive at
+# every step, which changes no sign and keeps coefficient growth down.
 
 
 def univariate_coefficients(p: Polynomial) -> list[Fraction]:
@@ -355,29 +355,6 @@ def _u_primitive(cs) -> list[int]:
     return [v // g for v in ints]
 
 
-def _u_gcd(a: list[int], b: list[int]) -> list[int]:
-    a, b = _u_primitive(a), _u_primitive(b)
-    while b:
-        _, r = _u_divmod(a, b)
-        a, b = b, _u_primitive(r)
-    if a and a[-1] < 0:
-        a = [-c for c in a]
-    return a
-
-
-def _u_squarefree(cs: list[int]) -> list[int]:
-    """Primitive squarefree part; keeps the sign of the leading coefficient."""
-    cs = _u_primitive(cs)
-    if len(cs) <= 2:
-        return cs
-    g = _u_gcd(cs, _u_deriv(cs))
-    if len(g) == 1:
-        return cs
-    quot, rem = _u_divmod(cs, g)
-    assert not rem
-    return _u_primitive(quot)
-
-
 def sturm_chain(cs: list[int]) -> list[list[int]]:
     """Sturm chain (negated-remainder cascade) of a nonzero polynomial."""
     first = _u_primitive(cs)
@@ -412,15 +389,23 @@ def _variations(chain, x: Fraction) -> int:
 
 def _sturm_setup(p: Polynomial, interval, zero_message: str):
     """(low, high, q, chain): the interval as fractions, the primitive
-    squarefree part q of p, and its Sturm chain.  A nonzero constant p gives
-    the chain [[1]] or [[-1]], which has no sign variations anywhere."""
+    squarefree part q of p (p over the last member of its own chain), and
+    q's Sturm chain.  A nonzero constant p gives the chain [[1]] or [[-1]],
+    which has no sign variations anywhere."""
     lo, hi = (Fraction(x) for x in interval)
     if lo >= hi:
         raise ValueError(f"degenerate interval: low {lo} >= high {hi}")
     cs = univariate_coefficients(p)
     if not cs:
         raise ValueError(zero_message)
-    q = _u_squarefree(cs)
+    chain = sturm_chain(cs)
+    g = chain[-1]
+    if len(g) == 1:
+        return lo, hi, chain[0], chain
+    # g is gcd(p, p') up to sign; a positive lead keeps the sign of p in q
+    quot, rem = _u_divmod(chain[0], g if g[-1] > 0 else [-c for c in g])
+    assert not rem
+    q = _u_primitive(quot)
     return lo, hi, q, sturm_chain(q)
 
 
@@ -602,17 +587,15 @@ def _refine_bracket(q, lo: Fraction, hi: Fraction, digits: int) -> RootBracket:
 
     q has coprime integer coefficients.  Bisection stops once
     high - low <= 10^(e - digits), e the decimal exponent of max(|low|, |high|).
-    `_newton_enclosure` is tried when the bracket first reaches 2^-20 of its
-    magnitude and certifies a much smaller window around the root.  On that
-    first try only, a float Newton root is tried as the centre of a narrower
-    bracket, kept only if q changes sign across it.  While no window is
-    certified (another root of q lies just outside the bracket), the
-    enclosure is tried again from the midpoint each time the bracket has
-    become 2^20 times smaller than at the last try.  Bisection goes on to the
-    end: a midpoint left of the window takes the sign at low, one right of it
-    the sign at high, and only a midpoint inside it is evaluated exactly.
-    Every sign is therefore exact, and the bracket is the one plain bisection
-    returns.  Endpoints are kept as integer numerators over one denominator.
+    When the bracket first reaches 2^-20 of its magnitude, a float Newton root
+    is tried as the centre of a narrower bracket, kept only if q changes sign
+    across it, and `_newton_enclosure` runs once to certify a much smaller
+    window around the root.  Bisection goes on to the end: a midpoint left of
+    the window takes the sign at low, one right of it the sign at high, and
+    every other midpoint (all of them if no window was certified) is
+    evaluated exactly.  So every sign is exact, and the bracket is the one
+    plain bisection returns.  Endpoints are integer numerators over one
+    denominator.
     """
     s_hi = _u_sign(q, hi)
     if s_hi == 0:
@@ -633,7 +616,7 @@ def _refine_bracket(q, lo: Fraction, hi: Fraction, digits: int) -> RootBracket:
     L, H, D = _shared_denominator(lo, hi)
     el, eh = L, H
     exp = None
-    shift = 20  # the enclosure is tried once (H - L) << shift <= max(|L|, |H|)
+    tried = False
     for _ in range(128 + 8 * digits):
         mag = max(abs(L), abs(H))
         if exp is None or mag * 10 ** max(-exp, 0) < D * 10 ** max(exp, 0):
@@ -644,12 +627,11 @@ def _refine_bracket(q, lo: Fraction, hi: Fraction, digits: int) -> RootBracket:
             unit = 10 ** max(exp - digits, 0)
         if width <= D * unit:
             break
-        if el <= L and H <= eh and (H - L) << shift <= mag:
-            # no certified window inside the bracket, which is small enough
+        if not tried and (H - L) << 20 <= mag:
+            tried = True
             lo, hi = Fraction(L, D), Fraction(H, D)
             seed = (lo + hi) / 2
-            # the float Newton jump belongs to the first try only
-            x = _float_newton(q, float(seed)) if shift == 20 else None
+            x = _float_newton(q, float(seed))
             if x is not None:
                 c = Fraction(x)
                 half = max(Fraction(10) ** (exp - digits), Fraction(mag, D << 44)) / 2
@@ -665,9 +647,6 @@ def _refine_bracket(q, lo: Fraction, hi: Fraction, digits: int) -> RootBracket:
                         lo, hi, s_lo, s_hi, seed = a, b, sa, sb, c
             L, H, el, eh, D = _newton_enclosure(q, lo, hi, s_lo, s_hi, seed, digits)
             exp = None
-            # if Newton went to a root just outside the bracket, it lies
-            # relatively farther from the seed of the next try
-            shift = (max(abs(L), abs(H)) // (H - L)).bit_length() + 19
             continue
         mid = L + H
         L, H, el, eh, D = L << 1, H << 1, el << 1, eh << 1, D << 1

@@ -15,6 +15,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -360,6 +361,37 @@ def test_critical_deep_json_is_pinned(capsys):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "b3a68bfe9fc272dd59671a9f680fc7983b67ec5db1865e331ac4ae4edf81d19d")
+
+
+# a start for mpmath's root search, from PAPER.md
+CRITICAL_SEEDS = {1: "2.18393340447", 2: "0.957712805188"}
+
+
+@pytest.mark.parametrize("digits", [38, 89, 110, 310])
+@pytest.mark.parametrize("k", [1, 2])
+def test_critical_digits_bound_the_error_in_last_places(capsys, k, digits):
+    # --digits N prints the midpoint of a bracket no wider than 10^(e - N),
+    # rounded half away from zero: within 0.55 units in the last place, but
+    # not always the correctly rounded value (k = 2 at 38 digits and k = 1 at
+    # 89 and 110 are one unit off)
+    mpmath = pytest.importorskip("mpmath")
+    code, out, err = run(capsys, "critical", "--k", str(k), "--digits", str(digits),
+                         "--format", "json")
+    assert code == 0, err
+    payload = json.loads(out)
+    f = energy.one_point_energy() if k == 1 else energy.two_point_energy()
+    g = f.derivative_numerator(payload["variable"])
+    with mpmath.workdps(digits + 30):
+        coefficients = [mpmath.mpf(c.numerator) / c.denominator for c in (
+            Fraction(g.terms.get((i,), 0)) for i in range(max(g.terms)[0], -1, -1))]
+        root = mpmath.findroot(lambda t: mpmath.polyval(coefficients, t),
+                               mpmath.mpf(CRITICAL_SEEDS[k]))
+        eps = mpmath.mpf(10) ** -(digits + 10)
+        assert mpmath.polyval(coefficients, root - eps) < 0 < mpmath.polyval(coefficients, root + eps)
+        for key, exact in (("refined_root", root), ("line_to_exceptional_ratio", root + k)):
+            printed = payload[key]
+            ulp = mpmath.mpf(10) ** (Decimal(printed).adjusted() - digits + 1)
+            assert abs(mpmath.mpf(printed) - exact) <= mpmath.mpf("0.55") * ulp, key
 
 
 # sha256 of the exact subcommands' output, captured before the test-only API,

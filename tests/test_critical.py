@@ -98,8 +98,8 @@ def test_critical_brackets_are_pinned(builder):
 @pytest.mark.parametrize("digits", [6, 12, 150, 310, 580, 800])
 @pytest.mark.parametrize("builder", [page_class, two_point_class])
 def test_first_newton_window_certifies(monkeypatch, builder, digits):
-    # the fast path of deep refinement: a refused window falls back to one
-    # exact sign per bisection step, tens of times slower at these digits
+    # the fast path of deep refinement, taken once per root: a refused window
+    # falls back to one exact sign per bisection step, tens of times slower
     certified = []
     enclosure = exactpoly._newton_enclosure
 
@@ -110,7 +110,7 @@ def test_first_newton_window_certifies(monkeypatch, builder, digits):
 
     monkeypatch.setattr(exactpoly, "_newton_enclosure", recording)
     builder(digits)
-    assert certified and certified[0]
+    assert certified == [True]
 
 
 @pytest.mark.parametrize("builder", [page_class, two_point_class])

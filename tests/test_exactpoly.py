@@ -430,14 +430,43 @@ def factored_coefficients(draw):
     return exactpoly.univariate_coefficients(p)
 
 
+def _setup(cs):
+    """q and its chain as `_sturm_setup` builds them for dense coefficients cs."""
+    p = Polynomial(("x",), {(i,): c for i, c in enumerate(cs)})
+    _, _, q, chain = exactpoly._sturm_setup(p, (0, 1), "zero polynomial")
+    return q, chain
+
+
 @settings(max_examples=200, deadline=None)
 @given(cs=factored_coefficients())
 def test_integer_sturm_layer_matches_fraction_division(cs):
-    q = exactpoly._u_squarefree(cs)
-    chain = exactpoly.sturm_chain(q)
+    q, chain = _setup(cs)
     assert q == _fraction_squarefree(cs)
     assert chain == _fraction_sturm_chain(_fraction_squarefree(cs))
     assert all(type(c) is int for p in (q, *chain) for c in p)
+
+
+@pytest.mark.parametrize("quotient, divisions", [(one_point_energy, 3), (two_point_energy, 9)])
+def test_squarefree_input_runs_one_cascade(monkeypatch, quotient, divisions):
+    # a squarefree g of degree n takes the n - 1 divisions of its own chain
+    # and no second cascade
+    calls = []
+    divmod_ = exactpoly._u_divmod
+
+    def counting(num, den):
+        calls.append(num)
+        return divmod_(num, den)
+
+    monkeypatch.setattr(exactpoly, "_u_divmod", counting)
+    f = quotient()
+    var, = f.numerator.variables
+    g = exactpoly.univariate_coefficients(f.derivative_numerator(var))
+    q, chain = _setup(g)
+    assert len(calls) == divisions == len(g) - 2
+    assert q == exactpoly._u_primitive(g) and len(chain) == len(g)
+    # a repeated root: p over its chain's last member, with p's sign
+    p = -(X - 1) ** 3 * (X ** 2 + 1) / 2
+    assert _setup(exactpoly.univariate_coefficients(p))[0] == [1, -1, 1, -1]
 
 
 # -- refinement against plain bisection -----------------------------------------
@@ -504,8 +533,8 @@ def _plain_refine(q, lo, hi, digits):
 
 def _plain_isolate(p, interval, digits):
     lo, hi = (Fraction(v) for v in interval)
-    q = exactpoly._u_squarefree(exactpoly.univariate_coefficients(p))
-    chain = exactpoly.sturm_chain(q)
+    q = _fraction_squarefree(exactpoly.univariate_coefficients(p))
+    chain = _fraction_sturm_chain(q)
 
     def variations(x):
         signs = [s for s in (_horner_sign(cs, x) for cs in chain) if s]
@@ -576,48 +605,14 @@ def test_newton_enclosure_is_certified_or_the_bracket():
     assert (Fraction(L, D), Fraction(H, D)) == (lo, hi)
 
 
-def test_uncertified_enclosure_is_retried(monkeypatch):
-    # roots 10 -/+ 10^-5: the first enclosure of the lower root certifies no
-    # window; the retry from the midpoint of a bracket 2^20 times smaller does
-    calls = []
-    enclosure = exactpoly._newton_enclosure
-
-    def recording(q, lo, hi, *args):
-        L, H, el, eh, D = enclosure(q, lo, hi, *args)
-        calls.append((lo, hi, (el, eh) != (L, H)))
-        return L, H, el, eh, D
-
-    monkeypatch.setattr(exactpoly, "_newton_enclosure", recording)
-    p = (X - (10 - Fraction(1, 10 ** 5))) * (X - (10 + Fraction(1, 10 ** 5)))
+@pytest.mark.parametrize("center, gap", [(10, 5), (10, 25), (100, 37)])
+def test_close_root_pair_matches_plain_bisection(center, gap):
+    # roots center -/+ 10^-gap: for at least one root of each pair, Newton
+    # from the midpoint goes to the other root and certifies no window, so
+    # bisection evaluates every midpoint
+    p = (X - (center - Fraction(1, 10 ** gap))) * (X - (center + Fraction(1, 10 ** gap)))
     interval = (Fraction(-1, 3), 1000)
     assert isolate_real_roots(p, interval, 60) == _plain_isolate(p, interval, 60)
-    (lo0, hi0, certified0), (lo1, hi1, certified1) = calls[:2]
-    assert not certified0 and certified1
-    assert lo0 <= lo1 < hi1 <= hi0 and (hi1 - lo1) * 2 ** 20 <= hi0 - lo0
-
-
-def test_enclosure_is_retried_until_it_certifies(monkeypatch):
-    # roots 10 -/+ 10^-25: Newton from the midpoint goes to the other root
-    # until the bracket is far narrower than their distance; a retry every
-    # time the bracket is 2^20 times smaller reaches that before 60 digits
-    tries = []
-    refine, enclosure = exactpoly._refine_bracket, exactpoly._newton_enclosure
-
-    def refining(*args):
-        tries.append([])
-        return refine(*args)
-
-    def recording(*args):
-        L, H, el, eh, D = enclosure(*args)
-        tries[-1].append((el, eh) != (L, H))
-        return L, H, el, eh, D
-
-    monkeypatch.setattr(exactpoly, "_refine_bracket", refining)
-    monkeypatch.setattr(exactpoly, "_newton_enclosure", recording)
-    p = (X - (10 - Fraction(1, 10 ** 25))) * (X - (10 + Fraction(1, 10 ** 25)))
-    assert isolate_real_roots(p, (-128, 128), 60) == _plain_isolate(p, (-128, 128), 60)
-    assert len(tries) == 2
-    assert all(t[-1] and not any(t[:-1]) for t in tries)
 
 
 # -- decimal formatting --------------------------------------------------------
