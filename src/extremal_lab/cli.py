@@ -173,7 +173,7 @@ def _verify_records(digits: int) -> list[dict]:
             f"nonzero ({len(residual.terms)} terms)", worst, "0")
 
     try:
-        coeff = energy.solve_unknown_coefficient()
+        coeff = energy.solve_unknown_coefficient(residual)
         add("variance coefficient recovery", "276", str(coeff), abs(coeff - 276), "0")
     except ValueError:
         add("variance coefficient recovery", "276", "inconsistent system", None, "0")

@@ -134,36 +134,35 @@ def surface_energy(k: int, alpha, beta, delta) -> EnergyBreakdown:
     return _composition(*kahler_point(k, alpha, beta, delta))
 
 
-def _residual(num: Polynomial, den: Polynomial) -> Polynomial:
-    """(1/3)(c1.w)^2 den + 24 ((beta-alpha) delta (...))^2 - w^2 num."""
-    return _C1_DOT_OMEGA ** 2 * den / 3 + 24 * _FUTAKI_CORE ** 2 - _OMEGA_SQ * num
-
-
 def verify_identity() -> tuple[bool, Polynomial]:
     """Check (1/3)(c1.w)^2 D + 24 ((beta-alpha) delta (...))^2 = w^2 N exactly.
 
-    Returns (holds, residual); the residual is the zero polynomial iff the
-    identity holds.
+    Both sides are homogeneous of degree 8 in (alpha, beta, delta): the
+    sextics D and N times the quadrics (c1.w)^2 and w^2.  Returns
+    (holds, residual), where residual = left side - right side is the zero
+    polynomial iff the identity holds.
     """
-    residual = _residual(_NUMERATOR, _VARIANCE)
+    residual = (_C1_DOT_OMEGA ** 2 * _VARIANCE / 3 + 24 * _FUTAKI_CORE ** 2
+                - _OMEGA_SQ * _NUMERATOR)
     return (not residual, residual)
 
 
-def solve_unknown_coefficient() -> Fraction:
+def solve_unknown_coefficient(residual: Polynomial) -> Fraction:
     """Re-derive the beta^4*alpha*delta coefficient of D from the identity.
 
-    Treats that single coefficient as an unknown c, substitutes into the
-    identity of verify_identity, and solves the linear condition; the rest
-    of D is taken as displayed.  Raises ValueError when no value of c makes
-    the identity hold (an inconsistent system would mean some other
-    coefficient is wrong).
+    `residual` is the second member of verify_identity's result.  Treating
+    that single coefficient of D as an unknown c, the residual is linear in
+    c: it moves by (c - shown) * slope, with shown the displayed coefficient
+    and slope = (c1.w)^2 beta^4 alpha delta / 3.  The rest of D is taken as
+    displayed, so the returned c does not depend on the displayed value.
+    Raises ValueError when no value of c makes the identity hold (an
+    inconsistent system would mean some other coefficient is wrong).
     """
-    # residual(c) = base + c * slope must vanish identically
-    base = _residual(_NUMERATOR, _VARIANCE - 276 * _UNKNOWN_MONOMIAL)
+    shown = _VARIANCE.coefficient(alpha=1, beta=4, delta=1)
     slope = _C1_DOT_OMEGA ** 2 * _UNKNOWN_MONOMIAL / 3
     exps, coeff = next(iter(slope.terms.items()))
-    c = -base.coefficient(**dict(zip(slope.variables, exps))) / coeff
-    if base + c * slope:
+    c = shown - residual.coefficient(**dict(zip(slope.variables, exps))) / coeff
+    if residual + (c - shown) * slope:
         raise ValueError("inconsistent linear system: no coefficient value "
                          "satisfies the energy identity")
     return c

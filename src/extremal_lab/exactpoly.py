@@ -163,12 +163,8 @@ class Polynomial:
         if n < 0:
             raise ValueError("negative power of a polynomial")
         out = Polynomial.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
+        for _ in range(n):
+            out = out * self
         return out
 
     def __eq__(self, other):

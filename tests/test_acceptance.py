@@ -51,7 +51,7 @@ def test_criterion_1_energy_identity_is_exact(capsys):
 
 
 def test_criterion_2_variance_coefficient_recovery(capsys):
-    coeff = energy.solve_unknown_coefficient()
+    coeff = energy.solve_unknown_coefficient(energy.verify_identity()[1])
     passed = coeff == 276
     report(capsys, 2, passed, f"recovered variance coefficient {coeff} == 276")
     assert passed

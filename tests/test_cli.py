@@ -124,6 +124,34 @@ def test_verify_detects_injected_fault(capsys, monkeypatch):
     assert "\nvariance coefficient recovery,276,inconsistent system,,0,false\n" in out
 
 
+@pytest.mark.parametrize("typed", [267, 300])
+def test_verify_recovers_276_from_a_mistyped_variance_table(capsys, monkeypatch, typed):
+    bad = energy._VARIANCE + Polynomial(("alpha", "beta", "delta"), {(1, 4, 1): typed - 276})
+    monkeypatch.setattr(energy, "_VARIANCE", bad)
+    code, out, err = run(capsys, "verify", "--format", "json")
+    assert code == 1
+    by_name = {r["name"]: r for r in json.loads(out)}
+    assert by_name["energy identity residual"]["pass"] is False
+    recovery = by_name["variance coefficient recovery"]
+    assert recovery["pass"] is True
+    assert recovery["computed"] == "276"
+
+
+def test_verify_builds_the_identity_residual_once(capsys, monkeypatch):
+    # w^2 N is one of the residual's three terms, so each build multiplies by N once
+    products = []
+    mul = Polynomial.__mul__
+
+    def counting_mul(self, other):
+        products.append(other is energy._NUMERATOR)
+        return mul(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting_mul)
+    code, out, err = run(capsys, "verify")
+    assert code == 0
+    assert products.count(True) == 1
+
+
 def test_verify_out_writes_file(capsys, tmp_path):
     path = tmp_path / "records.txt"
     code, out, err = run(capsys, "verify", "--out", str(path))

@@ -91,14 +91,25 @@ def test_identity_detects_perturbed_numerator(monkeypatch):
 
 
 def test_coefficient_recovery():
-    assert solve_unknown_coefficient() == 276
+    assert solve_unknown_coefficient(verify_identity()[1]) == 276
 
 
 def test_coefficient_recovery_rejects_perturbed_numerator(monkeypatch):
     bad = energy_closed_form().numerator + Polynomial(SLICE_VARS, {(1, 4, 1): Fraction(1)})
     monkeypatch.setattr(energy, "_NUMERATOR", bad)
     with pytest.raises(ValueError, match="inconsistent"):
-        solve_unknown_coefficient()
+        solve_unknown_coefficient(verify_identity()[1])
+
+
+@pytest.mark.parametrize("typed", [267, 300])
+def test_coefficient_recovery_ignores_the_displayed_value(monkeypatch, typed):
+    # a mistyped beta^4 alpha delta entry of D breaks the identity, and the
+    # recovery still solves for the value the identity forces
+    bad = energy_closed_form().denominator + Polynomial(SLICE_VARS, {(1, 4, 1): typed - 276})
+    monkeypatch.setattr(energy, "_VARIANCE", bad)
+    ok, residual = verify_identity()
+    assert not ok
+    assert solve_unknown_coefficient(residual) == 276
 
 
 def test_recovered_coefficient_is_the_stored_one():

@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from extremal_lab import exactpoly
+from extremal_lab import energy, exactpoly
 from extremal_lab.exactpoly import (
     Polynomial,
     RationalFunction,
@@ -202,6 +202,30 @@ class TestRingAxioms:
     @settings(deadline=None)
     def test_distributive(self, p, q, r):
         assert p * (q + r) == p * q + p * r
+
+    @given(polynomials(), st.integers(0, 5))
+    @settings(deadline=None)
+    def test_power_is_repeated_product(self, p, n):
+        product = p if n else Polynomial.constant(1)
+        for _ in range(n - 1):
+            product = product * p
+        assert p ** n == product
+
+
+def test_power_builds_nothing_past_its_result(monkeypatch):
+    # the square of the degree-4 Futaki core is an octic; no product of a
+    # higher degree (the core's fourth power) may be formed on the way
+    degrees = []
+    mul = Polynomial.__mul__
+
+    def recording_mul(self, other):
+        out = mul(self, other)
+        degrees.append(max((sum(e) for e in out.terms), default=0))
+        return out
+
+    monkeypatch.setattr(Polynomial, "__mul__", recording_mul)
+    assert energy._FUTAKI_CORE ** 2 == mul(energy._FUTAKI_CORE, energy._FUTAKI_CORE)
+    assert max(degrees) == 8
 
 
 class TestCalculusProperties:

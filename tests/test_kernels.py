@@ -1,4 +1,4 @@
-"""The scan kernel against exact rational evaluation."""
+"""The slice scan and its kernel against exact rational evaluation."""
 
 import itertools
 import math
@@ -14,6 +14,12 @@ from extremal_lab.energy import energy_closed_form
 from extremal_lab.scan import _geometric_grid, _term_tables, scan_three_point
 
 from scan_blocks import _one_buffer_blocks, _whole_grids
+
+
+def closed_value(alpha, beta, delta) -> Fraction:
+    return energy_closed_form().eval(
+        {"alpha": Fraction(alpha), "beta": Fraction(beta), "delta": Fraction(delta)})
+
 
 #: float64 rounding bound set before measuring: 7x7 products of integer
 #: coefficients below 2^53 lose a few ulps, and the gradient a few more
@@ -272,3 +278,94 @@ def test_strict_minima_match_padded_mask():
         edge_minima += int((got & border).sum())
         corner_minima += int(got[::shape[0] - 1 or 1, ::shape[1] - 1 or 1].sum())
     assert edge_minima > 100 and corner_minima > 50
+
+
+# -- slice scan ---------------------------------------------------------------------
+
+def test_scan_finds_boundary_minimum():
+    report = scan_three_point(grid_counts=(32, 32))
+    m = report.global_min
+    assert (m.alpha, m.delta) == (1.0, 0.0)
+    assert m.value == 2.0
+    assert m.grad_norm == 0.0
+    assert m.boundary
+    assert report.minima == (m,)
+
+
+def test_scan_alpha_grid_is_anchored():
+    report = scan_three_point(grid_counts=(25, 8))
+    alphas = report.alphas.tolist()
+    assert alphas[0] == 0.05
+    assert alphas[-1] == 20.0
+    assert 1.0 in alphas
+    assert "anchored" in report.grid.alpha_spacing
+
+
+@pytest.mark.parametrize("lo, hi, n, anchored", [
+    (0.5, 1.01, 3, True),  # the node nearest 1 is the endpoint 1.01
+    (0.99, 5.0, 2, False),  # no interior node to snap
+    (0.99, 5.0, 3, True),
+])
+def test_scan_anchor_never_moves_an_endpoint(lo, hi, n, anchored):
+    report = scan_three_point(alpha_range=(lo, hi), grid_counts=(n, 4))
+    alphas = report.alphas.tolist()
+    assert (alphas[0], alphas[-1]) == (lo, hi)
+    assert alphas == sorted(set(alphas))
+    assert (1.0 in alphas) == anchored
+    assert report.grid.alpha_spacing == (
+        "geometric (anchored at 1)" if anchored else "geometric")
+
+
+def test_scan_minima_are_strictly_below_neighbors():
+    report = scan_three_point(grid_counts=(24, 24))
+    values, _ = _whole_grids(report.alphas, report.deltas)
+    for cell in report.minima:
+        for di in (-1, 0, 1):
+            for dj in (-1, 0, 1):
+                if di == dj == 0:
+                    continue
+                i, j = cell.i + di, cell.j + dj
+                if 0 <= i < values.shape[0] and 0 <= j < values.shape[1]:
+                    assert values[cell.i, cell.j] < values[i, j]
+
+
+def test_scan_is_deterministic():
+    a = scan_three_point(grid_counts=(16, 16))
+    b = scan_three_point(grid_counts=(16, 16))
+    grids_a, grids_b = (_whole_grids(r.alphas, r.deltas) for r in (a, b))
+    assert [g.tobytes() for g in grids_a] == [g.tobytes() for g in grids_b]
+    assert a.minima == b.minima
+    assert a.global_min == b.global_min
+
+
+def test_scan_cells_match_indexed_lookup():
+    # interleaved_rows is what the exporters read: per alpha row, the
+    # (value, grad_norm) pairs along delta as Python floats
+    report = scan_three_point(grid_counts=(6, 5))
+    values, grad_norms = _whole_grids(report.alphas, report.deltas)
+    expected = [tuple(x for j in range(5) for x in (float(values[i, j]), float(grad_norms[i, j])))
+                for i in range(6)]
+    rows = list(report.interleaved_rows())
+    assert rows == expected
+    assert all(type(x) is float for row in rows for x in row)
+
+
+def test_scan_grid_values_match_exact_evaluation():
+    report = scan_three_point(grid_counts=(7, 7))
+    i, j = 3, 5
+    a = Fraction(float(report.alphas[i]))
+    d = Fraction(float(report.deltas[j]))
+    exact = closed_value(a, 1, d)
+    values, _ = _whole_grids(report.alphas, report.deltas)
+    assert abs(values[i, j] - float(exact)) < 1e-9
+
+
+def test_scan_range_validation():
+    with pytest.raises(ValueError):
+        scan_three_point(alpha_range=(0, 20), grid_counts=(8, 8))
+    with pytest.raises(ValueError):
+        scan_three_point(delta_range=(5, 1), grid_counts=(8, 8))
+    with pytest.raises(ValueError):
+        scan_three_point(grid_counts=(1, 8))
+    with pytest.raises(ValueError, match="finite"):
+        scan_three_point(alpha_range=(0.05, float("inf")), grid_counts=(8, 8))
