@@ -10,10 +10,10 @@ the one code that evaluates cells, runs BLOCK_ROWS alpha rows at a time in
 five block-sized buffers.  No product has more than BLOCK_ROWS rows, and with
 OpenBLAS 0.3 on x86-64 such a product has the same bits on one thread or
 two; a cell's last bit can still depend on the BLAS build, the CPU and, with
-some kernels, the row its block starts at.  `scan_three_point` reduces the
-blocks as they come, and `ScanReport.interleaved_rows`, the one read of
-cells the csv and json exports make, evaluates its rows again in the same
-blocks; nothing holds a grid-sized array.
+some kernels, the row its block starts at.  `scan_three_point` reduces each
+block in the kernel's buffers and holds only its last row across the seam,
+and `ScanReport.interleaved_rows`, the one read of cells the csv and json
+exports make, evaluates its rows again in the same blocks.
 The scan reports the grid's minima and proves nothing: that the slice has
 no critical point with delta > 0 is certified exactly, by a resultant whose
 coefficients never change sign, in tests/test_critical.py
@@ -23,7 +23,6 @@ coefficients never change sign, in tests/test_critical.py
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import os
 from collections import namedtuple
@@ -173,21 +172,24 @@ def _term_tables() -> tuple[np.ndarray, ...]:
     return tuple(matrices)
 
 
+def _lower(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mask of the cells of rows `a` below the cells of rows `b` in their own
+    and both neighbouring columns; a column beyond the edge counts as +inf."""
+    lower = a < b
+    lower[..., 1:] &= a[..., 1:] < b[..., :-1]
+    lower[..., :-1] &= a[..., :-1] < b[..., 1:]
+    return lower
+
+
 def _strict_minima(values: np.ndarray) -> np.ndarray:
     """Mask of the cells below each of their 8 neighbours; a neighbour beyond
     the edge counts as +inf, which the starting mask `values < inf` covers.
-    Compares overlapping slices, so no padded copy of the grid is made."""
-
-    def shift(step: int, n: int) -> tuple[slice, slice]:
-        # slices (here, there) of range(n) with there = here + step
-        return slice(max(-step, 0), n - max(step, 0)), slice(max(step, 0), n + min(step, 0))
-
-    na, nd = values.shape
+    Rows are compared by `_lower`, as `_summarize` compares them at a seam."""
     strict = values < np.inf
-    for di, dj in itertools.product((-1, 0, 1), repeat=2):
-        if (di, dj) != (0, 0):
-            (rows, rows_there), (cols, cols_there) = shift(di, na), shift(dj, nd)
-            strict[rows, cols] &= values[rows, cols] < values[rows_there, cols_there]
+    strict[:, 1:] &= values[:, 1:] < values[:, :-1]
+    strict[:, :-1] &= values[:, :-1] < values[:, 1:]
+    strict[1:] &= _lower(values[1:], values[:-1])
+    strict[:-1] &= _lower(values[:-1], values[1:])
     return strict
 
 
@@ -195,32 +197,29 @@ def _summarize(blocks):
     """(minima, global_min, finite) of the grid that `blocks` yields as
     `_blocks` does.  A cell is (i, j, value, grad_norm): minima are those of
     `_strict_minima` on the whole value grid, in row-major order, and
-    global_min is the one np.argmin picks.  A block's minima need the next
-    block's first row, so each block is copied into `slab`, between the rows
-    above and below it, and reduced one block late."""
-    minima, global_min, finite = [], None, True
-    start = rows = 0  # the held block is alpha rows [start, start + rows)
-    for block in itertools.chain(blocks, [None]):
-        if rows:
-            # slab[0] is the row above the held block, unless it is the first
-            top, bottom = (0 if start else 1), 1 + rows + (block is not None)
-            if block is not None:
-                slab[1 + rows] = block[1][0]
-            mask = _strict_minima(slab[top:bottom])[1 - top:1 - top + rows]
-            minima.extend((start + i, j, float(slab[1 + i, j]), float(grads[i, j]))
-                          for i, j in np.argwhere(mask).tolist())
-            slab[0] = slab[rows]
-        if block is None:
-            return minima, global_min, finite
-        start, values, grad_norms = block
+    global_min is the one np.argmin picks.  Each block is reduced where it
+    lies; its last row waits for the next block's first row, so only that
+    row's values, gradient norms and minima mask are held across the seam."""
+    minima, global_min, finite, held = [], None, True, None
+
+    def emit(start, values, grad_norms, mask):  # rows [start, ...) of the grid
+        minima.extend((start + i, j, float(values[i, j]), float(grad_norms[i, j]))
+                      for i, j in np.argwhere(mask).tolist())
+
+    for start, values, grad_norms in blocks:
         finite = finite and bool(np.isfinite(values).all() and np.isfinite(grad_norms).all())
         i, j = divmod(int(np.argmin(values)), values.shape[1])
         if global_min is None or np.argmin((global_min[2], values[i, j])):
             global_min = (start + i, j, float(values[i, j]), float(grad_norms[i, j]))
-        if not rows:  # the first block is the largest
-            slab, grads = np.empty((len(values) + 2, values.shape[1])), np.empty_like(values)
-        rows = len(values)
-        slab[1:1 + rows], grads[:rows] = values, grad_norms
+        strict = _strict_minima(values)
+        if held:  # [row, values, grad_norms, mask] of the last row, each 1 x nd
+            strict[:1] &= _lower(values[:1], held[1])
+            held[3] &= _lower(held[1], values[:1])
+            emit(*held)
+        emit(start, values[:-1], grad_norms[:-1], strict[:-1])
+        held = [start + len(values) - 1, values[-1:].copy(), grad_norms[-1:].copy(), strict[-1:]]
+    emit(*held)
+    return minima, global_min, finite
 
 
 def scan_three_point(alpha_range=(0.05, 20.0), delta_range=(0.0, 10.0),

@@ -160,12 +160,20 @@ def _scan_peak(shape) -> int:
 
 
 def test_scan_peak_memory_is_under_three_quarters_of_a_grid_array():
-    # the scan holds no grid-sized array: the five block buffers and the held
-    # block, its gradient norms and its minima mask come to 0.51 of one.
-    # Keeping the value and gradient-norm grids peaked at 2.34, and the
-    # whole-grid kernel with a padded copy for the minima test at 5.02.
+    # the scan holds no grid-sized array: the five block buffers, one block's
+    # minima mask and the row held across a seam come to 0.39 of one.
+    # Copying each block to reduce it one block late peaked at 0.51, keeping
+    # the value and gradient-norm grids at 2.34, and the whole-grid kernel
+    # with a padded copy for the minima test at 5.02.
     n = 1000
     assert _scan_peak((n, n)) <= 0.75 * n * n * 8
+
+
+def test_scan_summary_holds_one_row_not_a_block_copy():
+    # 0.39 of a grid array; a copy of each block and its gradient norms
+    # for the summary took the peak to 0.51
+    n = 1000
+    assert _scan_peak((n, n)) <= 0.42 * n * n * 8
 
 
 def test_scan_peak_memory_does_not_grow_with_alpha_rows():
@@ -218,6 +226,12 @@ def test_summary_of_a_non_finite_window_matches_whole_grid_oracle():
     assert _same((g.i, g.j, g.value, g.grad_norm), want[1])
 
 
+#: rows a block in the hand-built grids: at 1 every row is a seam, and the
+#: held row is also its block's first row, so its mask is cut from above and
+#: from below
+HAND_BUILT_BLOCK_ROWS = (1, 2, 3, _kernels.BLOCK_ROWS)
+
+
 def test_summary_finds_minima_on_block_edges():
     # a plateau with strict minima on rows 63, 64 and 127, the last and first
     # rows of blocks, and two cells that are lower than every neighbour in
@@ -226,16 +240,17 @@ def test_summary_finds_minima_on_block_edges():
     values[63, 0] = values[64, 3] = values[64, 5] = values[127, 5] = -1.0
     values[63, 5] = values[64, 0] = 0.0
     grad_norms = np.arange(values.size, dtype=np.float64).reshape(values.shape)
-    got = _kernels._summarize(_one_buffer_blocks(values, grad_norms, _kernels.BLOCK_ROWS))
-    assert got == _oracle_summary(values, grad_norms)
-    assert [(i, j) for i, j, *_ in got[0]] == [(63, 0), (64, 3), (64, 5), (127, 5)]
-    assert got[1] == (63, 0, -1.0, 378.0)
+    for block_rows in HAND_BUILT_BLOCK_ROWS:
+        got = _kernels._summarize(_one_buffer_blocks(values, grad_norms, block_rows))
+        assert got == _oracle_summary(values, grad_norms)
+        assert [(i, j) for i, j, *_ in got[0]] == [(63, 0), (64, 3), (64, 5), (127, 5)]
+        assert got[1] == (63, 0, -1.0, 378.0)
 
 
 @pytest.mark.parametrize("na", [1, 2, 63, 64, 65, 128, 129, 200])
 def test_summary_of_hand_built_blocks_matches_whole_grid_oracle(na):
     rng = np.random.default_rng(na)
-    for trial in range(30):
+    for trial, block_rows in itertools.product(range(30), HAND_BUILT_BLOCK_ROWS):
         # four levels: ties, plateaus and minima on every row, edges included
         values = rng.integers(0, 4, size=(na, 5)).astype(np.float64)
         grad_norms = rng.uniform(0.0, 1.0, size=values.shape)
@@ -244,7 +259,7 @@ def test_summary_of_hand_built_blocks_matches_whole_grid_oracle(na):
             values.flat[rng.integers(0, values.size, size=3)] = [np.inf, -np.inf, np.nan]
         elif trial % 3 == 2:
             grad_norms.flat[rng.integers(0, values.size)] = np.inf
-        got = _kernels._summarize(_one_buffer_blocks(values, grad_norms, _kernels.BLOCK_ROWS))
+        got = _kernels._summarize(_one_buffer_blocks(values, grad_norms, block_rows))
         assert _same(got, _oracle_summary(values, grad_norms))
 
 
