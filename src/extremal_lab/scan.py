@@ -7,7 +7,7 @@ one product Pa[rows] @ C @ Pd^T of increasing Vandermonde matrices of the two
 axes.  The matrices of N and D are read from the closed form in `energy`, and
 those of their partials from `Polynomial.partial`.  The kernel `_blocks`,
 the one code that evaluates cells, runs BLOCK_ROWS alpha rows at a time in
-five block-sized buffers.  No product has more than BLOCK_ROWS rows, and with
+four block-sized buffers.  No product has more than BLOCK_ROWS rows, and with
 OpenBLAS 0.3 on x86-64 such a product has the same bits on one thread or
 two; a cell's last bit can still depend on the BLAS build, the CPU and, with
 some kernels, the row its block starts at.  `scan_three_point` reduces each
@@ -40,8 +40,8 @@ from . import energy
 
 #: powers alpha^0..alpha^6 and delta^0..delta^6 span the slice polynomials
 POWERS = 7
-#: alpha rows per kernel block: five block buffers at 1000 cells per delta
-#: take 2.5 MB, and every product has at most this many rows whatever the grid
+#: alpha rows per kernel block: four block buffers at 1000 cells per delta
+#: take 2.0 MB, and every product has at most this many rows whatever the grid
 BLOCK_ROWS = 64
 
 
@@ -86,40 +86,42 @@ def _blocks(alphas, deltas):
     `_term_tables`, and the quotient rule runs in place with the operands
     and order of values = n / d, ga = (n_a * d - n * d_a) / (d * d), gd
     likewise and grad_norms = sqrt(ga * ga + gd * gd), so every cell rounds
-    as with whole-block temporaries.  Overflowing cells come out inf or nan
-    without a warning.
+    as with whole-block temporaries.  d is evaluated again for the divisions
+    rather than held in a fifth buffer: the same BLAS call on the same
+    operands and shape gives the same bits.  Overflowing cells come out inf
+    or nan without a warning.
     """
     with np.errstate(over="ignore"):  # a power of a huge axis value is inf
         pa = np.vander(np.asarray(alphas, dtype=np.float64), POWERS, increasing=True)
         pd = np.vander(np.asarray(deltas, dtype=np.float64), POWERS, increasing=True)
     c_n, c_d, c_na, c_da, c_nd, c_dd = _term_tables()
-    workspace = np.empty((5, min(pa.shape[0], BLOCK_ROWS), pd.shape[0]))
+    workspace = np.empty((4, min(pa.shape[0], BLOCK_ROWS), pd.shape[0]))
     for start in range(0, pa.shape[0], BLOCK_ROWS):
         block = pa[start:start + BLOCK_ROWS]
-        # nd_prime holds n * d_a, then n * d_d
-        n, d, ga, gd, nd_prime = workspace[:, :block.shape[0]]
+        n, ga, gd, t = workspace[:, :block.shape[0]]  # t: d, n * d_a, n * d_d, d
 
         def grid(c, out):
             return np.matmul(block @ c, pd.T, out=out)
 
         # not held across the yield, where the caller's code runs
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            grid(c_n, n)
-            grid(c_d, d)
+            grid(c_d, t)
             grid(c_na, ga)
-            ga *= d
-            grid(c_da, nd_prime)
-            nd_prime *= n
-            ga -= nd_prime
+            ga *= t
             grid(c_nd, gd)
-            gd *= d
-            grid(c_dd, nd_prime)
-            nd_prime *= n
-            gd -= nd_prime
-            np.divide(n, d, out=n)
-            d *= d
-            ga /= d
-            gd /= d
+            gd *= t
+            grid(c_n, n)
+            grid(c_da, t)
+            t *= n
+            ga -= t
+            grid(c_dd, t)
+            t *= n
+            gd -= t
+            grid(c_d, t)
+            n /= t
+            t *= t
+            ga /= t
+            gd /= t
             ga *= ga
             gd *= gd
             ga += gd
@@ -251,10 +253,8 @@ def scan_three_point(alpha_range=(0.05, 20.0), delta_range=(0.0, 10.0),
                         value=value, grad_norm=grad_norm, boundary=bool(deltas[j] == 0.0))
 
     spacing = "geometric (anchored at 1)" if anchored else "geometric"
-    grid = GridSpec(alpha_min=amin, alpha_max=amax, alpha_count=na,
-                    alpha_spacing=spacing,
-                    delta_min=dmin, delta_max=dmax, delta_count=nd,
-                    delta_spacing="linear")
+    grid = GridSpec(alpha_min=amin, alpha_max=amax, alpha_count=na, alpha_spacing=spacing,
+                    delta_min=dmin, delta_max=dmax, delta_count=nd, delta_spacing="linear")
     return ScanReport(grid=grid, alphas=alphas, deltas=deltas,
                       minima=tuple(cell(*c) for c in minima), global_min=cell(*global_min),
                       finite=finite)

@@ -159,9 +159,29 @@ def _scan_peak(shape) -> int:
     return peak
 
 
+def test_kernel_holds_four_block_buffers():
+    # d is evaluated twice, so no fifth buffer holds it between the
+    # gradients' products and the divisions: the traced peak reads 4.23
+    # buffers, the small Vandermonde and 7-column tables included; holding d
+    # read 5.23
+    n = 1000
+    alphas, _ = _geometric_grid(0.05, 20.0, n)
+    deltas = np.linspace(0.0, 10.0, n)
+    _term_tables()
+    tracemalloc.start()
+    try:
+        for _ in _kernels._blocks(alphas, deltas):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * _kernels.BLOCK_ROWS * n * 8
+
+
 def test_scan_peak_memory_is_under_three_quarters_of_a_grid_array():
-    # the scan holds no grid-sized array: the five block buffers, one block's
-    # minima mask and the row held across a seam come to 0.39 of one.
+    # the scan holds no grid-sized array: the four block buffers, one block's
+    # minima mask and the row held across a seam come to 0.32 of one (0.39
+    # with a fifth kernel buffer that held d).
     # Copying each block to reduce it one block late peaked at 0.51, keeping
     # the value and gradient-norm grids at 2.34, and the whole-grid kernel
     # with a padded copy for the minima test at 5.02.
@@ -170,7 +190,7 @@ def test_scan_peak_memory_is_under_three_quarters_of_a_grid_array():
 
 
 def test_scan_summary_holds_one_row_not_a_block_copy():
-    # 0.39 of a grid array; a copy of each block and its gradient norms
+    # 0.32 of a grid array; a copy of each block and its gradient norms
     # for the summary took the peak to 0.51
     n = 1000
     assert _scan_peak((n, n)) <= 0.42 * n * n * 8
