@@ -37,8 +37,8 @@ MAX_DIGITS = 800
 #: int-to-str limit, in 9 ms (Python 3.11, x86-64 Linux)
 MAX_RATIONAL_DIGITS = 200
 #: cap on --grid cells per axis.  No format holds a grid-sized array, only
-#: 64-row blocks: at 1024 the table, csv and json each peaked at 34 MiB
-#: (Python 3.11, numpy 2.4, x86-64 Linux)
+#: 16-row blocks: at 1024 the table, csv and json peaked at 30.0-30.5 MiB
+#: (Python 3.11, numpy 2.4, OpenBLAS 0.3, x86-64 Linux)
 MAX_GRID = 1024
 
 PI_SQUARED = math.pi ** 2

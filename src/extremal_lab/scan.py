@@ -7,13 +7,13 @@ one product Pa[rows] @ C @ Pd^T of increasing Vandermonde matrices of the two
 axes.  The matrices of N and D are read from the closed form in `energy`, and
 those of their partials from `Polynomial.partial`.  The kernel `_blocks`,
 the one code that evaluates cells, runs BLOCK_ROWS alpha rows at a time in
-four block-sized buffers.  No product has more than BLOCK_ROWS rows, and with
-OpenBLAS 0.3 on x86-64 such a product has the same bits on one thread or
-two; a cell's last bit can still depend on the BLAS build, the CPU and, with
-some kernels, the row its block starts at.  `scan_three_point` reduces each
-block in the kernel's buffers and holds only its last row across the seam,
-and `ScanReport.interleaved_rows`, the one read of cells the csv and json
-exports make, evaluates its rows again in the same blocks.
+four block-sized buffers, the delta axis padded to whole groups of 8
+columns.  With OpenBLAS 0.3 on x86-64 a cell then has the same bits on one
+thread or two and in blocks of 8, 16, 32 or 64 rows; its last bit can still
+depend on the BLAS build and the CPU.  `scan_three_point` reduces each block
+in the kernel's buffers and holds only its last row across the seam, and
+`ScanReport.interleaved_rows`, the one read of cells the csv and json exports
+make, evaluates its rows again in the same blocks.
 The scan reports the grid's minima and proves nothing: that the slice has
 no critical point with delta > 0 is certified exactly, by a resultant whose
 coefficients never change sign, in tests/test_critical.py
@@ -41,8 +41,8 @@ from . import energy
 #: powers alpha^0..alpha^6 and delta^0..delta^6 span the slice polynomials
 POWERS = 7
 #: alpha rows per kernel block: four block buffers at 1000 cells per delta
-#: take 2.0 MB, and every product has at most this many rows whatever the grid
-BLOCK_ROWS = 64
+#: take 0.5 MB, and every product has at most this many rows whatever the grid
+BLOCK_ROWS = 16
 
 
 class GridSpec(namedtuple("GridSpec", "alpha_min alpha_max alpha_count alpha_spacing "
@@ -90,21 +90,26 @@ def _blocks(alphas, deltas):
     rather than held in a fifth buffer: the same BLAS call on the same
     operands and shape gives the same bits.  Overflowing cells come out inf
     or nan without a warning.
+
+    The delta axis is padded with zeros to whole groups of 8 columns, cut
+    off again at the yield: OpenBLAS's AVX-512 dgemm rounds the last nd % 8
+    columns of a product in a way that follows its row count, so unpadded,
+    a cell's bits would depend on BLOCK_ROWS and on the ragged last block.
     """
+    alphas, nd = np.asarray(alphas, dtype=np.float64), len(deltas)
     with np.errstate(over="ignore"):  # a power of a huge axis value is inf
-        pa = np.vander(np.asarray(alphas, dtype=np.float64), POWERS, increasing=True)
-        pd = np.vander(np.asarray(deltas, dtype=np.float64), POWERS, increasing=True)
+        pd = np.vander(np.concatenate([deltas, np.zeros(-nd % 8)]), POWERS, increasing=True)
     c_n, c_d, c_na, c_da, c_nd, c_dd = _term_tables()
-    workspace = np.empty((4, min(pa.shape[0], BLOCK_ROWS), pd.shape[0]))
-    for start in range(0, pa.shape[0], BLOCK_ROWS):
-        block = pa[start:start + BLOCK_ROWS]
-        n, ga, gd, t = workspace[:, :block.shape[0]]  # t: d, n * d_a, n * d_d, d
+    workspace = np.empty((4, min(alphas.size, BLOCK_ROWS), len(pd)))
 
-        def grid(c, out):
-            return np.matmul(block @ c, pd.T, out=out)
+    def grid(c, out):  # block: the alpha Vandermonde of the block's rows
+        return np.matmul(block @ c, pd.T, out=out)
 
+    for start in range(0, alphas.size, BLOCK_ROWS):
         # not held across the yield, where the caller's code runs
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            block = np.vander(alphas[start:start + BLOCK_ROWS], POWERS, increasing=True)
+            n, ga, gd, t = workspace[:, :len(block)]  # t: d, n * d_a, n * d_d, d
             grid(c_d, t)
             grid(c_na, ga)
             ga *= t
@@ -126,7 +131,7 @@ def _blocks(alphas, deltas):
             gd *= gd
             ga += gd
             np.sqrt(ga, out=ga)
-        yield start, n, ga
+        yield start, n[:, :nd], ga[:, :nd]
 
 
 def _geometric_grid(lo: float, hi: float, n: int):

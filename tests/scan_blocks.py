@@ -4,7 +4,8 @@
 The bit-for-bit oracles read cells through it, so no test needs a
 whole-grid member on `ScanReport`.  `_one_buffer_blocks` yields given grids
 the way the kernel yields its blocks, so a test can feed hand-built cells to
-the code that reads the blocks.
+the code that reads the blocks.  `_blas_is_openblas` gates the tests that
+name an OpenBLAS kernel or thread.
 """
 
 import numpy as np
@@ -31,3 +32,10 @@ def _one_buffer_blocks(values, grad_norms, rows):
         value_block[...], grad_block[...] = values[block], grad_norms[block]
         yield start, value_block, grad_block
         buffer[...] = np.nan
+
+
+def _blas_is_openblas() -> bool:
+    try:
+        return "openblas" in np.__config__.CONFIG["Build Dependencies"]["blas"]["name"]
+    except (AttributeError, KeyError, TypeError):
+        return False

@@ -27,7 +27,7 @@ from extremal_lab import cli, delpezzo, energy, scan
 from extremal_lab.exactpoly import Polynomial
 from extremal_lab.scan import GridSpec, ScanCell, ScanReport
 
-from scan_blocks import _one_buffer_blocks, _whole_grids
+from scan_blocks import _blas_is_openblas, _one_buffer_blocks, _whole_grids
 
 EXPECTED_RECORD_NAMES = [
     "energy identity residual",
@@ -1158,13 +1158,6 @@ def test_scan3_export_does_not_depend_on_blas_threads(tmp_path, grid):
         assert res.returncode == 0, res.stderr
         exports.add(path.read_bytes())
     assert len(exports) == 1
-
-
-def _blas_is_openblas() -> bool:
-    try:
-        return "openblas" in np.__config__.CONFIG["Build Dependencies"]["blas"]["name"]
-    except (AttributeError, KeyError, TypeError):
-        return False
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/task")

@@ -2,8 +2,13 @@
 
 import itertools
 import math
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +18,7 @@ from extremal_lab.critical import gradient
 from extremal_lab.energy import energy_closed_form
 from extremal_lab.scan import _geometric_grid, _term_tables, scan_three_point
 
-from scan_blocks import _one_buffer_blocks, _whole_grids
+from scan_blocks import _blas_is_openblas, _one_buffer_blocks, _whole_grids
 
 
 def closed_value(alpha, beta, delta) -> Fraction:
@@ -82,14 +87,20 @@ def _oracle_term_tables():
 
 
 def _oracle_scan_eval(alphas, deltas, matrices):
+    # delta is padded with zeros to whole groups of 8 columns, as the kernel
+    # pads it: unpadded, OpenBLAS's AVX-512 kernel rounds the last nd % 8
+    # columns by the product's row count, the bits the padding removes.  The
+    # comparison is the in-place order against whole-array temporaries.
+    nd = len(deltas)
+    padded = np.concatenate([deltas, np.zeros(-nd % 8)])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         pa = np.vander(np.asarray(alphas, dtype=np.float64), _kernels.POWERS, increasing=True)
-        pd = np.vander(np.asarray(deltas, dtype=np.float64), _kernels.POWERS, increasing=True)
+        pd = np.vander(padded, _kernels.POWERS, increasing=True)
         n, d, n_a, d_a, n_d, d_d = (pa @ c @ pd.T for c in matrices)
         values = n / d
         ga = (n_a * d - n * d_a) / (d * d)
         gd = (n_d * d - n * d_d) / (d * d)
-        return values, np.sqrt(ga * ga + gd * gd)
+        return values[:, :nd], np.sqrt(ga * ga + gd * gd)[:, :nd]
 
 
 #: (alpha_min, alpha_max, delta_max): the default window, the seeded window
@@ -133,6 +144,67 @@ def test_scan_eval_blocks_match_whole_array_oracle(shape, window):
         assert grad_norms[rows].tobytes() == want_norms.tobytes()
 
 
+@pytest.mark.parametrize("window, shape", [(WINDOWS[0], (420, 420)), (WINDOWS[1], (270, 270)),
+                                           (WINDOWS[0], (1003, 300)), (WINDOWS[0], (130, 1003))],
+                         ids=["420", "270-seeded", "1003x300", "130x1003"])
+def test_block_rows_do_not_change_any_bit(monkeypatch, window, shape):
+    # delta is padded to whole groups of 8 columns, so no cell's bits follow
+    # its block's row count; unpadded, the AVX-512 kernel moved the last
+    # nd % 8 columns of each of these grids between 8, 16, 32 and 64 rows
+    amin, amax, dmax = window
+    alphas, _ = _geometric_grid(amin, amax, shape[0])
+    deltas = np.linspace(0.0, dmax, shape[1])
+    grids = set()
+    for block_rows in (8, 16, 32, 64):
+        monkeypatch.setattr(_kernels, "BLOCK_ROWS", block_rows)
+        grids.add(b"".join(g.tobytes() for g in _whole_grids(alphas, deltas)))
+    assert len(grids) == 1
+
+
+def _cpu_flags() -> set:
+    try:
+        with open("/proc/cpuinfo") as f:
+            return {flag for line in f if line.startswith("flags")
+                    for flag in line.split(":", 1)[1].split()}
+    except OSError:
+        return set()
+
+
+#: sha256 of the whole grids at 270 and 420 cells in the seeded window and at
+#: 1004 in the default one, one line each
+GRID_HASHES = """
+import hashlib
+import numpy as np
+from extremal_lab import scan
+for (amin, amax, dmax), n in [(WINDOW, 270), (WINDOW, 420), ((0.05, 20.0, 10.0), 1004)]:
+    alphas, _ = scan._geometric_grid(amin, amax, n)
+    digest = hashlib.sha256()
+    for _, values, grad_norms in scan._blocks(alphas, np.linspace(0.0, dmax, n)):
+        digest.update(values.tobytes() + grad_norms.tobytes())
+    print(digest.hexdigest())
+""".replace("WINDOW", repr(WINDOWS[1]))
+
+
+@pytest.mark.skipif(not (sys.platform.startswith("linux")
+                         and platform.machine() in ("x86_64", "AMD64")
+                         and {"avx2", "fma"} <= _cpu_flags() and _blas_is_openblas()),
+                    reason="needs OpenBLAS on an x86-64 Linux CPU with AVX2 and FMA")
+def test_default_blas_kernel_gives_haswell_bits():
+    # OpenBLAS's AVX-512 kernel rounded the last nd % 8 delta columns apart
+    # from its Haswell kernel; with delta padded to whole groups of 8, these
+    # grids have Haswell's bits under either.  That is no claim of CPU
+    # independence: the 65x65 grid in the seeded window still differs
+    # between the two, and the Nehalem kernel rounds other cells differently.
+    path = os.pathsep.join(filter(None, (str(Path(_kernels.__file__).resolve().parents[1]),
+                                         os.environ.get("PYTHONPATH"))))
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    runs = [subprocess.run([sys.executable, "-c", GRID_HASHES], capture_output=True, text=True,
+                           env=dict(base, PYTHONPATH=path, **coretype), check=True).stdout
+            for coretype in ({}, {"OPENBLAS_CORETYPE": "Haswell"})]
+    assert len(runs[0].split()) == 3
+    assert runs[0] == runs[1]
+
+
 @pytest.mark.parametrize("n", [130, 270])
 def test_interleaved_rows_match_whole_grids(n):
     # the exports' rows are evaluated again from row 0 in the scan's blocks,
@@ -161,9 +233,11 @@ def _scan_peak(shape) -> int:
 
 def test_kernel_holds_four_block_buffers():
     # d is evaluated twice, so no fifth buffer holds it between the
-    # gradients' products and the divisions: the traced peak reads 4.23
-    # buffers, the small Vandermonde and 7-column tables included; holding d
-    # read 5.23
+    # gradients' products and the divisions.  With 16-row blocks the padded
+    # delta Vandermonde is 0.44 of a buffer, and the traced peak reads 4.48
+    # buffers, the block's alpha Vandermonde and 7-column tables included.
+    # 64-row blocks read 4.23 and pass too; holding d in a fifth buffer read
+    # 5.23 and fails.
     n = 1000
     alphas, _ = _geometric_grid(0.05, 20.0, n)
     deltas = np.linspace(0.0, 10.0, n)
@@ -175,13 +249,15 @@ def test_kernel_holds_four_block_buffers():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 4.5 * _kernels.BLOCK_ROWS * n * 8
+    buffer = _kernels.BLOCK_ROWS * n * 8
+    assert peak <= 4 * buffer + n * _kernels.POWERS * 8 + 0.25 * buffer
 
 
 def test_scan_peak_memory_is_under_three_quarters_of_a_grid_array():
     # the scan holds no grid-sized array: the four block buffers, one block's
-    # minima mask and the row held across a seam come to 0.32 of one (0.39
-    # with a fifth kernel buffer that held d).
+    # minima mask and the row held across a seam come to 0.10 of one in
+    # 16-row blocks (0.32 in 64-row blocks, 0.39 with a fifth kernel buffer
+    # that held d).
     # Copying each block to reduce it one block late peaked at 0.51, keeping
     # the value and gradient-norm grids at 2.34, and the whole-grid kernel
     # with a padded copy for the minima test at 5.02.
@@ -190,13 +266,23 @@ def test_scan_peak_memory_is_under_three_quarters_of_a_grid_array():
 
 
 def test_scan_summary_holds_one_row_not_a_block_copy():
-    # 0.32 of a grid array; a copy of each block and its gradient norms
-    # for the summary took the peak to 0.51
+    # 0.10 of a grid array (0.32 in 64-row blocks); a copy of each 64-row
+    # block and its gradient norms for the summary took the peak to 0.51
     n = 1000
     assert _scan_peak((n, n)) <= 0.42 * n * n * 8
 
 
+def test_scan_in_sixteen_row_blocks_holds_under_a_sixth_of_a_grid_array():
+    # 0.10 of a grid array: four 16-row buffers and the padded delta
+    # Vandermonde; 64-row blocks read 0.32
+    n = 1000
+    assert _scan_peak((n, n)) <= 0.15 * n * n * 8
+
+
 def test_scan_peak_memory_does_not_grow_with_alpha_rows():
+    # each block builds its own alpha Vandermonde, so only the axis itself
+    # grows: 4000 rows read 1.03 times 1000 rows (1.07 with the whole axis's
+    # Vandermonde held)
     assert _scan_peak((4000, 1000)) <= 1.1 * _scan_peak((1000, 1000))
 
 
