@@ -7,10 +7,11 @@ the two symmetric exceptional areas equal (gamma = beta), giving the class
     A = 32 pi^2 (c1.w)^2 / w^2 + F(Xi,[w])^2 * 144 pi^2 w^2 / D(alpha,beta,delta)
 
 where D is the variance sextic of the torus moment function (D represents
-144 pi^2 w^2 Var(t)) and F is the restricted Futaki character.  Both routes
-to A/96pi^2 - this composition and the closed-form quotient N/D of two
-homogeneous sextics - agree identically; `verify_identity` checks the cross-
-multiplied polynomial identity binding them.
+144 pi^2 w^2 Var(t)) and F is the restricted Futaki character.  D and the
+numerator N of the closed form A/96pi^2 = N/D are the only tables.  c1.w,
+w^2 and the Futaki quartic w^2 F / 4 come from one function of the class:
+at Fractions for an energy, and at polynomials, built on first use, for
+`verify_identity`, the cross-multiplied identity binding the two routes.
 
 pi^2 is kept symbolic: every energy is an exact rational multiple of pi^2,
 and the normalized value A/96pi^2 is a plain rational.  Formulas are only
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import cache
 
 from . import delpezzo
 from .delpezzo import NotKahlerError
@@ -52,18 +54,6 @@ _NUMERATOR = Polynomial(_VARS, {
     (3, 1, 2): 24, (1, 1, 4): 136, (3, 0, 3): 4, (2, 0, 4): 14,
     (1, 0, 5): 16, (0, 0, 6): 3,
 })
-
-_ALPHA = Polynomial.variable("alpha")
-_BETA = Polynomial.variable("beta")
-_DELTA = Polynomial.variable("delta")
-
-# the slice class (alpha + 2 beta + delta; alpha, beta, beta) over the slice
-_OMEGA = delpezzo.slice_class(3, _ALPHA, _BETA, _DELTA)
-_C1_DOT_OMEGA = delpezzo.intersect(delpezzo.make_surface(3).c1, _OMEGA)
-_OMEGA_SQ = delpezzo.intersect(_OMEGA, _OMEGA)
-# w^2 F(Xi,[w]) = 4 (beta - alpha) delta (delta^2/3 + beta delta + beta^2)
-_FUTAKI_CORE = (_BETA - _ALPHA) * _DELTA * (_DELTA ** 2 / 3 + _BETA * _DELTA + _BETA ** 2)
-_UNKNOWN_MONOMIAL = Polynomial(_VARS, {(1, 4, 1): 1})
 
 
 class EnergyBreakdown(namedtuple("EnergyBreakdown",
@@ -104,46 +94,52 @@ def kahler_point(k: int, alpha, beta, delta) -> tuple[Fraction, Fraction, Fracti
     return alpha, beta, delta
 
 
-def _composition(alpha: Fraction, beta: Fraction, delta: Fraction) -> EnergyBreakdown:
-    point = {"alpha": alpha, "beta": beta, "delta": delta}
-    c1w = _C1_DOT_OMEGA.eval(point)
-    w2 = _OMEGA_SQ.eval(point)
-    d_val = _VARIANCE.eval(point)
+def _slice_terms(alpha, beta, delta):
+    """(c1.w, w^2, G) of the slice class, G = w^2 F / 4 the Futaki quartic; the
+    same arithmetic serves Fractions and Polynomials."""
+    omega = delpezzo.slice_class(3, alpha, beta, delta)
+    return (delpezzo.intersect(delpezzo.make_surface(3).c1, omega),
+            delpezzo.intersect(omega, omega),
+            (beta - alpha) * delta * (delta ** 2 / 3 + beta * delta + beta ** 2))
+
+
+@cache
+def _slice_polynomials() -> tuple[Polynomial, Polynomial, Polynomial]:
+    """_slice_terms over the slice variables, built on first use."""
+    return _slice_terms(*map(Polynomial.variable, _VARS))
+
+
+def surface_energy(k: int, alpha, beta, delta) -> EnergyBreakdown:
+    """A at slice_class(k, alpha, beta, delta) on the k-point blow-up, lacking
+    areas set to 0 by kahler_point: average_term = 32 (c1.w)^2 / w^2 and
+    futaki_term = 144 (4 G)^2 / (w^2 D), exact multiples of pi^2."""
+    alpha, beta, delta = kahler_point(k, alpha, beta, delta)
+    c1w, w2, g = _slice_terms(alpha, beta, delta)
+    d_val = _VARIANCE.eval({"alpha": alpha, "beta": beta, "delta": delta})
     assert w2 > 0 and d_val > 0  # positive on the Kahler slice cone
-    g = 4 * _FUTAKI_CORE.eval(point)
     average = 32 * c1w ** 2 / w2
-    futaki = 144 * g ** 2 / (w2 * d_val)
+    futaki = 144 * (4 * g) ** 2 / (w2 * d_val)
     total = average + futaki
     return EnergyBreakdown(average_term=average, futaki_term=futaki,
                            total=total, normalized=total / 96)
 
 
 def energy_composed(alpha, beta, delta) -> EnergyBreakdown:
-    """A at the slice class, via the average / Futaki decomposition.
-
-    average_term = 32 (c1.w)^2 / w^2 and futaki_term = 144 G^2 / (w^2 D)
-    with G = w^2 F(Xi,[w]); both as exact multiples of pi^2.  Zero areas
-    blow down, as in delpezzo.slice_surface.
-    """
-    return _composition(*kahler_point(delpezzo.slice_surface(alpha, beta), alpha, beta, delta))
-
-
-def surface_energy(k: int, alpha, beta, delta) -> EnergyBreakdown:
-    """energy_composed at slice_class(k, alpha, beta, delta), a class of the
-    k-point blow-up, whose lacking areas kahler_point sets to 0."""
-    return _composition(*kahler_point(k, alpha, beta, delta))
+    """surface_energy on the surface the slice point lives on: zero areas
+    blow down, as in delpezzo.slice_surface."""
+    return surface_energy(delpezzo.slice_surface(alpha, beta), alpha, beta, delta)
 
 
 def verify_identity() -> tuple[bool, Polynomial]:
-    """Check (1/3)(c1.w)^2 D + 24 ((beta-alpha) delta (...))^2 = w^2 N exactly.
+    """Check (1/3)(c1.w)^2 D + 24 G^2 = w^2 N exactly, G the Futaki quartic.
 
     Both sides are homogeneous of degree 8 in (alpha, beta, delta): the
     sextics D and N times the quadrics (c1.w)^2 and w^2.  Returns
     (holds, residual), where residual = left side - right side is the zero
     polynomial iff the identity holds.
     """
-    residual = (_C1_DOT_OMEGA ** 2 * _VARIANCE / 3 + 24 * _FUTAKI_CORE ** 2
-                - _OMEGA_SQ * _NUMERATOR)
+    c1w, w2, g = _slice_polynomials()
+    residual = c1w ** 2 * _VARIANCE / 3 + 24 * g ** 2 - w2 * _NUMERATOR
     return (not residual, residual)
 
 
@@ -159,7 +155,7 @@ def solve_unknown_coefficient(residual: Polynomial) -> Fraction:
     inconsistent system would mean some other coefficient is wrong).
     """
     shown = _VARIANCE.coefficient(alpha=1, beta=4, delta=1)
-    slope = _C1_DOT_OMEGA ** 2 * _UNKNOWN_MONOMIAL / 3
+    slope = _slice_polynomials()[0] ** 2 * Polynomial(_VARS, {(1, 4, 1): 1}) / 3
     exps, coeff = next(iter(slope.terms.items()))
     c = shown - residual.coefficient(**dict(zip(slope.variables, exps))) / coeff
     if residual + (c - shown) * slope:

@@ -6,10 +6,10 @@ layer provides Sturm chains over primitive integer coefficients (built by
 integer pseudo-division; a chain's last member is gcd(p, p')), certified
 root counting on half-open intervals, and bisection brackets whose endpoints
 remain exact rationals.  Signs are taken by integer Horner evaluation.
-Refinement proposes one float Newton bracket, then runs Newton once on
-scaled integers to a root enclosure that two exact signs certify; bisection
-reads the sign of every midpoint outside that enclosure from its side, so
-no float result and no unchecked Newton estimate ever decides a bracket.
+Refinement takes one float Newton proposal as its bracket once two exact
+signs accept it, so that float sets where bisection starts; Newton then runs
+once on scaled integers to an enclosure two exact signs certify, and every
+sign bisection reads is evaluated exactly or taken from that enclosure.
 """
 
 from __future__ import annotations
@@ -589,9 +589,9 @@ def _refine_bracket(q, lo: Fraction, hi: Fraction, digits: int) -> RootBracket:
     window around the root.  Bisection goes on to the end: a midpoint left of
     the window takes the sign at low, one right of it the sign at high, and
     every other midpoint (all of them if no window was certified) is
-    evaluated exactly.  So every sign is exact, and the bracket is the one
-    plain bisection returns.  Endpoints are integer numerators over one
-    denominator.
+    evaluated exactly.  So every sign is exact, and bisection starts from the
+    float proposal's bracket once exact signs accept it: the result is not
+    plain bisection's.  Endpoints are integer numerators over one denominator.
     """
     s_hi = _u_sign(q, hi)
     if s_hi == 0:

@@ -382,7 +382,8 @@ def test_critical_two_point_json(capsys):
 
 
 def test_critical_deep_json_is_pinned(capsys):
-    # sha256 of the output as plain bisection refined it; any change to
+    # sha256 of the output as bisection refined it from the float Newton
+    # proposal's bracket, once exact signs accepted it; any change to
     # refinement that moves the 310-digit bracket changes these bytes
     code, out, err = run(capsys, "critical", "--k", "2", "--digits", "310",
                          "--format", "json")

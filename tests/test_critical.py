@@ -75,7 +75,8 @@ def test_critical_bracket_is_sign_certified(builder):
     assert g.eval({var: b.low}) < 0 < g.eval({var: b.high})
 
 
-# 20-digit brackets as plain bisection refined them; a refinement change that
+# 20-digit brackets as bisection refined them from the float Newton
+# proposal's bracket, once exact signs accepted it; a refinement change that
 # moves either bracket fails here
 PINNED_BRACKETS = {
     page_class: ("346058061380119509884569918729/158456325028528675187087900672",

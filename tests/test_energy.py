@@ -1,6 +1,10 @@
 """Calabi energy on the slice: sextics, identity, and specializations."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -114,6 +118,32 @@ def test_coefficient_recovery_ignores_the_displayed_value(monkeypatch, typed):
 
 def test_recovered_coefficient_is_the_stored_one():
     assert energy_closed_form().denominator.coefficient(alpha=1, beta=4, delta=1) == 276
+
+
+# a fresh interpreter counts the Polynomial products that importing the CLI
+# forms, and then those of one verify_identity, so the counter is seen working
+COUNT_PRODUCTS = """
+from extremal_lab.exactpoly import Polynomial
+mul, products = Polynomial.__mul__, []
+def counting_mul(self, other):
+    products.append(1)
+    return mul(self, other)
+Polynomial.__mul__ = counting_mul
+import extremal_lab.cli
+print(len(products))
+extremal_lab.energy.verify_identity()
+print(len(products) > 0)
+"""
+
+
+def test_cli_import_forms_no_polynomial_product():
+    # c1.w, w^2 and the Futaki quartic become polynomials only when the
+    # identity first asks for them; the energies evaluate them at Fractions
+    path = os.pathsep.join(filter(None, (str(Path(energy.__file__).resolve().parents[1]),
+                                         os.environ.get("PYTHONPATH"))))
+    res = subprocess.run([sys.executable, "-c", COUNT_PRODUCTS], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert (res.returncode, res.stdout) == (0, "0\nTrue\n"), res.stderr
 
 
 # -- Futaki restriction -----------------------------------------------------------
@@ -302,9 +332,10 @@ def test_slice_minimum_is_certified():
     n, d = se.numerator, se.denominator
     a = ALPHA + 2 * BETA + DELTA  # the class (a; alpha, beta, beta)
     w2, c1w = a ** 2 - ALPHA ** 2 - 2 * BETA ** 2, 3 * a - ALPHA - 2 * BETA
-    assert (w2, c1w) == (energy._OMEGA_SQ, energy._C1_DOT_OMEGA)
+    slice_c1w, slice_w2, futaki_core = energy._slice_polynomials()
+    assert (w2, c1w) == (slice_w2, slice_c1w)
     hodge = 4 * (ALPHA - BETA) ** 2 + 3 * DELTA ** 2
-    assert 3 * w2 * (n - 2 * d) == hodge * d + 72 * energy._FUTAKI_CORE ** 2
+    assert 3 * w2 * (n - 2 * d) == hodge * d + 72 * futaki_core ** 2
     assert c1w ** 2 - 6 * w2 == hodge
     assert len(d.terms) == 18 and all(c > 0 for c in d.terms.values())
 
