@@ -484,7 +484,3 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

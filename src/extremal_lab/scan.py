@@ -11,7 +11,9 @@ four block-sized buffers, the delta axis padded to whole groups of 8
 columns.  With OpenBLAS 0.3 on x86-64 a cell then has the same bits on one
 thread or two and in blocks of 8, 16, 32 or 64 rows; its last bit can still
 depend on the BLAS build and the CPU.  `scan_three_point` reduces each block
-in the kernel's buffers and holds only its last row across the seam, and
+in the kernel's buffers from candidates, the cells below their left neighbour
+whose right neighbour is not below them, about one a row, and holds only the
+last row and its surviving candidates across the seam.
 `ScanReport.interleaved_rows`, the one read of cells the csv and json exports
 make, evaluates its rows again in the same blocks.
 The scan reports the grid's minima and proves nothing: that the slice has
@@ -179,53 +181,68 @@ def _term_tables() -> tuple[np.ndarray, ...]:
     return tuple(matrices)
 
 
-def _lower(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Mask of the cells of rows `a` below the cells of rows `b` in their own
-    and both neighbouring columns; a column beyond the edge counts as +inf."""
-    lower = a < b
-    lower[..., 1:] &= a[..., 1:] < b[..., :-1]
-    lower[..., :-1] &= a[..., :-1] < b[..., 1:]
-    return lower
-
-
-def _strict_minima(values: np.ndarray) -> np.ndarray:
-    """Mask of the cells below each of their 8 neighbours; a neighbour beyond
-    the edge counts as +inf, which the starting mask `values < inf` covers.
-    Rows are compared by `_lower`, as `_summarize` compares them at a seam."""
-    strict = values < np.inf
-    strict[:, 1:] &= values[:, 1:] < values[:, :-1]
-    strict[:, :-1] &= values[:, :-1] < values[:, 1:]
-    strict[1:] &= _lower(values[1:], values[:-1])
-    strict[:-1] &= _lower(values[:-1], values[1:])
-    return strict
+def _below(v, row, j) -> bool:
+    """Whether v lies below the cells of `row` in columns j - 1, j and j + 1; a
+    column beyond the edge counts as +inf."""
+    return all(v < x for x in row[max(j - 1, 0):j + 2].tolist())
 
 
 def _summarize(blocks):
     """(minima, global_min, finite) of the grid that `blocks` yields as
-    `_blocks` does.  A cell is (i, j, value, grad_norm): minima are those of
-    `_strict_minima` on the whole value grid, in row-major order, and
-    global_min is the one np.argmin picks.  Each block is reduced where it
-    lies; its last row waits for the next block's first row, so only that
-    row's values, gradient norms and minima mask are held across the seam."""
-    minima, global_min, finite, held = [], None, True, None
+    `_blocks` does.  A cell is (i, j, value, grad_norm): minima are the cells
+    below each of their 8 neighbours on the whole value grid, a neighbour
+    beyond the edge counting as +inf, in row-major order, and global_min is
+    the one np.argmin on the whole value grid picks.
 
-    def emit(start, values, grad_norms, mask):  # rows [start, ...) of the grid
-        minima.extend((start + i, j, float(values[i, j]), float(grad_norms[i, j]))
-                      for i, j in np.argwhere(mask).tolist())
+    Each block is reduced where it lies, from candidates: the cells below
+    their left neighbour whose right neighbour is not below them, about one
+    a row on a smooth grid.  Only at a candidate are its right neighbour and
+    the rows above and below read, one Python float at a time, which is
+    cheaper than a numpy call on so few cells.  A block's last row waits for
+    the next block's first row, so only a copy of that row and its surviving
+    candidates are held across the seam.  finite comes from reductions: the
+    argmin cell is NaN or -inf when any value is, the maximum is NaN or +inf
+    when any value is, and a gradient norm, a square root, is never below
+    zero."""
+    minima, global_min, finite = [], None, True
+    above, held = None, []  # the last block's last row and its surviving candidates
 
     for start, values, grad_norms in blocks:
-        finite = finite and bool(np.isfinite(values).all() and np.isfinite(grad_norms).all())
-        i, j = divmod(int(np.argmin(values)), values.shape[1])
-        if global_min is None or np.argmin((global_min[2], values[i, j])):
-            global_min = (start + i, j, float(values[i, j]), float(grad_norms[i, j]))
-        strict = _strict_minima(values)
-        if held:  # [row, values, grad_norms, mask] of the last row, each 1 x nd
-            strict[:1] &= _lower(values[:1], held[1])
-            held[3] &= _lower(held[1], values[:1])
-            emit(*held)
-        emit(start, values[:-1], grad_norms[:-1], strict[:-1])
-        held = [start + len(values) - 1, values[-1:].copy(), grad_norms[-1:].copy(), strict[-1:]]
-    emit(*held)
+        rows, nd = values.shape
+        # np.argmin's cell from the row minima: np.argmin copies a strided block
+        i = int(np.argmin(values.min(axis=1)))
+        j = int(np.argmin(values[i]))
+        low = values[i, j]
+        if global_min is None or np.argmin((global_min[2], low)):
+            global_min = (start + i, j, float(low), float(grad_norms[i, j]))
+        finite = finite and all(map(math.isfinite, (low, values.max(), grad_norms.max())))
+
+        minima.extend(cell for cell in held if _below(cell[2], values[0], cell[1]))
+        held = []
+        # left[i, j]: cell (i, j) lies below its left neighbour; the columns
+        # beyond the edges, -1 and nd, count as +inf
+        left = np.empty((rows, nd + 1), dtype=bool)
+        left[:, 0], left[:, nd] = True, False
+        np.less(values[:, 1:], values[:, :-1], out=left[:, 1:nd])
+        # candidates: left[i, j] and not left[i, j + 1], taken on the flat
+        # mask, where column nd, False, pairs with the next row's column 0
+        # and is never a candidate itself
+        flat = left.ravel()
+        for k in np.flatnonzero(flat[:-1] & ~flat[1:]).tolist():
+            i, j = divmod(k, nd + 1)
+            v = values.item(i, j)
+            if not (v < math.inf and (j == nd - 1 or v < values.item(i, j + 1))):
+                continue
+            up = values[i - 1] if i else above
+            if up is not None and not _below(v, up, j):
+                continue
+            cell = (start + i, j, v, grad_norms.item(i, j))
+            if i + 1 == rows:
+                held.append(cell)
+            elif _below(v, values[i + 1], j):
+                minima.append(cell)
+        above = values[-1].copy()
+    minima.extend(held)
     return minima, global_min, finite
 
 

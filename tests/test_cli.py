@@ -2,7 +2,9 @@
 
 import collections
 import contextlib
+import gc
 import hashlib
+import importlib
 import io
 import itertools
 import json
@@ -1030,16 +1032,21 @@ def test_version_flag(capsys):
 
 #: the directory holding the extremal_lab package under test
 PACKAGE_ROOT = str(Path(cli.__file__).resolve().parents[1])
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 RUN_MAIN = "import sys; from extremal_lab.cli import main; sys.exit(main(sys.argv[1:]))"
 BLOCK_NUMPY = "import sys; sys.modules['numpy'] = None; "
 
 
-def _python(code, *argv, environ=os.environ, stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE, **kwargs):
+def _interpreter(*args, environ=os.environ, stdout=subprocess.PIPE,
+                 stderr=subprocess.PIPE, **kwargs):
+    """A fresh interpreter run on `args`, the package under test first on its path."""
     path = os.pathsep.join(filter(None, (PACKAGE_ROOT, os.environ.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, "-c", code, *argv], stdout=stdout,
-                          stderr=stderr, text=True,
-                          env=dict(environ, PYTHONPATH=path), **kwargs)
+    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=stderr,
+                          text=True, env=dict(environ, PYTHONPATH=path), **kwargs)
+
+
+def _python(code, *argv, **kwargs):
+    return _interpreter("-c", code, *argv, **kwargs)
 
 
 def test_exact_path_never_imports_numpy():
@@ -1086,6 +1093,59 @@ def test_exact_path_loads_no_heavy_modules():
     # scan adds nothing heavy to what numpy itself loads
     added = _loaded_modules("import extremal_lab.scan") - _loaded_modules("import numpy")
     assert "extremal_lab.scan" in added and not added & HEAVY_MODULES
+
+
+# -- the process entry -------------------------------------------------------------
+#
+# `python -m extremal_lab` and the `extremal-lab` command run `cli.main` and
+# then freeze the collector, so the collections at exit skip what the imports
+# made.  RUN_MAIN calls `cli.main` without the freeze.
+
+ENTRY_COMMANDS = [("verify",), ("critical", "--k", "2"),
+                  ("energy", "--k", "3", "--alpha", "1", "--beta", "2"),
+                  ("scan3", "--grid", "37", "--format", "csv", "--out", "scan3.csv")]
+
+
+@pytest.mark.parametrize("argv", ENTRY_COMMANDS)
+def test_module_entry_matches_main(tmp_path, argv):
+    runs = {}
+    for name, args in {"main": ("-c", RUN_MAIN), "module": ("-m", "extremal_lab")}.items():
+        cwd = tmp_path / name
+        cwd.mkdir()
+        res = _interpreter(*args, *argv, cwd=cwd)
+        assert res.returncode == 0, res.stderr
+        runs[name] = (res.returncode, res.stdout, res.stderr,
+                      {p.name: p.read_bytes() for p in cwd.iterdir()})
+    assert runs["module"] == runs["main"]
+    assert len(runs["main"][3]) == ("--out" in argv)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("args", [("-c", RUN_MAIN), ("-m", "extremal_lab")])
+def test_full_stdout_exits_two_with_one_error_line(args):
+    with open("/dev/full", "w") as full:
+        res = _interpreter(*args, "verify", stdout=full)
+    assert (res.returncode, res.stderr) == (2, "error: [Errno 28] No space left on device\n")
+
+
+def test_entry_freezes_after_main_and_main_does_not(capsys):
+    frozen = gc.get_freeze_count()
+    assert cli.main(["energy", "--k", "3", "--alpha", "1", "--beta", "2"]) == 0
+    assert gc.get_freeze_count() == frozen
+    capsys.readouterr()
+    count = ("import gc, sys; from extremal_lab.__main__ import run; "
+             "code = run(); print(gc.get_freeze_count() > 0, file=sys.stderr); sys.exit(code)")
+    res = _python(count, "verify")
+    assert (res.returncode, res.stderr) == (0, "True\n")
+
+
+def test_installed_command_is_the_process_entry():
+    from extremal_lab.__main__ import run
+
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)^$", PYPROJECT.read_text(), re.M | re.S)
+    entry = re.fullmatch(r'extremal-lab = "([\w.]+):(\w+)"', scripts.group(1).strip())
+    module, name = entry.groups()
+    assert getattr(importlib.import_module(module), name) is run
 
 
 # -- scan3 in a fresh process -----------------------------------------------------

@@ -288,13 +288,34 @@ def test_scan_peak_memory_does_not_grow_with_alpha_rows():
 
 # -- the streamed summary against the whole-grid oracle ------------------------
 
+def _lower(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mask of the cells of rows `a` below the cells of rows `b` in their own
+    and both neighbouring columns; a column beyond the edge counts as +inf."""
+    lower = a < b
+    lower[..., 1:] &= a[..., 1:] < b[..., :-1]
+    lower[..., :-1] &= a[..., :-1] < b[..., 1:]
+    return lower
+
+
+def _strict_minima(values: np.ndarray) -> np.ndarray:
+    """Mask of the cells below each of their 8 neighbours on the whole grid; a
+    neighbour beyond the edge counts as +inf, which the starting mask
+    `values < inf` covers."""
+    strict = values < np.inf
+    strict[:, 1:] &= values[:, 1:] < values[:, :-1]
+    strict[:, :-1] &= values[:, :-1] < values[:, 1:]
+    strict[1:] &= _lower(values[1:], values[:-1])
+    strict[:-1] &= _lower(values[:-1], values[1:])
+    return strict
+
+
 def _oracle_summary(values, grad_norms):
     """(minima, global_min, finite) as `_summarize` gives them, taken on the
     whole grids."""
     def cell(i, j):
         return (i, j, float(values[i, j]), float(grad_norms[i, j]))
 
-    minima = [cell(i, j) for i, j in np.argwhere(_kernels._strict_minima(values)).tolist()]
+    minima = [cell(i, j) for i, j in np.argwhere(_strict_minima(values)).tolist()]
     i, j = np.unravel_index(np.argmin(values), values.shape)
     finite = bool(np.isfinite(values).all() and np.isfinite(grad_norms).all())
     return minima, cell(int(i), int(j)), finite
@@ -391,7 +412,7 @@ def test_strict_minima_match_padded_mask():
         values = rng.integers(0, 4, size=shape).astype(np.float64)
         specials = rng.integers(0, values.size, size=2)
         values.flat[specials] = rng.choice([np.inf, -np.inf, np.nan], size=2)
-        got = _kernels._strict_minima(values)
+        got = _strict_minima(values)
         assert got.dtype == bool and got.shape == shape
         assert np.array_equal(got, _padded_strict_minima(values))
         border = np.ones(shape, dtype=bool)
