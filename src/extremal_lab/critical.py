@@ -12,13 +12,11 @@ three-point slice energy is here as well; the float scan is in `scan`.
 
 from __future__ import annotations
 
-import functools
 from collections import namedtuple
 from fractions import Fraction
 
 from . import delpezzo, energy
 from .exactpoly import (
-    Polynomial,
     RationalFunction,
     _u_primitive,
     _u_sign,
@@ -102,17 +100,14 @@ def two_point_class(digits: int = 12) -> CriticalClassReport:
 
 # -- exact gradient on the slice ---------------------------------------------
 
-@functools.cache
-def _slice_derivative_numerator(var: str) -> Polynomial:
-    return energy.energy_closed_form().derivative_numerator(var)
-
-
 def gradient(alpha, beta, delta) -> tuple[Fraction, Fraction]:
-    """Exact (d/d alpha, d/d delta) of the normalized energy at fixed beta."""
+    """Exact (d/d alpha, d/d delta) of the normalized energy N / D at fixed
+    beta, by the quotient rule (N_v D - N D_v) / D^2 at the point."""
     alpha, beta, delta = energy.kahler_point(delpezzo.slice_surface(alpha, beta),
                                              alpha, beta, delta)
     point = {"alpha": alpha, "beta": beta, "delta": delta}
     f = energy.energy_closed_form()
-    d_squared = f.denominator.eval(point) ** 2
-    return (_slice_derivative_numerator("alpha").eval(point) / d_squared,
-            _slice_derivative_numerator("delta").eval(point) / d_squared)
+    n, d = f.numerator, f.denominator
+    n_at, d_at = n.eval(point), d.eval(point)
+    return tuple((n.partial(v).eval(point) * d_at - n_at * d.partial(v).eval(point)) / d_at ** 2
+                 for v in ("alpha", "delta"))

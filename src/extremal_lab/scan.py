@@ -1,19 +1,21 @@
 """Float grid scan of the three-point slice, beta gauged to 1; the only
 module that imports numpy.
 
-A slice polynomial p(alpha, delta) has degree at most 6 in each variable, so
-it is a 7x7 coefficient matrix C, and its values on a block of alpha rows are
+A polynomial p(alpha, delta) is a coefficient matrix C, entry [i, k] the
+coefficient of alpha^i delta^k, and its values on a block of alpha rows are
 one product Pa[rows] @ C @ Pd^T of increasing Vandermonde matrices of the two
-axes.  The matrices of N and D are read from the closed form in `energy`, and
-those of their partials from `Polynomial.partial`.  The kernel `_blocks`,
-the one code that evaluates cells, runs BLOCK_ROWS alpha rows at a time in
-four block-sized buffers, the delta axis padded to whole groups of 8
-columns.  With OpenBLAS 0.3 on x86-64 a cell then has the same bits on one
-thread or two and in blocks of 8, 16, 32 or 64 rows; its last bit can still
-depend on the BLAS build and the CPU.  `scan_three_point` reduces each block
-in the kernel's buffers from candidates, the cells below their left neighbour
-whose right neighbour is not below them, about one a row, and holds only the
-last row and its surviving candidates across the seam.
+axes.  Four are evaluated: N and D of the closed form N / D in `energy`, and
+the numerators g_v = N_v D - N D_v of the exact gradient g_v / D^2, formed
+from N and D in integers, so no difference of nearly equal float products
+enters the gradient norm.  The kernel `_blocks`, the one code that evaluates
+cells, runs BLOCK_ROWS alpha rows at a time in four block-sized buffers, both
+axes padded to whole groups of 8.  With OpenBLAS 0.3 on x86-64 a cell then
+has the same bits on one thread or two and in blocks of 8, 16, 32 or 64 rows;
+its last bit can still depend on the BLAS build and the CPU.
+`scan_three_point` reduces each block in the kernel's buffers from
+candidates, the cells below their left neighbour whose right neighbour is not
+below them, about one a row, and holds only the last row and its surviving
+candidates across the seam.
 `ScanReport.interleaved_rows`, the one read of cells the csv and json exports
 make, evaluates its rows again in the same blocks.
 The scan reports the grid's minima and proves nothing: that the slice has
@@ -27,7 +29,7 @@ from __future__ import annotations
 import functools
 import math
 import os
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 # OpenBLAS starts a worker thread per core on load unless this variable, which
 # a caller may still set, says otherwise.  The kernel's products are small and
@@ -40,7 +42,8 @@ import numpy as np
 
 from . import energy
 
-#: powers alpha^0..alpha^6 and delta^0..delta^6 span the slice polynomials
+#: powers alpha^0..alpha^6 span every kernel table's rows, and delta^0..delta^6
+#: the columns of N and D
 POWERS = 7
 #: alpha rows per kernel block: four block buffers at 1000 cells per delta
 #: take 0.5 MB, and every product has at most this many rows whatever the grid
@@ -84,56 +87,41 @@ def _blocks(alphas, deltas):
     """Yield (start, values, grad_norms) for the grid's alpha rows [start,
     start + BLOCK_ROWS), in row order, as views the next block overwrites.
 
-    Every polynomial is one product Pa[rows] @ C @ Pd^T, C from
-    `_term_tables`, and the quotient rule runs in place with the operands
-    and order of values = n / d, ga = (n_a * d - n * d_a) / (d * d), gd
-    likewise and grad_norms = sqrt(ga * ga + gd * gd), so every cell rounds
-    as with whole-block temporaries.  d is evaluated again for the divisions
-    rather than held in a fifth buffer: the same BLAS call on the same
-    operands and shape gives the same bits.  Overflowing cells come out inf
-    or nan without a warning.
-
-    The delta axis is padded with zeros to whole groups of 8 columns, cut
-    off again at the yield: OpenBLAS's AVX-512 dgemm rounds the last nd % 8
-    columns of a product in a way that follows its row count, so unpadded,
-    a cell's bits would depend on BLOCK_ROWS and on the ragged last block.
+    Each table C of `_term_tables` (n, d, g_alpha, g_delta) is one product
+    Pa[rows] @ C @ Pd^T, over as many powers of each axis as C has rows and
+    columns, into its own block buffer.  Then values = n / d and grad_norms
+    = sqrt((g_alpha / d^2)^2 + (g_delta / d^2)^2) run in place; overflowing
+    cells come out inf or nan without a warning.  Both axes are padded with
+    zeros to whole groups of 8, cut off at the yield: OpenBLAS's dgemm
+    kernels round the last nd % 8 columns of a product by its row count,
+    and its odd, trailing or lone rows apart from the others, so unpadded,
+    a cell's bits would follow BLOCK_ROWS and the ragged last block.
     """
-    alphas, nd = np.asarray(alphas, dtype=np.float64), len(deltas)
+    def padded(axis):
+        return np.concatenate([axis, np.zeros(-len(axis) % 8)])
+
+    tables, na, nd = _term_tables(), len(alphas), len(deltas)
     with np.errstate(over="ignore"):  # a power of a huge axis value is inf
-        pd = np.vander(np.concatenate([deltas, np.zeros(-nd % 8)]), POWERS, increasing=True)
-    c_n, c_d, c_na, c_da, c_nd, c_dd = _term_tables()
-    workspace = np.empty((4, min(alphas.size, BLOCK_ROWS), len(pd)))
+        pd = np.vander(padded(deltas), max(c.shape[1] for c in tables), increasing=True)
+    workspace = np.empty((4, min(na + -na % 8, BLOCK_ROWS), len(pd)))
 
-    def grid(c, out):  # block: the alpha Vandermonde of the block's rows
-        return np.matmul(block @ c, pd.T, out=out)
-
-    for start in range(0, alphas.size, BLOCK_ROWS):
+    for start in range(0, na, BLOCK_ROWS):
+        rows = alphas[start:start + BLOCK_ROWS]
         # not held across the yield, where the caller's code runs
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            block = np.vander(alphas[start:start + BLOCK_ROWS], POWERS, increasing=True)
-            n, ga, gd, t = workspace[:, :len(block)]  # t: d, n * d_a, n * d_d, d
-            grid(c_d, t)
-            grid(c_na, ga)
-            ga *= t
-            grid(c_nd, gd)
-            gd *= t
-            grid(c_n, n)
-            grid(c_da, t)
-            t *= n
-            ga -= t
-            grid(c_dd, t)
-            t *= n
-            gd -= t
-            grid(c_d, t)
-            n /= t
-            t *= t
-            ga /= t
-            gd /= t
+            block = np.vander(padded(rows), POWERS, increasing=True)
+            n, d, ga, gd = grids = workspace[:, :len(block)]
+            for c, out in zip(tables, grids):
+                np.matmul(block[:, :len(c)] @ c, pd[:, :c.shape[1]].T, out=out)
+            n /= d
+            d *= d
+            ga /= d
+            gd /= d
             ga *= ga
             gd *= gd
             ga += gd
             np.sqrt(ga, out=ga)
-        yield start, n[:, :nd], ga[:, :nd]
+        yield start, n[:len(rows), :nd], ga[:len(rows), :nd]
 
 
 def _geometric_grid(lo: float, hi: float, n: int):
@@ -150,35 +138,50 @@ def _geometric_grid(lo: float, hi: float, n: int):
     return grid, anchored
 
 
-def _beta_one(p) -> np.ndarray:
-    """Integer coefficient matrix of p(alpha, 1, delta): entry [i, k] sums the
-    coefficients of alpha^i beta^j delta^k over j."""
+def _beta_one(p) -> Counter:
+    """p(alpha, 1, delta) as {(i, k): integer coefficient of alpha^i delta^k}."""
     assert p.variables == ("alpha", "beta", "delta")
-    c = np.zeros((POWERS, POWERS), dtype=object)
+    terms = Counter()
     for (i, _, k), coef in p.terms.items():
         assert coef.denominator == 1
-        c[i, k] += coef.numerator
+        terms[i, k] += coef.numerator
+    return terms
+
+
+def _gradient_numerator(n: Counter, d: Counter, axis: int) -> Counter:
+    """n_v d - n d_v, v the variable of exponent `axis` (0: alpha, 1: delta):
+    a x^e times b x^f contributes a b (e_v - f_v) x^(e + f - 1_v)."""
+    g, unit = Counter(), (1 - axis, axis)
+    for e, a in n.items():
+        for f, b in d.items():
+            if e[axis] != f[axis]:
+                g[e[0] + f[0] - unit[0], e[1] + f[1] - unit[1]] += a * b * (e[axis] - f[axis])
+    return g
+
+
+def _matrix(terms: Counter, shape=None) -> np.ndarray:
+    """Read-only float64 matrix of {(i, k): integer}, as small as its nonzero
+    terms allow unless `shape` is given; float64 holds each exactly."""
+    terms = {e: c for e, c in terms.items() if c}
+    c = np.zeros(shape or [1 + max(e) for e in zip(*terms)])
+    for e, coef in terms.items():
+        assert abs(coef) < 2 ** 53
+        c[e] = coef
+    c.flags.writeable = False
     return c
 
 
 @functools.cache
 def _term_tables() -> tuple[np.ndarray, ...]:
-    """Read-only coefficient matrices of the beta = 1 slice polynomials (n, d
-    and their alpha and delta partials, taken by `Polynomial.partial`); entry
-    [i, j] multiplies alpha^i delta^j.  n and d come from the closed form
-    N / D.  Every coefficient is an integer below 2^53, so float64 holds it
-    exactly."""
+    """Read-only coefficient matrices of the beta = 1 slice polynomials n, d,
+    g_alpha and g_delta, g_v = n_v d - n d_v the numerator of the exact
+    gradient's v component, over d^2; entry [i, k] multiplies alpha^i
+    delta^k.  n and d are the closed form's N and D, POWERS x POWERS; each g
+    is formed from them in integers, trimmed to its terms (5x12 and 6x11)."""
     closed = energy.energy_closed_form()
-    n, d = closed.numerator, closed.denominator
-    partials = [p.partial(var) for var in ("alpha", "delta") for p in (n, d)]
-    matrices = []
-    for p in (n, d, *partials):
-        c = _beta_one(p)
-        assert all(abs(v) < 2 ** 53 for v in c.flat)
-        c = c.astype(np.float64)
-        c.flags.writeable = False
-        matrices.append(c)
-    return tuple(matrices)
+    n, d = _beta_one(closed.numerator), _beta_one(closed.denominator)
+    return (_matrix(n, (POWERS, POWERS)), _matrix(d, (POWERS, POWERS)),
+            *(_matrix(_gradient_numerator(n, d, axis)) for axis in (0, 1)))
 
 
 def _below(v, row, j) -> bool:

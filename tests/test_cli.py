@@ -598,6 +598,22 @@ def test_scan3_refuses_non_finite_windows(capsys, tmp_path, argv, flag):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("alpha_max, code", [("1e30", 0), ("1e55", 2)])
+def test_scan3_overflow_edge_in_alpha(capsys, alpha_max, code):
+    # each kernel table holds only the powers of alpha it has terms for, at
+    # most alpha^6, which overflows near 1e51: a window reaching 1e30 scans,
+    # where square 12x12 gradient tables reached alpha^11, overflowed near
+    # 1e28 and made NaN of 0 * inf; a window reaching 1e55 is refused
+    got, out, err = run(capsys, "scan3", "--grid", "50", "--alpha-max", alpha_max)
+    assert got == code
+    if code:
+        assert out == ""
+        assert err == ("error: the scan overflows float64 on this window; "
+                       "lower --alpha-max or --delta-max\n")
+    else:
+        assert err == "" and "nan" not in out
+
+
 def test_scan3_grid_cap_refused_before_scanning(capsys, monkeypatch):
     def no_scan(*args, **kwargs):
         raise AssertionError("scan ran for an over-cap grid")
@@ -792,12 +808,14 @@ def test_streamed_exports_match_string_oracle(monkeypatch, tmp_path, shape, digi
     assert payload["interior_zeros"] == [] and len(payload["minima"]) == 3
 
 
-# sha256 of the exports as the string-building exporters wrote them
+# sha256 of the exports: the csv pins are the string-building exporters'
+# bytes; the json pins, which write each grad_norm with repr, were taken
+# when the gradient came to be evaluated from exact numerator tables
 SCAN3_EXPORT_SHA256 = {
     ("csv", ()): "fbbaee4afbf88c4246a2aa03046f5f0eae1cfb3fee1124866cf4a6824163cff3",
-    ("json", ()): "83efbb55894121eb948e8bebd686fe8ced3074c5f0d9921761f812ed662fb96f",
+    ("json", ()): "64f19db8de62d4bd84f445724780d7316eb42c4038ff91450e6463106efa91b8",
     ("csv", "seeded"): "1ca5038c10d98759ba41f75b1164c44231c2d60f7452d1a4d0485f9f7cf27176",
-    ("json", "seeded"): "c41fae63eae05b1f96655975b3910773e7038087cfd08da67cb493c5b5287a50",
+    ("json", "seeded"): "f35d34314193381bfd298899c3ed3f3e63a3b5997fa187d7a4d31a5b87547c04",
 }
 #: a window drawn like the benchmark's seeded scan windows
 SEEDED_WINDOW = ("--alpha-min", "0.3303", "--alpha-max", "16.13", "--delta-max", "8.362")

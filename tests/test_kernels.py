@@ -32,10 +32,11 @@ RELATIVE_TOLERANCE = 1e-12
 
 
 def test_term_tables_are_exact_integer_coefficients():
+    # n and d, then the gradient numerators trimmed to their terms
     matrices = _term_tables()
-    assert len(matrices) == 6
+    shapes = [(_kernels.POWERS, _kernels.POWERS)] * 2 + [(5, 12), (6, 11)]
+    assert [c.shape for c in matrices] == shapes
     for c in matrices:
-        assert c.shape == (_kernels.POWERS, _kernels.POWERS)
         assert c.dtype == np.float64
         assert not c.flags.writeable
         assert np.all(c == np.round(c))
@@ -67,40 +68,46 @@ def test_scan_cells_match_exact_evaluation():
 
 # -- lean kernel against whole-array oracle ------------------------------------
 #
-# The oracles are the earlier table builder, which substitutes beta = 1 into
-# N, D and their partials, and the earlier kernel, which builds every
-# product and quotient as a whole-array temporary.  The kernel must match
-# them bit for bit.
+# The oracles are a table builder that substitutes beta = 1 into N, D and
+# the derivative numerators of `RationalFunction`, and a kernel that builds
+# every product and quotient as a whole-array temporary.  The kernel must
+# match them bit for bit.
 
 def _oracle_term_tables():
     closed = energy_closed_form()
-    n, d = closed.numerator, closed.denominator
-    partials = [p.partial(var) for var in ("alpha", "delta") for p in (n, d)]
+    polynomials = (closed.numerator, closed.denominator,
+                   *(closed.derivative_numerator(v) for v in ("alpha", "delta")))
     matrices = []
-    for p in (n, d, *partials):
+    for p in polynomials:
+        # n and d are POWERS x POWERS; each gradient numerator as small as
+        # its terms allow
         q = p.substitute({"beta": 1})
-        c = np.zeros((_kernels.POWERS, _kernels.POWERS))
-        for (i, j), coef in q.terms.items():
-            c[i, j] = coef.numerator
+        assert q.variables == ("alpha", "delta")
+        support = tuple(1 + max(e[axis] for e in q.terms) for axis in (0, 1))
+        c = np.zeros((_kernels.POWERS,) * 2 if len(matrices) < 2 else support)
+        for (i, k), coef in q.terms.items():
+            assert coef.denominator == 1
+            c[i, k] = coef.numerator
         matrices.append(c)
     return matrices
 
 
 def _oracle_scan_eval(alphas, deltas, matrices):
-    # delta is padded with zeros to whole groups of 8 columns, as the kernel
-    # pads it: unpadded, OpenBLAS's AVX-512 kernel rounds the last nd % 8
-    # columns by the product's row count, the bits the padding removes.  The
-    # comparison is the in-place order against whole-array temporaries.
-    nd = len(deltas)
-    padded = np.concatenate([deltas, np.zeros(-nd % 8)])
+    # both axes are padded with zeros to whole groups of 8, as the kernel
+    # pads them: unpadded, OpenBLAS's kernels round the last nd % 8 columns
+    # by the product's row count, and the odd or trailing rows of a product
+    # with inner dimension 12 apart from the others.  The comparison is the
+    # in-place order against whole-array temporaries.
+    na, nd = len(alphas), len(deltas)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        pa = np.vander(np.asarray(alphas, dtype=np.float64), _kernels.POWERS, increasing=True)
-        pd = np.vander(padded, _kernels.POWERS, increasing=True)
-        n, d, n_a, d_a, n_d, d_d = (pa @ c @ pd.T for c in matrices)
+        pa = np.vander(np.concatenate([alphas, np.zeros(-na % 8)]), _kernels.POWERS,
+                       increasing=True)
+        pd = np.vander(np.concatenate([deltas, np.zeros(-nd % 8)]), 12, increasing=True)
+        n, d, g_a, g_d = (pa[:, :c.shape[0]] @ c @ pd[:, :c.shape[1]].T for c in matrices)
         values = n / d
-        ga = (n_a * d - n * d_a) / (d * d)
-        gd = (n_d * d - n * d_d) / (d * d)
-        return values[:, :nd], np.sqrt(ga * ga + gd * gd)[:, :nd]
+        ga = g_a / (d * d)
+        gd = g_d / (d * d)
+        return values[:na, :nd], np.sqrt(ga * ga + gd * gd)[:na, :nd]
 
 
 #: (alpha_min, alpha_max, delta_max): the default window, the seeded window
@@ -110,6 +117,7 @@ WINDOWS = [(0.05, 20.0, 10.0), (0.3303, 16.13, 8.362), (1e-3, 1e3, 100.0)]
 
 def test_term_tables_match_substituted_gradient():
     for c, oracle in zip(_term_tables(), _oracle_term_tables(), strict=True):
+        assert c.shape == oracle.shape
         assert np.array_equal(c, oracle)
 
 
@@ -170,13 +178,15 @@ def _cpu_flags() -> set:
         return set()
 
 
-#: sha256 of the whole grids at 270 and 420 cells in the seeded window and at
-#: 1004 in the default one, one line each
+#: sha256 of the whole grids at 37, 65, 270 and 420 cells in the seeded window
+#: and at 1004 in the default one, one line each; the last blocks of the
+#: first two have 5 rows and 1
 GRID_HASHES = """
 import hashlib
 import numpy as np
 from extremal_lab import scan
-for (amin, amax, dmax), n in [(WINDOW, 270), (WINDOW, 420), ((0.05, 20.0, 10.0), 1004)]:
+for (amin, amax, dmax), n in [(WINDOW, 37), (WINDOW, 65), (WINDOW, 270), (WINDOW, 420),
+                              ((0.05, 20.0, 10.0), 1004)]:
     alphas, _ = scan._geometric_grid(amin, amax, n)
     digest = hashlib.sha256()
     for _, values, grad_norms in scan._blocks(alphas, np.linspace(0.0, dmax, n)):
@@ -191,18 +201,37 @@ for (amin, amax, dmax), n in [(WINDOW, 270), (WINDOW, 420), ((0.05, 20.0, 10.0),
                     reason="needs OpenBLAS on an x86-64 Linux CPU with AVX2 and FMA")
 def test_default_blas_kernel_gives_haswell_bits():
     # OpenBLAS's AVX-512 kernel rounded the last nd % 8 delta columns apart
-    # from its Haswell kernel; with delta padded to whole groups of 8, these
-    # grids have Haswell's bits under either.  That is no claim of CPU
-    # independence: the 65x65 grid in the seeded window still differs
-    # between the two, and the Nehalem kernel rounds other cells differently.
+    # from its Haswell kernel, and a lone row of a product apart too; with
+    # both axes padded to whole groups of 8, these grids have Haswell's bits
+    # under either, ragged last blocks included.  That is no claim of CPU
+    # independence: the Nehalem kernel rounds other cells differently.
     path = os.pathsep.join(filter(None, (str(Path(_kernels.__file__).resolve().parents[1]),
                                          os.environ.get("PYTHONPATH"))))
     base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
     runs = [subprocess.run([sys.executable, "-c", GRID_HASHES], capture_output=True, text=True,
                            env=dict(base, PYTHONPATH=path, **coretype), check=True).stdout
             for coretype in ({}, {"OPENBLAS_CORETYPE": "Haswell"})]
-    assert len(runs[0].split()) == 3
+    assert len(runs[0].split()) == 5
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("window, n", [(WINDOWS[0], 1004), (WINDOWS[1], 270)],
+                         ids=["1004", "270-seeded"])
+def test_grad_norm_near_the_minimum_matches_exact_gradient(window, n):
+    # the gradient is a quotient of exact integer numerator tables, so no
+    # float difference of two nearly equal products enters it where the
+    # gradient vanishes: the 20 cells of the five alpha rows around 1 and
+    # the first four delta columns read at most 1.7e-14 relative, where the
+    # float quotient rule (n_a d - n d_a) / d^2 read 4.2e-13 and 1.4e-13
+    amin, amax, dmax = window
+    alphas, _ = _geometric_grid(amin, amax, n)
+    deltas = np.linspace(0.0, dmax, n)
+    _, grad_norms = _whole_grids(alphas, deltas)
+    i = alphas.tolist().index(1.0)
+    for a, d in itertools.product(range(i - 2, i + 3), range(4)):
+        ga, gd = gradient(Fraction(float(alphas[a])), 1, Fraction(float(deltas[d])))
+        want = math.sqrt(ga * ga + gd * gd)
+        assert abs(grad_norms[a, d] - want) <= 1e-13 * want
 
 
 @pytest.mark.parametrize("n", [130, 270])
@@ -232,16 +261,16 @@ def _scan_peak(shape) -> int:
 
 
 def test_kernel_holds_four_block_buffers():
-    # d is evaluated twice, so no fifth buffer holds it between the
-    # gradients' products and the divisions.  With 16-row blocks the padded
-    # delta Vandermonde is 0.44 of a buffer, and the traced peak reads 4.48
-    # buffers, the block's alpha Vandermonde and 7-column tables included.
-    # 64-row blocks read 4.23 and pass too; holding d in a fifth buffer read
-    # 5.23 and fails.
+    # n, d and the two gradient numerators each fill one buffer, and the
+    # quotients run in place in them.  With 16-row blocks the padded delta
+    # Vandermonde, 12 columns for the gradient numerators, is 0.75 of a
+    # buffer, and the traced peak reads 4.80 buffers, the block's alpha
+    # Vandermonde and the tables included.  64-row blocks read 4.21 and pass
+    # too; a fifth block buffer would read 5.80 and fail.
     n = 1000
     alphas, _ = _geometric_grid(0.05, 20.0, n)
     deltas = np.linspace(0.0, 10.0, n)
-    _term_tables()
+    width = max(c.shape[1] for c in _term_tables())  # powers of delta
     tracemalloc.start()
     try:
         for _ in _kernels._blocks(alphas, deltas):
@@ -250,14 +279,14 @@ def test_kernel_holds_four_block_buffers():
     finally:
         tracemalloc.stop()
     buffer = _kernels.BLOCK_ROWS * n * 8
-    assert peak <= 4 * buffer + n * _kernels.POWERS * 8 + 0.25 * buffer
+    assert peak <= 4 * buffer + n * width * 8 + 0.25 * buffer
 
 
 def test_scan_peak_memory_is_under_three_quarters_of_a_grid_array():
-    # the scan holds no grid-sized array: the four block buffers, one block's
-    # minima mask and the row held across a seam come to 0.10 of one in
-    # 16-row blocks (0.32 in 64-row blocks, 0.39 with a fifth kernel buffer
-    # that held d).
+    # the scan holds no grid-sized array: the four block buffers, the padded
+    # delta Vandermonde, one block's bool candidate mask and the copy of a
+    # block's last row held across a seam come to 0.10 of one in 16-row
+    # blocks (0.31 in 64-row blocks).
     # Copying each block to reduce it one block late peaked at 0.51, keeping
     # the value and gradient-norm grids at 2.34, and the whole-grid kernel
     # with a padded copy for the minima test at 5.02.
@@ -266,7 +295,7 @@ def test_scan_peak_memory_is_under_three_quarters_of_a_grid_array():
 
 
 def test_scan_summary_holds_one_row_not_a_block_copy():
-    # 0.10 of a grid array (0.32 in 64-row blocks); a copy of each 64-row
+    # 0.10 of a grid array (0.31 in 64-row blocks); a copy of each 64-row
     # block and its gradient norms for the summary took the peak to 0.51
     n = 1000
     assert _scan_peak((n, n)) <= 0.42 * n * n * 8
@@ -274,15 +303,15 @@ def test_scan_summary_holds_one_row_not_a_block_copy():
 
 def test_scan_in_sixteen_row_blocks_holds_under_a_sixth_of_a_grid_array():
     # 0.10 of a grid array: four 16-row buffers and the padded delta
-    # Vandermonde; 64-row blocks read 0.32
+    # Vandermonde; 64-row blocks read 0.31
     n = 1000
     assert _scan_peak((n, n)) <= 0.15 * n * n * 8
 
 
 def test_scan_peak_memory_does_not_grow_with_alpha_rows():
-    # each block builds its own alpha Vandermonde, so only the axis itself
-    # grows: 4000 rows read 1.03 times 1000 rows (1.07 with the whole axis's
-    # Vandermonde held)
+    # each block builds its own alpha Vandermonde and pads its own rows, so
+    # only the axis itself grows: 4000 rows read 1.03 times 1000 rows (1.07
+    # with the whole axis's Vandermonde held)
     assert _scan_peak((4000, 1000)) <= 1.1 * _scan_peak((1000, 1000))
 
 
