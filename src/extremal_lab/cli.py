@@ -18,18 +18,16 @@ import os
 import re
 import stat
 import sys
-from fractions import Fraction
 
-# json, csv, critical and numpy are imported where they are used, so each
-# command loads only what it runs
-from . import __version__, energy
-from .delpezzo import make_surface
-from .exactpoly import fraction_to_decimal
+# fractions, energy, delpezzo, exactpoly, critical, json, csv and numpy are
+# imported where they are used, so each command loads only what it runs:
+# scan3 loads scan, its plain-data sextics and numpy, and no exact arithmetic
+from . import __version__
 
 #: cap on --digits.  At 800, verify took 0.12 s and critical --k 2 0.09 s end
 #: to end (Python 3.11, x86-64 Linux), about half of it interpreter start; the
-#: package imports in 9 ms, and the exact work grows faster than linearly in
-#: the digits
+#: CLI and the exact layers import in 10-15 ms with cached bytecode, and the
+#: exact work grows faster than linearly in the digits
 MAX_DIGITS = 800
 #: cap on the length of a rational flag, its decimal exponent counted in full
 #: (1e300 counts 303).  energy prints integers of up to about 16 digits per
@@ -48,7 +46,9 @@ class UsageError(Exception):
     """Bad flag combinations or out-of-domain requests; exit code 2."""
 
 
-def _fraction_arg(text: str) -> Fraction:
+def _fraction_arg(text: str):
+    from fractions import Fraction
+
     # sized before Fraction builds the integers: 1e1000000000 never gets built
     size = len(text)
     exponent = text.lower().partition("e")[2]
@@ -150,12 +150,16 @@ def _verify_records(digits: int) -> list[dict]:
     """The verify records, each keyed name, expected, computed, abs_error,
     tolerance and pass; abs_error is None when the check could not produce
     a number."""
-    from . import critical
+    from fractions import Fraction
+
+    from . import critical, energy
+    from .delpezzo import make_surface
+    from .exactpoly import fraction_to_decimal
 
     internal = max(digits, 12)
     recs: list[dict] = []
 
-    def dec(x: Fraction) -> str:
+    def dec(x) -> str:
         return fraction_to_decimal(x, digits)
 
     def add(name, expected, computed, err, tolerance):
@@ -213,6 +217,10 @@ def cmd_verify(args) -> int:
 # -- energy -------------------------------------------------------------------
 
 def cmd_energy(args) -> int:
+    from fractions import Fraction
+
+    from . import energy
+
     k, alpha, beta = args.k, args.alpha, args.beta
     delta = Fraction(0) if args.delta is None else args.delta
     if k == 3:
@@ -261,6 +269,7 @@ def cmd_critical(args) -> int:
         raise UsageError("--k must be 1 or 2; the three-point family has no single "
                          "critical parameter, use the scan3 subcommand instead")
     from . import critical
+    from .exactpoly import fraction_to_decimal
 
     report = critical.page_class(args.digits) if args.k == 1 else critical.two_point_class(args.digits)
     c = report.critical

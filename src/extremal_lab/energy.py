@@ -8,10 +8,11 @@ the two symmetric exceptional areas equal (gamma = beta), giving the class
 
 where D is the variance sextic of the torus moment function (D represents
 144 pi^2 w^2 Var(t)) and F is the restricted Futaki character.  D and the
-numerator N of the closed form A/96pi^2 = N/D are the only tables.  c1.w,
-w^2 and the Futaki quartic w^2 F / 4 come from one function of the class:
-at Fractions for an energy, and at polynomials, built on first use, for
-`verify_identity`, the cross-multiplied identity binding the two routes.
+numerator N of the closed form A/96pi^2 = N/D are the only tables, wrapped
+as Polynomials from the plain data of `sextics`.  c1.w, w^2 and the Futaki
+quartic w^2 F / 4 come from one function of the class: at Fractions for an
+energy, and at polynomials, built on first use, for `verify_identity`, the
+cross-multiplied identity binding the two routes.
 
 pi^2 is kept symbolic: every energy is an exact rational multiple of pi^2,
 and the normalized value A/96pi^2 is a plain rational.  Formulas are only
@@ -26,34 +27,16 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 
-from . import delpezzo
+from . import delpezzo, sextics
 from .delpezzo import NotKahlerError
 from .exactpoly import Polynomial, RationalFunction
 
 _VARS = ("alpha", "beta", "delta")
 
-# Exponent keys are (alpha, beta, delta).  The variance sextic D: the
-# beta^4*alpha*delta coefficient is re-derived by solve_unknown_coefficient
-# (expected 276), and the full coefficient table is pinned down by the exact
-# identity in verify_identity.
-_VARIANCE = Polynomial(_VARS, {
-    (0, 0, 6): 1, (0, 1, 5): 12, (0, 2, 4): 54, (0, 3, 3): 120,
-    (0, 4, 2): 138, (0, 5, 1): 72, (0, 6, 0): 12,
-    (1, 0, 5): 6, (1, 1, 4): 60, (1, 2, 3): 216, (1, 3, 2): 360,
-    (1, 4, 1): 276, (1, 5, 0): 72,
-    (2, 0, 4): 6, (2, 1, 3): 48, (2, 2, 2): 144, (2, 3, 1): 192,
-    (2, 4, 0): 96,
-})
-
-# Numerator sextic N of the closed form: A|_P / 96 pi^2 = N / D.
-_NUMERATOR = Polynomial(_VARS, {
-    (0, 6, 0): 32, (1, 5, 0): 160, (0, 5, 1): 176, (0, 4, 2): 318,
-    (2, 4, 0): 136, (1, 4, 1): 536, (3, 3, 0): 32, (0, 3, 3): 280,
-    (1, 3, 2): 696, (2, 3, 1): 320, (1, 2, 3): 440, (2, 2, 2): 276,
-    (3, 2, 1): 48, (0, 2, 4): 132, (0, 1, 5): 32, (2, 1, 3): 104,
-    (3, 1, 2): 24, (1, 1, 4): 136, (3, 0, 3): 4, (2, 0, 4): 14,
-    (1, 0, 5): 16, (0, 0, 6): 3,
-})
+# The hand-entered sextics of `sextics`: the variance sextic D, and the
+# numerator N of the closed form A|_P / 96 pi^2 = N / D.
+_VARIANCE = Polynomial(_VARS, sextics.VARIANCE)
+_NUMERATOR = Polynomial(_VARS, sextics.NUMERATOR)
 
 
 class EnergyBreakdown(namedtuple("EnergyBreakdown",

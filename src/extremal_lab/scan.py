@@ -4,10 +4,11 @@ module that imports numpy.
 A polynomial p(alpha, delta) is a coefficient matrix C, entry [i, k] the
 coefficient of alpha^i delta^k, and its values on a block of alpha rows are
 one product Pa[rows] @ C @ Pd^T of increasing Vandermonde matrices of the two
-axes.  Four are evaluated: N and D of the closed form N / D in `energy`, and
-the numerators g_v = N_v D - N D_v of the exact gradient g_v / D^2, formed
-from N and D in integers, so no difference of nearly equal float products
-enters the gradient norm.  The kernel `_blocks`, the one code that evaluates
+axes.  Four are evaluated: N and D of the closed form N / D, read from the
+plain data of `sextics`, so a scan loads no exact arithmetic, and the
+numerators g_v = N_v D - N D_v of the exact gradient g_v / D^2, formed from
+N and D in integers, so no difference of nearly equal float products enters
+the gradient norm.  The kernel `_blocks`, the one code that evaluates
 cells, runs BLOCK_ROWS alpha rows at a time in four block-sized buffers, both
 axes padded to whole groups of 8.  With OpenBLAS 0.3 on x86-64 a cell then
 has the same bits on one thread or two and in blocks of 8, 16, 32 or 64 rows;
@@ -40,7 +41,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from . import energy
+from . import sextics
 
 #: powers alpha^0..alpha^6 span every kernel table's rows, and delta^0..delta^6
 #: the columns of N and D
@@ -138,13 +139,19 @@ def _geometric_grid(lo: float, hi: float, n: int):
     return grid, anchored
 
 
-def _beta_one(p) -> Counter:
-    """p(alpha, 1, delta) as {(i, k): integer coefficient of alpha^i delta^k}."""
-    assert p.variables == ("alpha", "beta", "delta")
+def _increasing(axis) -> bool:
+    """Whether the nodes of `axis` strictly increase; the list of them dies
+    with the call, before the scan runs."""
+    nodes = axis.tolist()
+    return all(a < b for a, b in zip(nodes, nodes[1:]))
+
+
+def _beta_one(sextic: dict) -> Counter:
+    """A sextic of `sextics` at beta = 1, as {(i, k): integer coefficient of
+    alpha^i delta^k}."""
     terms = Counter()
-    for (i, _, k), coef in p.terms.items():
-        assert coef.denominator == 1
-        terms[i, k] += coef.numerator
+    for (i, _, k), coef in sextic.items():
+        terms[i, k] += coef
     return terms
 
 
@@ -176,10 +183,10 @@ def _term_tables() -> tuple[np.ndarray, ...]:
     """Read-only coefficient matrices of the beta = 1 slice polynomials n, d,
     g_alpha and g_delta, g_v = n_v d - n d_v the numerator of the exact
     gradient's v component, over d^2; entry [i, k] multiplies alpha^i
-    delta^k.  n and d are the closed form's N and D, POWERS x POWERS; each g
-    is formed from them in integers, trimmed to its terms (5x12 and 6x11)."""
-    closed = energy.energy_closed_form()
-    n, d = _beta_one(closed.numerator), _beta_one(closed.denominator)
+    delta^k.  n and d are the closed form's N and D from `sextics`, POWERS x
+    POWERS; each g is formed from them in integers, trimmed to its terms
+    (5x12 and 6x11)."""
+    n, d = _beta_one(sextics.NUMERATOR), _beta_one(sextics.VARIANCE)
     return (_matrix(n, (POWERS, POWERS)), _matrix(d, (POWERS, POWERS)),
             *(_matrix(_gradient_numerator(n, d, axis)) for axis in (0, 1)))
 
@@ -209,6 +216,7 @@ def _summarize(blocks):
     zero."""
     minima, global_min, finite = [], None, True
     above, held = None, []  # the last block's last row and its surviving candidates
+    left = None
 
     for start, values, grad_norms in blocks:
         rows, nd = values.shape
@@ -223,14 +231,16 @@ def _summarize(blocks):
         minima.extend(cell for cell in held if _below(cell[2], values[0], cell[1]))
         held = []
         # left[i, j]: cell (i, j) lies below its left neighbour; the columns
-        # beyond the edges, -1 and nd, count as +inf
-        left = np.empty((rows, nd + 1), dtype=bool)
-        left[:, 0], left[:, nd] = True, False
-        np.less(values[:, 1:], values[:, :-1], out=left[:, 1:nd])
+        # beyond the edges, -1 and nd, count as +inf.  One mask, sized by the
+        # first block, the largest, serves every block's leading rows
+        if left is None:
+            left = np.empty((rows, nd + 1), dtype=bool)
+            left[:, 0], left[:, nd] = True, False
+        np.less(values[:, 1:], values[:, :-1], out=left[:rows, 1:nd])
         # candidates: left[i, j] and not left[i, j + 1], taken on the flat
         # mask, where column nd, False, pairs with the next row's column 0
         # and is never a candidate itself
-        flat = left.ravel()
+        flat = left[:rows].ravel()
         for k in np.flatnonzero(flat[:-1] & ~flat[1:]).tolist():
             i, j = divmod(k, nd + 1)
             v = values.item(i, j)
@@ -256,6 +266,9 @@ def scan_three_point(alpha_range=(0.05, 20.0), delta_range=(0.0, 10.0),
     alpha runs geometrically (anchored so alpha = 1 is an interior grid node
     when in range), delta linearly from its minimum.  Reports strict 8-neighbor
     local minima, the global minimum cell and whether every cell is finite.
+    Raises ValueError when a range is invalid or so narrow that adjacent
+    float64 nodes of an axis repeat: a cell then equals its neighbour and is
+    never a strict minimum.
     """
     amin, amax = (float(v) for v in alpha_range)
     dmin, dmax = (float(v) for v in delta_range)
@@ -271,6 +284,10 @@ def scan_three_point(alpha_range=(0.05, 20.0), delta_range=(0.0, 10.0),
 
     alphas, anchored = _geometric_grid(amin, amax, na)
     deltas = np.linspace(dmin, dmax, nd)
+    for name, axis in (("alpha", alphas), ("delta", deltas)):
+        if not _increasing(axis):
+            raise ValueError(f"the {name} grid nodes repeat: the {name} range is too "
+                             "narrow for this grid count in float64")
     minima, global_min, finite = _summarize(_blocks(alphas, deltas))
 
     def cell(i: int, j: int, value: float, grad_norm: float) -> ScanCell:

@@ -598,6 +598,19 @@ def test_scan3_refuses_non_finite_windows(capsys, tmp_path, argv, flag):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("argv, axis", [
+    (("--delta-max", "5e-324"), "delta"),
+    (("--alpha-min", "0.5", "--alpha-max", "0.5000000000000001"), "alpha"),
+])
+def test_scan3_refuses_repeated_grid_nodes(capsys, argv, axis):
+    # the default window at five cells reports its one strict minimum; a
+    # window whose nodes repeat would report none, and is refused instead
+    assert "strict local minima: 1\n" in run(capsys, "scan3", "--grid", "5")[1]
+    code, out, err = run(capsys, "scan3", "--grid", "5", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: the {axis} grid nodes repeat") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("alpha_max, code", [("1e30", 0), ("1e55", 2)])
 def test_scan3_overflow_edge_in_alpha(capsys, alpha_max, code):
     # each kernel table holds only the powers of alpha it has terms for, at
@@ -1111,6 +1124,25 @@ def test_exact_path_loads_no_heavy_modules():
     # scan adds nothing heavy to what numpy itself loads
     added = _loaded_modules("import extremal_lab.scan") - _loaded_modules("import numpy")
     assert "extremal_lab.scan" in added and not added & HEAVY_MODULES
+
+
+#: the exact layers and the modules only they use: a scan reads its sextics as
+#: plain data, so it loads none of them
+EXACT_MODULES = {"extremal_lab.energy", "extremal_lab.exactpoly", "extremal_lab.delpezzo",
+                 "extremal_lab.critical", "fractions", "decimal"}
+
+
+def test_scan3_loads_no_exact_layer(tmp_path):
+    bare = _loaded_modules("pass")
+    run_main = "from extremal_lab.cli import main; main(sys.argv[1:])"
+    for fmt in ("table", "csv", "json"):
+        out = ("--out", str(tmp_path / f"cells.{fmt}")) if fmt != "table" else ()
+        added = _loaded_modules(run_main, "scan3", "--grid", "2", "--format", fmt, *out) - bare
+        assert {"extremal_lab.scan", "extremal_lab.sextics"} <= added, fmt
+        assert not added & EXACT_MODULES, (fmt, added & EXACT_MODULES)
+    # importing the CLI loads none either; that each exact command loads
+    # the energy module is checked above, in every format
+    assert not (_loaded_modules("import extremal_lab.cli") - bare) & EXACT_MODULES
 
 
 # -- the process entry -------------------------------------------------------------

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from extremal_lab import energy
+from extremal_lab import energy, sextics
 from extremal_lab.delpezzo import NotKahlerError, slice_surface
 from extremal_lab.energy import (
     energy_closed_form,
@@ -57,6 +57,14 @@ def test_both_sextics_are_homogeneous_of_degree_six():
     se = energy_closed_form()
     assert {sum(e) for e in se.numerator.terms} == {6}
     assert {sum(e) for e in se.denominator.terms} == {6}
+
+
+def test_sextic_polynomials_are_the_plain_data():
+    # energy's Polynomials and the scan's tables read one source, term for term
+    assert energy._NUMERATOR.variables == energy._VARIANCE.variables == SLICE_VARS
+    assert energy._NUMERATOR.terms == sextics.NUMERATOR
+    assert energy._VARIANCE.terms == sextics.VARIANCE
+    assert all(type(c) is int for t in (sextics.NUMERATOR, sextics.VARIANCE) for c in t.values())
 
 
 def test_numerator_point_values():
@@ -122,7 +130,9 @@ def test_recovered_coefficient_is_the_stored_one():
 
 
 # a fresh interpreter counts the Polynomial products that importing the CLI
-# forms, and then those of one verify_identity, so the counter is seen working
+# and the energy module forms (the CLI imports energy only in the commands
+# that run it), and then those of one verify_identity, so the counter is seen
+# working
 COUNT_PRODUCTS = """
 from extremal_lab.exactpoly import Polynomial
 mul, products = Polynomial.__mul__, []
@@ -131,6 +141,7 @@ def counting_mul(self, other):
     return mul(self, other)
 Polynomial.__mul__ = counting_mul
 import extremal_lab.cli
+import extremal_lab.energy
 print(len(products))
 extremal_lab.energy.verify_identity()
 print(len(products) > 0)

@@ -540,3 +540,17 @@ def test_scan_range_validation():
         scan_three_point(grid_counts=(1, 8))
     with pytest.raises(ValueError, match="finite"):
         scan_three_point(alpha_range=(0.05, float("inf")), grid_counts=(8, 8))
+
+
+@pytest.mark.parametrize("axis, window", [
+    ("delta", {"delta_range": (0.0, 5e-324)}),
+    ("alpha", {"alpha_range": (0.5, 0.5000000000000001)}),
+])
+def test_scan_refuses_repeated_grid_nodes(axis, window):
+    # five nodes in a window a few ulps wide repeat ([0, 0, 0, 5e-324, 5e-324]
+    # in delta), and a cell equal to its neighbour is never a strict minimum:
+    # such a scan reported no minimum where (1, 0), the global one, is a node
+    with pytest.raises(ValueError, match=f"the {axis} grid nodes repeat"):
+        scan_three_point(grid_counts=(5, 5), **window)
+    # two nodes, the window's ends, are distinct and scan
+    scan_three_point(grid_counts=(2, 2), **window)
