@@ -223,14 +223,12 @@ def cmd_energy(args) -> int:
 
     k, alpha, beta = args.k, args.alpha, args.beta
     delta = Fraction(0) if args.delta is None else args.delta
-    if k == 3:
-        if alpha is None or beta is None:
-            raise UsageError("k=3 takes --alpha, --beta and optional --delta")
-    elif k == 2:
-        if beta is None or alpha is not None:
-            raise UsageError("k=2 takes --beta and optional --delta (no --alpha)")
-    elif alpha is None or beta is not None:
-        raise UsageError("k=1 takes --alpha and optional --delta (no --beta)")
+    # the bits of k, as in delpezzo.slice_class: 1 is --alpha, 2 is --beta
+    flags = (("--alpha", alpha, k & 1), ("--beta", beta, k & 2))
+    if any((value is None) == bool(bit) for _, value, bit in flags):
+        takes = ", ".join(name for name, _, bit in flags if bit)
+        lacks = "".join(f" (no {name})" for name, _, bit in flags if not bit)
+        raise UsageError(f"k={k} takes {takes} and optional --delta{lacks}")
     breakdown = energy.surface_energy(k, alpha, beta, delta)
 
     quantities = [

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from itertools import combinations
 
 
 class NotKahlerError(ValueError):
@@ -42,27 +43,17 @@ class SurfaceModel(namedtuple("SurfaceModel", "k euler signature c1 minus_one_cu
 
 
 def make_surface(k: int) -> SurfaceModel:
-    """Blow-up of the plane at k points; k must be 1, 2, or 3."""
+    """Blow-up of the plane at k points; k must be 1, 2, or 3.  Its (-1)-curves
+    are E1..Ek, then the line H-Ei-Ej through each pair of points, the pairs
+    in reverse lexicographic order."""
     if k not in (1, 2, 3):
         raise ValueError(f"k must be 1, 2, or 3, got {k!r}")
-    c1 = CohomologyClass(3, (1,) * k)
-
-    def e(i: int) -> CohomologyClass:
-        return CohomologyClass(0, tuple(-1 if j == i else 0 for j in range(k)))
-
-    def line(i: int, j: int) -> CohomologyClass:
-        return CohomologyClass(1, tuple(1 if m in (i, j) else 0 for m in range(k)))
-
-    curves: list[tuple[str, CohomologyClass]] = [(f"E{i+1}", e(i)) for i in range(k)]
-    if k == 2:
-        curves.append(("H-E1-E2", line(0, 1)))
-    elif k == 3:
-        curves.extend([
-            ("H-E2-E3", line(1, 2)),
-            ("H-E1-E3", line(0, 2)),
-            ("H-E1-E2", line(0, 1)),
-        ])
-    return SurfaceModel(k=k, euler=3 + k, signature=1 - k, c1=c1,
+    points = range(k)
+    curves = [(f"E{i+1}", CohomologyClass(0, tuple(-int(m == i) for m in points)))
+              for i in points]
+    curves += [(f"H-E{i+1}-E{j+1}", CohomologyClass(1, tuple(int(m in (i, j)) for m in points)))
+               for i, j in sorted(combinations(points, 2), reverse=True)]
+    return SurfaceModel(k=k, euler=3 + k, signature=1 - k, c1=CohomologyClass(3, (1,) * k),
                         minus_one_curves=tuple(curves))
 
 
@@ -83,7 +74,8 @@ def slice_class(k: int, alpha, beta, delta) -> CohomologyClass:
     """
     if k not in (1, 2, 3):
         raise ValueError(f"k must be 1, 2, or 3, got {k!r}")
-    areas = {1: (alpha,), 2: (beta, beta), 3: (alpha, beta, beta)}[k]
+    # the bits of k, as in slice_surface: 1 is the alpha point, 2 the beta pair
+    areas = (alpha,) * (k & 1) + (beta,) * (k & 2)
     return CohomologyClass(delta + sum(areas), areas)
 
 

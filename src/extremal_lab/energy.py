@@ -147,27 +147,28 @@ def solve_unknown_coefficient(residual: Polynomial) -> Fraction:
     return c
 
 
-def _blow_down(p: Polynomial, zero: str, var: str, drop: int = 0) -> Polynomial:
-    """The sextic p at `zero` = 0 and the other area 1, in `var` = delta,
-    divided by var^drop.  p is homogeneous, so filtering its exponent tuples
-    is exact, and far cheaper than substitution."""
-    iz, idelta = p.variables.index(zero), p.variables.index("delta")
-    return Polynomial((var,), {(e[idelta] - drop,): c
-                               for e, c in p.terms.items() if e[iz] == 0})
+def _blow_down(zero: str, var: str) -> RationalFunction:
+    """N/D at `zero` = 0 and the other area 1, in `var` = delta, over the lowest
+    power of var both share.  The sextics are homogeneous, so filtering their
+    exponent tuples is exact, and far cheaper than substitution."""
+    iz, idelta = _VARS.index(zero), _VARS.index("delta")
+    kept = [{e[idelta]: c for e, c in p.terms.items() if e[iz] == 0}
+            for p in (_NUMERATOR, _VARIANCE)]
+    shared = min(min(terms) for terms in kept)
+    return RationalFunction(*(Polynomial((var,), {(e - shared,): c for e, c in terms.items()})
+                              for terms in kept))
 
 
 def one_point_energy() -> RationalFunction:
     """Normalized energy of the 1-point surface in x = delta/alpha: N/D at
-    beta = 0, alpha = 1, with the common factor x^3 removed."""
-    return RationalFunction(_blow_down(_NUMERATOR, "beta", "x", drop=3),
-                            _blow_down(_VARIANCE, "beta", "x", drop=3))
+    beta = 0, alpha = 1, where x^3 divides both sextics."""
+    return _blow_down("beta", "x")
 
 
 def two_point_energy() -> RationalFunction:
     """Normalized energy of the 2-point surface in y = delta/beta: N/D at
-    alpha = 0, beta = 1."""
-    return RationalFunction(_blow_down(_NUMERATOR, "alpha", "y"),
-                            _blow_down(_VARIANCE, "alpha", "y"))
+    alpha = 0, beta = 1, where the sextics share no power of y."""
+    return _blow_down("alpha", "y")
 
 
 def gauss_bonnet_residual(k: int, normalized_energy):

@@ -321,8 +321,6 @@ def _u_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
     num = list(num)
-    if len(num) < len(den):
-        return [], _u_trim(num)
     quot = [0] * (len(num) - len(den) + 1)
     lead = den[-1]
     for i in range(len(num) - len(den), -1, -1):
@@ -592,6 +590,7 @@ def _refine_bracket(q, lo: Fraction, hi: Fraction, digits: int) -> RootBracket:
     evaluated exactly.  So every sign is exact, and bisection starts from the
     float proposal's bracket once exact signs accept it: the result is not
     plain bisection's.  Endpoints are integer numerators over one denominator.
+    A root at 0 inside (lo, hi) comes back exact; no bracket around 0 meets the stop rule.
     """
     s_hi = _u_sign(q, hi)
     if s_hi == 0:
@@ -607,13 +606,16 @@ def _refine_bracket(q, lo: Fraction, hi: Fraction, digits: int) -> RootBracket:
             lo, s_lo = mid, s_mid
         else:
             hi, s_hi = mid, s_mid
+    if lo < 0 < hi and q[0] == 0:
+        # the one root in (lo, hi] is 0, which bisection may never land on
+        return RootBracket(Fraction(0), Fraction(0))
 
     # lo = L/D, hi = H/D; midpoints strictly inside (el/D, eh/D) are evaluated
     L, H, D = _shared_denominator(lo, hi)
     el, eh = L, H
     exp = None
     tried = False
-    for _ in range(128 + 8 * digits):
+    while True:
         mag = max(abs(L), abs(H))
         if exp is None or mag * 10 ** max(-exp, 0) < D * 10 ** max(exp, 0):
             # the bracket was rescaled, or max(|lo|, |hi|) fell below 10^exp;

@@ -1,4 +1,5 @@
-"""Every definition, class member and import in the package is used.
+"""Every definition, class member, module-level name and import in the
+package is used.
 
 A top-level function or class counts as used when some module of the
 package other than `__init__` refers to it outside its own definition, or
@@ -6,9 +7,12 @@ when the acceptance gate imports it: re-exporting a name from `__init__`
 does not make it live.  A method, property or record field (a name in the
 `namedtuple("X", "a b c")` base of a class) counts as used when some module
 of the package reads it as an attribute outside its own body, or when the
-acceptance gate does.  Names are matched as identifiers, so a use of any
-member or definition of the same name counts.  Every record (a class with a
-`namedtuple` base) declares `__slots__ = ()`, so no instance has a `__dict__`.
+acceptance gate does.  A module-level assignment counts as used when some
+module of the package other than `__init__` loads its name, reads it as an
+attribute or imports it, or when the gate imports it.  Names are matched as
+identifiers, so a use of any member or definition of the same name counts.
+Every record (a class with a `namedtuple` base) declares `__slots__ = ()`,
+so no instance has a `__dict__`.
 """
 
 import ast
@@ -36,6 +40,23 @@ def _attribute_reads(node: ast.AST) -> Counter:
     """Attribute names loaded under `node`; assignments to them do not count."""
     return Counter(sub.attr for sub in ast.walk(node)
                    if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load))
+
+
+def _loads(node: ast.AST) -> Counter:
+    """Identifiers loaded under `node`: names, attributes and imports."""
+    out = _attribute_reads(node)
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            out[sub.id] += 1
+        elif isinstance(sub, ast.ImportFrom):
+            out.update(alias.name for alias in sub.names)
+    return out
+
+
+def _gate_imports() -> set[str]:
+    """The names the acceptance gate imports from the package."""
+    return {alias.name for node in ast.walk(ast.parse(ACCEPTANCE.read_text()))
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
 
 
 def _modules() -> dict[str, ast.Module]:
@@ -108,10 +129,30 @@ def _unused_imports() -> set[str]:
     return unused
 
 
+def _unused_module_names() -> set[str]:
+    """`module.name` of each module-level assignment no module but `__init__`
+    loads, reads as an attribute or imports."""
+    modules = _modules()
+    read = sum((_loads(tree) for stem, tree in modules.items() if stem != "__init__"), Counter())
+    unused = set()
+    for stem, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                unused.update(f"{stem}.{sub.id}" for target in targets for sub in ast.walk(target)
+                              if isinstance(sub, ast.Name) and not read[sub.id])
+    return unused
+
+
 def test_every_definition_is_used():
-    gate = {alias.name for node in ast.walk(ast.parse(ACCEPTANCE.read_text()))
-            if isinstance(node, ast.ImportFrom) for alias in node.names}
+    gate = _gate_imports()
     assert sorted(name for name in _unused_definitions()
+                  if name.split(".")[1] not in gate) == []
+
+
+def test_every_module_level_name_is_read():
+    gate = _gate_imports()
+    assert sorted(name for name in _unused_module_names()
                   if name.split(".")[1] not in gate) == []
 
 

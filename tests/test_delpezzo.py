@@ -1,6 +1,7 @@
 """Intersection theory and the slice classes of the blow-up surfaces."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -35,6 +36,11 @@ def test_two_point_topology():
     assert 2 * s.euler + 3 * s.signature == 7
 
 
+def test_two_point_surface_has_one_line():
+    labels = [label for label, _ in make_surface(2).minus_one_curves]
+    assert labels == ["E1", "E2", "H-E1-E2"]
+
+
 def test_three_point_surface_has_hexagon():
     s = make_surface(3)
     assert len(s.minus_one_curves) == 6
@@ -67,6 +73,18 @@ def test_curve_adjunction(k):
     for label, curve in s.minus_one_curves:
         assert intersect(curve, curve) == -1, label
         assert intersect(curve, s.c1) == 1, label
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_curves_are_every_minus_one_class(k):
+    # every class aH - sum(b_i E_i), 0 <= a <= 3 and |b_i| <= 3, with
+    # Q(C, C) = -1 and Q(C, c1) = 1 is listed, and listed once
+    s = make_surface(k)
+    found = {c for a in range(4) for b in product(range(-3, 4), repeat=k)
+             for c in [CohomologyClass(a, b)]
+             if intersect(c, c) == -1 and intersect(c, s.c1) == 1}
+    curves = [curve for _, curve in s.minus_one_curves]
+    assert len(curves) == len(found) and set(curves) == found
 
 
 # -- intersection form ---------------------------------------------------------

@@ -254,6 +254,12 @@ def test_blown_down_quotients_are_the_pinned_polynomials(quotient, var, pinned):
         assert got == Polynomial((var,), {(e,): c for e, c in enumerate(coefficients)})
 
 
+@pytest.mark.parametrize("quotient", [one_point_energy, two_point_energy])
+def test_blown_down_quotients_share_no_power_of_their_variable(quotient):
+    f = quotient()
+    assert min(min(p.terms) for p in (f.numerator, f.denominator)) == (0,)
+
+
 def test_slice_consistency_cross_multiplied():
     se = energy_closed_form()
     x, = symbols("x")

@@ -522,8 +522,10 @@ def _plain_refine(q, lo, hi, digits):
             lo, s_lo = mid, s_mid
         else:
             hi, s_hi = mid, s_mid
+    if lo < 0 < hi and q[0] == 0:
+        return exact(Fraction(0))
     tried_newton = False
-    for _ in range(128 + 8 * digits):
+    while True:
         target = Fraction(10) ** (exactpoly._decimal_exponent(max(abs(lo), abs(hi))) - digits)
         width = hi - lo
         if width <= target:
@@ -638,6 +640,28 @@ def test_close_root_pair_matches_plain_bisection(center, gap):
     p = (X - (center - Fraction(1, 10 ** gap))) * (X - (center + Fraction(1, 10 ** gap)))
     interval = (Fraction(-1, 3), 1000)
     assert isolate_real_roots(p, interval, 60) == _plain_isolate(p, interval, 60)
+
+
+@pytest.mark.parametrize("digits", [6, 12, 60])
+@pytest.mark.parametrize("root, interval", [
+    (Fraction(1, 10 ** 20), (0, 10 ** 4)),
+    (Fraction(1, 10 ** 60), (0, 10 ** 4)),
+    (Fraction(1, 10 ** 100), (0, 10 ** 4)),
+    (Fraction(-3, 10 ** 300), (-10 ** 4, 0)),
+])
+def test_tiny_root_meets_the_stop_rule(digits, root, interval):
+    # from an endpoint at 0 the float proposal never fires, so the walk down
+    # to the root's scale takes hundreds of bisections before the rule holds
+    [b] = isolate_real_roots(X - root, interval, digits)
+    assert b.low <= root <= b.high
+    assert b.high - b.low <= Fraction(10) ** (exactpoly._decimal_exponent(abs(root)) - digits)
+    assert [b] == _plain_isolate(X - root, interval, digits)
+
+
+@pytest.mark.parametrize("digits", [6, 12, 60])
+def test_root_at_zero_is_exact(digits):
+    assert isolate_real_roots(X, (Fraction(-1, 3), Fraction(1, 2)), digits) == [
+        exactpoly.RootBracket(Fraction(0), Fraction(0))]
 
 
 # -- decimal formatting --------------------------------------------------------
