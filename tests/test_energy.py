@@ -61,9 +61,10 @@ def test_both_sextics_are_homogeneous_of_degree_six():
 
 def test_sextic_polynomials_are_the_plain_data():
     # energy's Polynomials and the scan's tables read one source, term for term
-    assert energy._NUMERATOR.variables == energy._VARIANCE.variables == SLICE_VARS
-    assert energy._NUMERATOR.terms == sextics.NUMERATOR
-    assert energy._VARIANCE.terms == sextics.VARIANCE
+    numerator, variance = energy._sextic_polynomials()
+    assert numerator.variables == variance.variables == SLICE_VARS
+    assert numerator.terms == sextics.NUMERATOR
+    assert variance.terms == sextics.VARIANCE
     assert all(type(c) is int for t in (sextics.NUMERATOR, sextics.VARIANCE) for c in t.values())
 
 
@@ -96,8 +97,9 @@ def test_identity_point_checks():
 
 
 def test_identity_detects_perturbed_numerator(monkeypatch):
-    bad = energy_closed_form().numerator + Polynomial(SLICE_VARS, {(1, 4, 1): Fraction(1)})
-    monkeypatch.setattr(energy, "_NUMERATOR", bad)
+    se = energy_closed_form()
+    bad = se.numerator + Polynomial(SLICE_VARS, {(1, 4, 1): Fraction(1)})
+    monkeypatch.setattr(energy, "_sextic_polynomials", lambda: (bad, se.denominator))
     ok, residual = verify_identity()
     assert not ok
     assert residual != Polynomial.zero()
@@ -108,8 +110,9 @@ def test_coefficient_recovery():
 
 
 def test_coefficient_recovery_rejects_perturbed_numerator(monkeypatch):
-    bad = energy_closed_form().numerator + Polynomial(SLICE_VARS, {(1, 4, 1): Fraction(1)})
-    monkeypatch.setattr(energy, "_NUMERATOR", bad)
+    se = energy_closed_form()
+    bad = se.numerator + Polynomial(SLICE_VARS, {(1, 4, 1): Fraction(1)})
+    monkeypatch.setattr(energy, "_sextic_polynomials", lambda: (bad, se.denominator))
     with pytest.raises(ValueError, match="inconsistent"):
         solve_unknown_coefficient(verify_identity()[1])
 
@@ -118,8 +121,9 @@ def test_coefficient_recovery_rejects_perturbed_numerator(monkeypatch):
 def test_coefficient_recovery_ignores_the_displayed_value(monkeypatch, typed):
     # a mistyped beta^4 alpha delta entry of D breaks the identity, and the
     # recovery still solves for the value the identity forces
-    bad = energy_closed_form().denominator + Polynomial(SLICE_VARS, {(1, 4, 1): typed - 276})
-    monkeypatch.setattr(energy, "_VARIANCE", bad)
+    se = energy_closed_form()
+    bad = se.denominator + Polynomial(SLICE_VARS, {(1, 4, 1): typed - 276})
+    monkeypatch.setattr(energy, "_sextic_polynomials", lambda: (se.numerator, bad))
     ok, residual = verify_identity()
     assert not ok
     assert solve_unknown_coefficient(residual) == 276
