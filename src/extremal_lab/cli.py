@@ -220,12 +220,9 @@ def cmd_verify(args) -> int:
 # -- energy -------------------------------------------------------------------
 
 def cmd_energy(args) -> int:
-    from fractions import Fraction
-
     from . import energy
 
-    k, alpha, beta = args.k, args.alpha, args.beta
-    delta = Fraction(0) if args.delta is None else args.delta
+    k, alpha, beta, delta = args.k, args.alpha, args.beta, args.delta
     # the bits of k, as in delpezzo.slice_class: 1 is --alpha, 2 is --beta
     flags = (("--alpha", alpha, k & 1), ("--beta", beta, k & 2))
     if any((value is None) == bool(bit) for _, value, bit in flags):
@@ -379,7 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of blown-up points")
     p.add_argument("--alpha", type=_fraction_arg, help="exceptional area (k=1, k=3)")
     p.add_argument("--beta", type=_fraction_arg, help="exceptional area (k=2, k=3)")
-    p.add_argument("--delta", type=_fraction_arg, help="opposite-side excess (default 0)")
+    p.add_argument("--delta", type=_fraction_arg, default="0",
+                   help="opposite-side excess (default 0)")
     p.set_defaults(func=cmd_energy)
 
     p = sub.add_parser("critical", parents=[common], allow_abbrev=False,

@@ -18,15 +18,17 @@ from collections import namedtuple
 from collections.abc import Mapping
 from fractions import Fraction
 from math import ceil, gcd, isfinite, lcm, log2
+from operator import index
 
 
 class Polynomial:
     """Multivariate polynomial with exact rational coefficients.
 
     Canonical form: variable names sorted, variables absent from every term
-    dropped, zero coefficients dropped.  Two polynomials are equal iff their
-    canonical forms coincide, so `x + y - y == x` regardless of how either
-    side was built.  Instances are treated as immutable.
+    dropped, zero coefficients dropped.  The constructor alone makes it and
+    every operation returns through it, so two polynomials are equal iff
+    their canonical forms coincide: `x + y - y == x` however either side was
+    built.  Instances are treated as immutable.
     """
 
     __slots__ = ("variables", "terms")
@@ -37,7 +39,7 @@ class Polynomial:
             raise ValueError(f"duplicate variable names: {vs!r}")
         tm: dict[tuple[int, ...], Fraction] = {}
         for exps, coef in (terms or {}).items():
-            key = tuple(int(e) for e in exps)
+            key = tuple(map(index, exps))
             if len(key) != len(vs):
                 raise ValueError(f"exponent tuple {key!r} does not match variables {vs!r}")
             if any(e < 0 for e in key):
@@ -45,18 +47,11 @@ class Polynomial:
             c = Fraction(coef)
             if c:
                 tm[key] = c
-        if vs and tm:
-            used = [any(e[i] for e in tm) for i in range(len(vs))]
-            if not all(used):
-                keep = [i for i, u in enumerate(used) if u]
-                vs = tuple(vs[i] for i in keep)
-                tm = {tuple(e[i] for i in keep): c for e, c in tm.items()}
-            order = sorted(range(len(vs)), key=lambda i: vs[i])
-            if order != list(range(len(vs))):
-                vs = tuple(vs[i] for i in order)
-                tm = {tuple(e[i] for i in order): c for e, c in tm.items()}
-        elif not tm:
-            vs = ()
+        # the variables some term uses, sorted by name; no terms leaves none
+        order = sorted((i for i in range(len(vs)) if any(e[i] for e in tm)), key=vs.__getitem__)
+        if order != list(range(len(vs))):
+            vs = tuple(vs[i] for i in order)
+            tm = {tuple(e[i] for i in order): c for e, c in tm.items()}
         self.variables = vs
         self.terms = tm
 
@@ -108,11 +103,7 @@ class Polynomial:
         vs, a, b = self._aligned(other)
         out = dict(a)
         for e, c in b.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
+            out[e] = out.get(e, 0) + c
         return Polynomial(vs, out)
 
     __radd__ = __add__
@@ -141,11 +132,7 @@ class Polynomial:
         for e1, c1 in a.items():
             for e2, c2 in b.items():
                 key = tuple(x + y for x, y in zip(e1, e2))
-                s = out.get(key, Fraction(0)) + c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+                out[key] = out.get(key, 0) + c1 * c2
         return Polynomial(vs, out)
 
     __rmul__ = __mul__
@@ -159,7 +146,7 @@ class Polynomial:
         return NotImplemented
 
     def __pow__(self, n: int):
-        n = int(n)
+        n = index(n)
         if n < 0:
             raise ValueError("negative power of a polynomial")
         out = Polynomial.constant(1)
@@ -381,7 +368,7 @@ def _variations(chain, x: Fraction) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _sturm_setup(p: Polynomial, interval, zero_message: str):
+def _sturm_setup(p: Polynomial, interval):
     """(low, high, q, chain): the interval as fractions, the primitive
     squarefree part q of p (p over the last member of its own chain), and
     q's Sturm chain.  A nonzero constant p gives the chain [[1]] or [[-1]],
@@ -389,10 +376,7 @@ def _sturm_setup(p: Polynomial, interval, zero_message: str):
     lo, hi = (Fraction(x) for x in interval)
     if lo >= hi:
         raise ValueError(f"degenerate interval: low {lo} >= high {hi}")
-    cs = univariate_coefficients(p)
-    if not cs:
-        raise ValueError(zero_message)
-    chain = sturm_chain(cs)
+    chain = sturm_chain(univariate_coefficients(p))
     g = chain[-1]
     if len(g) == 1:
         return lo, hi, chain[0], chain
@@ -405,14 +389,13 @@ def _sturm_setup(p: Polynomial, interval, zero_message: str):
 
 def count_real_roots(p: Polynomial, interval) -> int:
     """Number of distinct real roots in the half-open interval (low, high]."""
-    lo, hi, _, chain = _sturm_setup(p, interval,
-                                    "root count of the zero polynomial is undefined")
+    lo, hi, _, chain = _sturm_setup(p, interval)
     return _variations(chain, lo) - _variations(chain, hi)
 
 
 def cauchy_root_bound(p: Polynomial) -> Fraction:
     """1 + max|a_i| / |a_n|: every real root lies inside [-bound, bound]."""
-    cs = _u_trim(univariate_coefficients(p))
+    cs = univariate_coefficients(p)
     if len(cs) <= 1:
         raise ValueError("root bound needs degree >= 1")
     lead = abs(cs[-1])
@@ -674,7 +657,7 @@ def isolate_real_roots(p: Polynomial, interval, digits: int = 12) -> list[RootBr
     digits = int(digits)
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    lo, hi, q, chain = _sturm_setup(p, interval, "cannot isolate roots of the zero polynomial")
+    lo, hi, q, chain = _sturm_setup(p, interval)
     var_cache: dict[Fraction, int] = {}
 
     def variations(x: Fraction) -> int:

@@ -52,6 +52,16 @@ def test_duplicate_variables_are_rejected():
         Polynomial(("x", "x"), {(1, 1): Fraction(1)})
 
 
+@pytest.mark.parametrize("build", [
+    lambda: (X + 1) ** Fraction(1, 2),
+    lambda: (X + 1) ** 2.5,
+    lambda: Polynomial(("x",), {(1.5,): 1}),
+], ids=["fraction-power", "float-power", "float-exponent"])
+def test_non_integer_exponents_are_rejected(build):
+    with pytest.raises(TypeError):
+        build()
+
+
 # -- arithmetic examples -------------------------------------------------------
 
 def test_add_cancels_opposite_terms():
@@ -250,6 +260,40 @@ class TestCalculusProperties:
             p.eval({"alpha": a, "beta": b, "delta": d})
 
 
+NAMES = ("alpha", "beta", "delta", "x")
+
+
+@st.composite
+def polynomials_in_some_names(draw):
+    """Terms over a drawn subset of NAMES, listed in a drawn order."""
+    names = draw(st.lists(st.sampled_from(NAMES), unique=True, max_size=len(NAMES)))
+    exps = st.tuples(*[st.integers(0, 2)] * len(names))
+    return Polynomial(names, draw(st.dictionaries(exps, coefficients, max_size=4)))
+
+
+OPERATIONS = {
+    "add": lambda p, q, data: p + q,
+    "sub": lambda p, q, data: p - q,
+    "cancel": lambda p, q, data: (p + q) - q,
+    "mul": lambda p, q, data: p * q,
+    "pow": lambda p, q, data: p ** data.draw(st.integers(0, 3)),
+    "div": lambda p, q, data: p / data.draw(coefficients.filter(bool)),
+    "partial": lambda p, q, data: p.partial(data.draw(st.sampled_from(NAMES))),
+    "substitute": lambda p, q, data: p.substitute({data.draw(st.sampled_from(NAMES)): q}),
+}
+
+
+@pytest.mark.parametrize("op", OPERATIONS)
+@settings(deadline=None)
+@given(p=polynomials_in_some_names(), q=polynomials_in_some_names(), data=st.data())
+def test_every_operation_returns_the_canonical_form(op, p, q, data):
+    r = OPERATIONS[op](p, q, data)
+    assert all(r.terms.values())
+    assert all(any(e[i] for e in r.terms) for i in range(len(r.variables)))
+    assert list(r.variables) == sorted(r.variables)
+    assert r == Polynomial(r.variables, r.terms)
+
+
 # -- rational functions --------------------------------------------------------
 
 def test_rational_zero_denominator_rejected():
@@ -323,8 +367,10 @@ def test_isolate_degenerate_interval():
 
 
 def test_isolate_zero_polynomial():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="zero polynomial"):
         isolate_real_roots(Polynomial.zero(), (0, 1))
+    with pytest.raises(ValueError, match="zero polynomial"):
+        count_real_roots(Polynomial.zero(), (0, 1))
 
 
 def test_isolate_multivariate_rejected():
@@ -458,7 +504,7 @@ def factored_coefficients(draw):
 def _setup(cs):
     """q and its chain as `_sturm_setup` builds them for dense coefficients cs."""
     p = Polynomial(("x",), {(i,): c for i, c in enumerate(cs)})
-    _, _, q, chain = exactpoly._sturm_setup(p, (0, 1), "zero polynomial")
+    _, _, q, chain = exactpoly._sturm_setup(p, (0, 1))
     return q, chain
 
 
