@@ -223,12 +223,15 @@ def cmd_energy(args) -> int:
     from . import energy
 
     k, alpha, beta, delta = args.k, args.alpha, args.beta, args.delta
-    # the bits of k, as in delpezzo.slice_class: 1 is --alpha, 2 is --beta
+    # the bits of k, as in delpezzo.slice_class: 1 is --alpha, 2 is --beta.
+    # delta = 0 is a Kahler class only at k = 3, so only k = 3 has a default
     flags = (("--alpha", alpha, k & 1), ("--beta", beta, k & 2))
-    if any((value is None) == bool(bit) for _, value, bit in flags):
+    optional = "" if k < 3 else "optional "
+    if any((value is None) == bool(bit) for _, value, bit in flags) or delta is None and k < 3:
         takes = ", ".join(name for name, _, bit in flags if bit)
         lacks = "".join(f" (no {name})" for name, _, bit in flags if not bit)
-        raise UsageError(f"k={k} takes {takes} and optional --delta{lacks}")
+        raise UsageError(f"k={k} takes {takes} and {optional}--delta{lacks}")
+    delta = 0 if delta is None else delta
     breakdown = energy.surface_energy(k, alpha, beta, delta)
 
     quantities = [
@@ -376,8 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of blown-up points")
     p.add_argument("--alpha", type=_fraction_arg, help="exceptional area (k=1, k=3)")
     p.add_argument("--beta", type=_fraction_arg, help="exceptional area (k=2, k=3)")
-    p.add_argument("--delta", type=_fraction_arg, default="0",
-                   help="opposite-side excess (default 0)")
+    p.add_argument("--delta", type=_fraction_arg,
+                   help="opposite-side excess (needed at k=1, k=2; default 0)")
     p.set_defaults(func=cmd_energy)
 
     p = sub.add_parser("critical", parents=[common], allow_abbrev=False,

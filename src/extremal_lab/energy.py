@@ -68,18 +68,14 @@ def kahler_point(k: int, alpha, beta, delta) -> tuple[Fraction, Fraction, Fracti
     """The slice point as Fractions, read on the k-point blow-up.
 
     The areas the surface lacks (alpha at k = 2, beta at k = 1, both at
-    k = 0; either may be None) are set to 0.  Raises NotKahlerError unless
-    slice_class(k, alpha, beta, delta) is a Kahler class, so no area blows
-    down; k = 0 is the plane, where delta must be positive.
+    k = 0, the plane; either may be None) are set to 0.  Raises
+    NotKahlerError unless slice_class(k, alpha, beta, delta) is a Kahler
+    class, so no area blows down.
     """
     alpha = Fraction(alpha) if k & 1 else Fraction(0)
     beta = Fraction(beta) if k & 2 else Fraction(0)
     delta = Fraction(delta)
-    if k == 0:
-        violation = None if delta > 0 else f"hyperplane multiple delta = {delta} is not positive"
-    else:
-        violation = delpezzo.kahler_violation(delpezzo.make_surface(k),
-                                              delpezzo.slice_class(k, alpha, beta, delta))
+    violation = delpezzo.kahler_violation(delpezzo.slice_class(k, alpha, beta, delta))
     if violation is not None:
         raise NotKahlerError(f"class is not Kahler: {violation}")
     return alpha, beta, delta

@@ -287,8 +287,10 @@ def test_energy_checks_kahler_membership_once(capsys, argv, code):
 SWEEP_VALUES = ("-1", "0", "1", "2", "1/2", "-1/2", None)
 # sha256 over the stdout, stderr and exit code of every table-format energy
 # invocation of the sweep, captured before the slice-to-class map moved into
-# delpezzo.slice_class; it pins each Kahler refusal message and flag error
-ENERGY_SWEEP_SHA256 = "6fe7190b9e5a1c86ad42e37848a90ae8021bf732ff15b92cb00865d671f45ce2"
+# delpezzo.slice_class and retaken when k = 1 and k = 2 came to require
+# --delta, which changed only refusals there; it pins each Kahler refusal
+# message and flag error
+ENERGY_SWEEP_SHA256 = "e0492445b943241ade4b2798aaf0225801e4082c92e5f681513d82eb42cc9877"
 
 
 def test_energy_sweep_is_pinned(capsys):
@@ -360,6 +362,11 @@ def test_energy_flag_rules(capsys):
     assert code == 2 and "k=2 takes" in err
     code, _, err = run(capsys, "energy", "--k", "1", "--alpha", "1", "--beta", "1")
     assert code == 2 and "k=1 takes" in err
+    # delta = 0 is never Kahler at k = 1 or 2, so there --delta has no default
+    code, _, err = run(capsys, "energy", "--k", "1", "--alpha", "1")
+    assert (code, err) == (2, "error: k=1 takes --alpha and --delta (no --beta)\n")
+    code, _, err = run(capsys, "energy", "--k", "2", "--beta", "1")
+    assert (code, err) == (2, "error: k=2 takes --beta and --delta (no --alpha)\n")
 
 
 # -- critical -----------------------------------------------------------------

@@ -55,13 +55,13 @@ def test_one_point_invariants():
     assert len(s.minus_one_curves) == 1
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_topology_formula(k):
     s = make_surface(k)
     assert 2 * s.euler + 3 * s.signature == 9 - k
 
 
-@pytest.mark.parametrize("k", [0, 4, -1])
+@pytest.mark.parametrize("k", [4, -1])
 def test_make_surface_range(k):
     with pytest.raises(ValueError):
         make_surface(k)
@@ -117,10 +117,9 @@ def test_anticanonical_hexagon_coordinates():
 
 
 def test_one_point_hexagon():
-    s = make_surface(1)
     c = slice_class(1, 1, None, 1)
     assert c == CohomologyClass(2, (1,))
-    assert curve_areas(s, c) == (("E1", Fraction(1)),)
+    assert curve_areas(c) == (("E1", Fraction(1)),)
 
 
 def test_slice_surface_blows_zero_areas_down():
@@ -140,9 +139,8 @@ def test_slice_class_on_each_surface():
     # k = 2 ignores alpha and k = 1 ignores beta
     assert slice_class(2, 7, half, 3) == slice_class(2, None, half, 3)
     assert slice_class(1, 2, 7, 3) == slice_class(1, 2, None, 3)
-    for k in (0, 4):
-        with pytest.raises(ValueError):
-            slice_class(k, 1, 1, 1)
+    with pytest.raises(ValueError):
+        slice_class(4, 1, 1, 1)
 
 
 def test_unequal_areas_hexagon():
@@ -154,9 +152,9 @@ def test_unequal_areas_hexagon():
 
 def test_curve_areas_match_hexagon_labels():
     s = make_surface(3)
-    areas = curve_areas(s, hexagon_class(1, 2, 3, 1))
+    areas = curve_areas(hexagon_class(1, 2, 3, 1))
     assert tuple(a for _, a in areas) == (1, 2, 3, 2, 3, 4)
-    c1_areas = curve_areas(s, s.c1)
+    c1_areas = curve_areas(s.c1)
     assert all(a == 1 for _, a in c1_areas)
 
 
@@ -194,44 +192,40 @@ def test_cremona_preserves_intersection_numbers():
 
 
 def test_cremona_permutes_curve_area_multiset():
-    s = make_surface(3)
     before = hexagon_class(2, 3, 5, -1)
-    assert (sorted(a for _, a in curve_areas(s, before))
-            == sorted(a for _, a in curve_areas(s, cremona(before))))
+    assert (sorted(a for _, a in curve_areas(before))
+            == sorted(a for _, a in curve_areas(cremona(before))))
 
 
 # -- Kahler cone -----------------------------------------------------------------
 
 def test_anticanonical_is_kahler():
     s = make_surface(3)
-    assert kahler_violation(s, s.c1) is None
+    assert kahler_violation(s.c1) is None
 
 
 def test_zero_area_line_is_not_kahler():
-    s = make_surface(3)
-    assert kahler_violation(s, CohomologyClass(1, (1, 0, 0))) is not None
+    assert kahler_violation(CohomologyClass(1, (1, 0, 0))) is not None
     # positive square but one line of area zero: violation names the curve
     c = CohomologyClass(3, (2, 1, 1))
-    assert kahler_violation(s, c) is not None
-    assert "H-E1-E3" in kahler_violation(s, c)
+    assert kahler_violation(c) is not None
+    assert "H-E1-E3" in kahler_violation(c)
 
 
 def test_oversized_exceptional_is_not_kahler():
-    s = make_surface(1)
     c = CohomologyClass(1, (2,))
-    assert kahler_violation(s, c) is not None
+    assert kahler_violation(c) is not None
 
 
 def test_kahler_violation_names_failure():
     s = make_surface(3)
-    assert kahler_violation(s, s.c1) is None
+    assert kahler_violation(s.c1) is None
     negative_h = CohomologyClass(-1, (-1, -1, -1))
-    assert "not positive" in kahler_violation(s, negative_h)
+    assert "not positive" in kahler_violation(negative_h)
 
 
 def test_negative_delta_kahler_class():
     # Kahler classes may carry delta < 0 before Cremona normalization
-    s = make_surface(3)
     c = hexagon_class(2, 2, 2, -1)
-    assert kahler_violation(s, c) is None
+    assert kahler_violation(c) is None
     assert c.a - sum(c.b) < 0

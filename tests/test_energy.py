@@ -296,8 +296,8 @@ def test_kahler_point_messages():
     for point, violation in (
             ((-1, 1, 0), "self-intersection Q(c,c) = -2 is not positive"),
             ((0, 1, 0), "curve H-E1-E2 has area 0 <= 0"),  # two-point surface
-            ((0, 0, 0), "hyperplane multiple delta = 0 is not positive"),  # plane
-            ((0, 0, Fraction(-1, 2)), "hyperplane multiple delta = -1/2 is not positive")):
+            ((0, 0, 0), "hyperplane coefficient a = 0 is not positive"),  # plane
+            ((0, 0, Fraction(-1, 2)), "hyperplane coefficient a = -1/2 is not positive")):
         with pytest.raises(NotKahlerError) as exc:
             slice_point(*point)
         assert str(exc.value) == f"class is not Kahler: {violation}"
@@ -373,9 +373,16 @@ def test_residual_examples():
 
 def test_residual_rejects_bad_k():
     with pytest.raises(ValueError):
-        gauss_bonnet_residual(0, Fraction(2))
-    with pytest.raises(ValueError):
         gauss_bonnet_residual(4, Fraction(2))
+
+
+@pytest.mark.parametrize("delta", [1, Fraction(7, 3), 10 ** 6])
+def test_plane_is_kahler_einstein(delta):
+    # every class of the plane is a multiple of H, and Fubini-Study is
+    # Kahler-Einstein: 3 A / 96 pi^2 = 2 chi + 3 tau = 9, no deficit
+    normalized = energy_composed(0, 0, delta).normalized
+    assert normalized == 3
+    assert gauss_bonnet_residual(0, normalized) == 0
 
 
 # -- properties ----------------------------------------------------------------------
@@ -487,3 +494,53 @@ def test_moment_polygon_pairs_each_edge_with_its_own_length():
         want = energy.surface_energy(3, *point).normalized
         assert polygon_energy(vertices, lengths) == want
         assert (polygon_energy(vertices, lengths[1:] + lengths[:1]) != want) is seen, point
+
+
+def _polygon_mismatches(numerator, variance, lengths_of=lambda lengths: lengths) -> int:
+    """Points (alpha, 1, delta), alpha = 1 + i and delta = j with i, j >= 0
+    and i + j <= 16, where the polygon energy differs from N/D read from the
+    given tables at beta = 1; lengths_of may reassign the edge lengths."""
+    mismatched = 0
+    for i in range(17):
+        for j in range(17 - i):
+            alpha, delta = 1 + i, j
+            n, d = (sum(c * alpha ** a * delta ** e for (a, _, e), c in table.items())
+                    for table in (numerator, variance))
+            assert d > 0
+            vertices, lengths = slice_polygon(alpha, 1, delta)
+            mismatched += polygon_energy(vertices, lengths_of(lengths)) != Fraction(n, d)
+    return mismatched
+
+
+def test_sextics_are_the_moment_polygons_on_the_slice(monkeypatch):
+    """N/D equals the polygon energy on the whole slice, from 153 points.
+
+    At beta = 1 the polygon energy is q / (6 det M), q = b^T adj(M) b, and
+    the vertices and edge lengths are affine in (alpha, delta).  Give 1
+    weight 0 and x, y weight 1: M_ij has degree 2 + w_i + w_j and b_i degree
+    1 + w_i, so det M and q both have degree at most 10.  N and D are
+    sextics, so R = q D - 6 N det M has total degree at most 16 in (alpha,
+    delta).  Where the two energies agree at every point of the triangle
+    {(1 + i, j) : i, j >= 0, i + j <= 16}, R vanishes there, because D and
+    det M are positive at those Kahler classes (D has positive
+    coefficients; a division by det M = 0 would raise).  A polynomial of
+    degree at most 16 vanishing on that triangle is zero: its 17 points on
+    alpha = 1 make alpha - 1 a factor, and the quotient, of degree at most
+    15, vanishes on the smaller triangle left, down to one point and degree
+    0.  So R = 0,
+    and N/D = q / (6 det M) wherever D and det M are nonzero at beta = 1.
+    N and D are homogeneous, and so are q and det M (both of degree 10 in
+    the scale of the polygon), so beta = 1 carries to every beta > 0.  The
+    check reads the plain `sextics` tables and builds no Polynomial.
+    """
+    def refuse(*args, **kwargs):
+        raise AssertionError("the unisolvent check builds no Polynomial")
+
+    monkeypatch.setattr(Polynomial, "__init__", refuse)
+    assert _polygon_mismatches(sextics.NUMERATOR, sextics.VARIANCE) == 0
+    # each mutation is seen: D's 276, one coefficient of N, and every edge
+    # given its neighbour's length
+    assert _polygon_mismatches(sextics.NUMERATOR, {**sextics.VARIANCE, (1, 4, 1): 277}) > 0
+    assert _polygon_mismatches({**sextics.NUMERATOR, (2, 2, 2): 277}, sextics.VARIANCE) > 0
+    assert _polygon_mismatches(sextics.NUMERATOR, sextics.VARIANCE,
+                               lambda lengths: lengths[1:] + lengths[:1]) > 0
