@@ -274,37 +274,28 @@ def cmd_critical(args) -> int:
 
     report = critical.page_class(args.digits) if args.k == 1 else critical.two_point_class(args.digits)
     c = report.critical
-    root, ratio, value, three, residual = (fraction_to_decimal(x, args.digits) for x in (
-        c.bracket.midpoint, report.line_to_exceptional_ratio, report.normalized_energy,
-        3 * report.normalized_energy, report.residual))
-    payload = {
-        "k": report.k,
-        "variable": c.variable,
-        "bracket": {"low": str(c.bracket.low), "high": str(c.bracket.high)},
-        "refined_root": root,
-        "classification": c.classification,
-        "line_to_exceptional_ratio": ratio,
-        "normalized_energy": value,
-        "three_times_normalized": three,
-        "residual": residual,
-        "root_count": report.root_count,
-        "search_bound": str(report.search_bound),
-        "derivative_root_bound": str(report.derivative_root_bound),
-    }
-    rows = [
-        ("variable", c.variable),
-        ("bracket low", str(c.bracket.low)),
-        ("bracket high", str(c.bracket.high)),
-        ("refined root", root),
-        ("classification", c.classification),
-        ("line/exceptional ratio", ratio),
-        ("normalized energy", value),
-        ("3 * normalized energy", three),
-        ("trace-free Ricci deficit", residual),
-        ("derivative roots in domain", str(report.root_count)),
-        ("search bound", str(report.search_bound)),
-        ("derivative root bound", str(report.derivative_root_bound)),
+
+    def dec(x) -> str:
+        return fraction_to_decimal(x, args.digits)
+
+    quantities = [
+        ("variable", "variable", c.variable),
+        ("low", "bracket low", str(c.bracket.low)),
+        ("high", "bracket high", str(c.bracket.high)),
+        ("refined_root", "refined root", dec(c.bracket.midpoint)),
+        ("classification", "classification", c.classification),
+        ("line_to_exceptional_ratio", "line/exceptional ratio", dec(report.line_to_exceptional_ratio)),
+        ("normalized_energy", "normalized energy", dec(report.normalized_energy)),
+        ("three_times_normalized", "3 * normalized energy", dec(3 * report.normalized_energy)),
+        ("residual", "trace-free Ricci deficit", dec(report.residual)),
+        ("root_count", "derivative roots in domain", report.root_count),
+        ("search_bound", "search bound", str(report.search_bound)),
+        ("derivative_root_bound", "derivative root bound", str(report.derivative_root_bound)),
     ]
+    payload = {"k": report.k}
+    for key, _, value in quantities:
+        (payload.setdefault("bracket", {}) if key in ("low", "high") else payload)[key] = value
+    rows = [(label, str(value)) for _, label, value in quantities]
     _report(args, ("quantity", "value"), rows, payload)
     return 0
 

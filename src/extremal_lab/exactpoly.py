@@ -363,9 +363,11 @@ def _u_sign(cs: list[int], x: Fraction) -> int:
     return _sign(_u_hom(cs, x.numerator, x.denominator))
 
 
-def _variations(chain, x: Fraction) -> int:
-    signs = [s for s in (_u_sign(cs, x) for cs in chain) if s]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _variations(chain, x: Fraction) -> tuple[int, bool]:
+    """(sign variations of the chain at x, whether x is a root of its first member)."""
+    signs = [_u_sign(cs, x) for cs in chain]
+    nonzero = [s for s in signs if s]
+    return sum(1 for a, b in zip(nonzero, nonzero[1:]) if a != b), not signs[0]
 
 
 def _sturm_setup(p: Polynomial, interval):
@@ -390,7 +392,7 @@ def _sturm_setup(p: Polynomial, interval):
 def count_real_roots(p: Polynomial, interval) -> int:
     """Number of distinct real roots in the half-open interval (low, high]."""
     lo, hi, _, chain = _sturm_setup(p, interval)
-    return _variations(chain, lo) - _variations(chain, hi)
+    return _variations(chain, lo)[0] - _variations(chain, hi)[0]
 
 
 def cauchy_root_bound(p: Polynomial) -> Fraction:
@@ -516,16 +518,15 @@ def _shared_denominator(lo: Fraction, hi: Fraction, den: int = 1) -> tuple[int, 
 _GUARD_BITS = 24
 
 
-def _newton_enclosure(q, lo: Fraction, hi: Fraction, s_lo: int, s_hi: int,
-                      seed: Fraction, digits: int):
+def _newton_enclosure(q, lo: Fraction, hi: Fraction, s_hi: int, seed: Fraction, digits: int):
     """(L, H, el, eh, D): lo = L/D, hi = H/D and an enclosure (el/D, eh/D).
 
     Newton runs on scaled integers X / 2^p from `seed`, p doubling per step up
     to the bits that resolve 10^-digits at the root's scale plus a guard, and
-    takes one more step at full precision.  The window (X -/+ 2^24) / 2^p,
-    clipped to (lo, hi), is kept only if q has sign s_lo at its left end and
-    s_hi at its right end; the one root of q in (lo, hi) then lies inside it.
-    Otherwise the enclosure is (lo, hi) itself.  The bracket must exclude 0.
+    takes one more step at full precision.  (lo, hi) holds one simple root, so
+    the window (X -/+ 2^24) / 2^p, clipped to (lo, hi), holds it if q has sign
+    -s_hi at its left end and s_hi at its right end, and is kept only then;
+    otherwise the enclosure is (lo, hi) itself.  The bracket must exclude 0.
     """
     # the stop rule's exponent is never below that of min(|lo|, |hi|)
     smallest = min(abs(lo), abs(hi))
@@ -553,42 +554,37 @@ def _newton_enclosure(q, lo: Fraction, hi: Fraction, s_lo: int, s_hi: int,
     guard = 1 << _GUARD_BITS
     el, eh = (x - guard) * (D >> bits), (x + guard) * (D >> bits)
     if (eh <= L or el >= H
-            or el > L and _sign(_u_hom(q, x - guard, 1 << bits)) != s_lo
+            or el > L and _sign(_u_hom(q, x - guard, 1 << bits)) != -s_hi
             or eh < H and _sign(_u_hom(q, x + guard, 1 << bits)) != s_hi):
         return L, H, L, H, D
     return L, H, max(el, L), min(eh, H), D
 
 
-def _refine_bracket(q, lo: Fraction, hi: Fraction, digits: int) -> RootBracket:
+def _refine_bracket(q, lo: Fraction, hi: Fraction, root_at_low: bool,
+                   digits: int) -> RootBracket:
     """Shrink an isolating interval (lo, hi] of squarefree q to `digits`.
 
-    q has coprime integer coefficients.  Bisection stops once
-    high - low <= 10^(e - digits), e the decimal exponent of max(|low|, |high|).
-    When the bracket first reaches 2^-20 of its magnitude, a float Newton root
-    is tried as the centre of a narrower bracket, kept only if q changes sign
-    across it, and `_newton_enclosure` runs once to certify a much smaller
-    window around the root.  Bisection goes on to the end: a midpoint left of
-    the window takes the sign at low, one right of it the sign at high, and
-    every other midpoint (all of them if no window was certified) is
-    evaluated exactly.  So every sign is exact, and bisection starts from the
-    float proposal's bracket once exact signs accept it: the result is not
-    plain bisection's.  Endpoints are integer numerators over one denominator.
-    A root at 0 inside (lo, hi) comes back exact; no bracket around 0 meets the stop rule.
+    q has coprime integer coefficients.  (lo, hi] holds exactly one root of q,
+    and that root is simple, so q has sign -q(hi) just right of lo and is
+    evaluated at hi, never at lo.  If lo is a root too (`root_at_low`, known
+    from isolation), the stop rule and the float proposal wait until low moves
+    off it.  Bisection stops once high - low <= 10^(e - digits), e the decimal
+    exponent of max(|low|, |high|).  When the bracket first reaches 2^-20 of
+    its magnitude, a float Newton root is tried as the centre of a narrower
+    bracket, kept only if q changes sign across it, and `_newton_enclosure`
+    runs once to certify a much smaller window around the root.  Bisection goes
+    on to the end: a midpoint left of the window takes the sign at low, one
+    right of it the sign at high, and every other midpoint (all of them if no
+    window was certified) is evaluated exactly.  So every sign is exact, and
+    bisection starts from the float proposal's bracket once exact signs accept
+    it: the result is not plain bisection's.  Endpoints are integer numerators
+    over one denominator.  A root at 0 inside (lo, hi) comes back exact; no
+    bracket around 0 meets the stop rule.
     """
     s_hi = _u_sign(q, hi)
     if s_hi == 0:
         return RootBracket(hi, hi)
-    s_lo = _u_sign(q, lo)
-    while s_lo == 0:
-        # lo is a root of q outside (lo, hi]; walk inward until signs split
-        mid = (lo + hi) / 2
-        s_mid = _u_sign(q, mid)
-        if s_mid == 0:
-            return RootBracket(mid, mid)
-        if s_mid != s_hi:
-            lo, s_lo = mid, s_mid
-        else:
-            hi, s_hi = mid, s_mid
+    s_lo = -s_hi
     if lo < 0 < hi and q[0] == 0:
         # the one root in (lo, hi] is 0, which bisection may never land on
         return RootBracket(Fraction(0), Fraction(0))
@@ -606,9 +602,9 @@ def _refine_bracket(q, lo: Fraction, hi: Fraction, digits: int) -> RootBracket:
             exp = _decimal_exponent(Fraction(mag, D))
             width = (H - L) * 10 ** max(digits - exp, 0)
             unit = 10 ** max(exp - digits, 0)
-        if width <= D * unit:
+        if width <= D * unit and not root_at_low:
             break
-        if not tried and (H - L) << 20 <= mag:
+        if not tried and not root_at_low and (H - L) << 20 <= mag:
             tried = True
             lo, hi = Fraction(L, D), Fraction(H, D)
             seed = (lo + hi) / 2
@@ -625,8 +621,8 @@ def _refine_bracket(q, lo: Fraction, hi: Fraction, digits: int) -> RootBracket:
                     if sb == 0:
                         return RootBracket(b, b)
                     if sa != sb:
-                        lo, hi, s_lo, s_hi, seed = a, b, sa, sb, c
-            L, H, el, eh, D = _newton_enclosure(q, lo, hi, s_lo, s_hi, seed, digits)
+                        lo, hi, seed = a, b, c
+            L, H, el, eh, D = _newton_enclosure(q, lo, hi, s_hi, seed, digits)
             exp = None
             continue
         mid = L + H
@@ -641,7 +637,7 @@ def _refine_bracket(q, lo: Fraction, hi: Fraction, digits: int) -> RootBracket:
                 root = Fraction(mid, D)
                 return RootBracket(root, root)
         if s_mid == s_lo:
-            L = mid
+            L, root_at_low = mid, False
         else:
             H = mid
     return RootBracket(Fraction(L, D), Fraction(H, D))
@@ -658,23 +654,16 @@ def isolate_real_roots(p: Polynomial, interval, digits: int = 12) -> list[RootBr
     if digits < 1:
         raise ValueError("digits must be >= 1")
     lo, hi, q, chain = _sturm_setup(p, interval)
-    var_cache: dict[Fraction, int] = {}
-
-    def variations(x: Fraction) -> int:
-        if x not in var_cache:
-            var_cache[x] = _variations(chain, x)
-        return var_cache[x]
-
-    isolated: list[tuple[Fraction, Fraction]] = []
-    # (a, b, roots in (a, b]); the left half is pushed last, so it pops first
-    # and the brackets come out in ascending order
-    stack = [(lo, hi, variations(lo) - variations(hi))]
+    brackets: list[RootBracket] = []
+    # (a, b, variations at a, whether a is a root, variations at b): (a, b]
+    # holds v_a - v_b roots; the left half pops first, so brackets ascend
+    stack = [(lo, hi, *_variations(chain, lo), _variations(chain, hi)[0])]
     while stack:
-        a, b, count = stack.pop()
-        if count == 1:
-            isolated.append((a, b))
-        elif count > 1:
+        a, b, v_a, root_a, v_b = stack.pop()
+        if v_a - v_b == 1:
+            brackets.append(_refine_bracket(q, a, b, root_a, digits))
+        elif v_a - v_b > 1:
             m = (a + b) / 2
-            left = variations(a) - variations(m)
-            stack += [(m, b, count - left), (a, m, left)]
-    return [_refine_bracket(q, a, b, digits) for a, b in isolated]
+            v_m, root_m = _variations(chain, m)
+            stack += [(m, b, v_m, root_m, v_b), (a, m, v_a, root_a, v_m)]
+    return brackets

@@ -342,6 +342,13 @@ def test_a_flag_after_a_rational_flag_is_still_refused(capsys):
     assert "argument --delta: expected one argument" in capsys.readouterr().err
 
 
+def test_a_malformed_rational_is_refused(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["energy", "--k", "3", "--alpha", "1ex", "--beta", "1"])
+    assert exc.value.code == 2
+    assert "argument --alpha: not a rational number: '1ex'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, unrecognized", [
     (("energy", "--k", "3", "--alpha", "1", "--beta", "1", "--del", "-1/2"), "--del -1/2"),
     (("energy", "--k", "3", "--alpha", "1", "--beta", "1", "--del=-1/2"), "--del=-1/2"),

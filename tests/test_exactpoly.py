@@ -78,6 +78,11 @@ def test_add_merges_like_terms():
     assert 2 * ALPHA + 3 * ALPHA == 5 * ALPHA
 
 
+def test_scalar_minus_polynomial():
+    # the one path into __rsub__
+    assert 3 - X == -X + 3
+
+
 def test_mul_difference_of_squares():
     assert (ALPHA + DELTA) * (ALPHA - DELTA) == ALPHA ** 2 - DELTA ** 2
 
@@ -316,6 +321,26 @@ def test_rational_eval_at_pole_raises():
     h = RationalFunction(Polynomial.constant(1), X)
     with pytest.raises(ZeroDivisionError):
         h.eval({"x": 0})
+
+
+# -- refusals ------------------------------------------------------------------
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: Polynomial(("x",), {(-1,): 1}), ValueError, "negative exponent"),
+    (lambda: X / 0, ZeroDivisionError, None),
+    (lambda: X ** -1, ValueError, None),
+    (lambda: (X + 1).substitute({"x": 1.5}), TypeError, None),
+    (lambda: RationalFunction(1.5), TypeError, None),
+    (lambda: cauchy_root_bound(Polynomial.constant(3)), ValueError, None),
+    (lambda: fraction_to_decimal(Fraction(1, 3), 0), ValueError, "digits must be >= 1"),
+    (lambda: isolate_real_roots(X - 1, (0, 2), 0), ValueError, "digits must be >= 1"),
+    (lambda: X + 1.5, TypeError, None),
+], ids=["negative-exponent", "divide-by-zero", "negative-power", "float-substitute",
+        "float-rational", "constant-root-bound", "decimal-digits", "isolate-digits",
+        "float-addend"])
+def test_refusals(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
 
 
 # -- root isolation ------------------------------------------------------------
@@ -667,13 +692,13 @@ def test_refinement_matches_plain_bisection(digits, case):
 def test_newton_enclosure_is_certified_or_the_bracket():
     q = [-2, 0, 1]  # x^2 - 2
     lo, hi = Fraction(141, 100), Fraction(142, 100)
-    L, H, el, eh, D = exactpoly._newton_enclosure(q, lo, hi, -1, 1, Fraction(1415, 1000), 30)
+    L, H, el, eh, D = exactpoly._newton_enclosure(q, lo, hi, 1, Fraction(1415, 1000), 30)
     assert (Fraction(L, D), Fraction(H, D)) == (lo, hi)
     assert L < el < eh < H
     assert Fraction(el, D) ** 2 < 2 < Fraction(eh, D) ** 2
     assert Fraction(eh - el, D) < Fraction(1, 10 ** 31)
     # a seed in the basin of -sqrt(2) converges outside (lo, hi): no window
-    L, H, el, eh, D = exactpoly._newton_enclosure(q, lo, hi, -1, 1, Fraction(-3, 2), 30)
+    L, H, el, eh, D = exactpoly._newton_enclosure(q, lo, hi, 1, Fraction(-3, 2), 30)
     assert (el, eh) == (L, H)
     assert (Fraction(L, D), Fraction(H, D)) == (lo, hi)
 
@@ -702,6 +727,33 @@ def test_tiny_root_meets_the_stop_rule(digits, root, interval):
     assert b.low <= root <= b.high
     assert b.high - b.low <= Fraction(10) ** (exactpoly._decimal_exponent(abs(root)) - digits)
     assert [b] == _plain_isolate(X - root, interval, digits)
+
+
+@pytest.mark.parametrize("digits", [6, 12, 60])
+@pytest.mark.parametrize("p, interval", [
+    (X * (2 * X - 1), (0, 1)),
+    ((X - Fraction(1, 4)) * (X - Fraction(1, 3)), (Fraction(1, 4), 1)),
+    (X * (X ** 2 - 2), (0, 2)),
+    ((X + 1) * (X - Fraction(5, 7)), (-1, 1)),
+    # isolation's midpoint 1 is a root 10^-30 left of the next one: the stop
+    # rule and the float proposal wait until low moves off 1
+    ((X - 1) * (X - 1 - Fraction(1, 10 ** 30)), (-128, 128)),
+], ids=["first-midpoint", "interval-low", "sqrt-two", "negative-low", "close-pair"])
+def test_root_at_the_low_end_matches_plain_bisection(digits, p, interval):
+    # refinement never evaluates q at low: the one simple root in (low, high]
+    # gives q the sign -q(high) just right of it
+    brackets = isolate_real_roots(p, interval, digits)
+    assert brackets == _plain_isolate(p, interval, digits)
+    # every bracket has opposite nonzero signs at its ends, or is exact
+    assert all(b.low == b.high or p.eval({"x": b.low}) * p.eval({"x": b.high}) < 0
+               for b in brackets)
+
+
+@pytest.mark.parametrize("digits", [6, 12, 60])
+def test_first_midpoint_on_the_root_is_exact(digits):
+    # (0, 1] has its low end at the root 0, and the first midpoint is 1/2
+    assert isolate_real_roots(X * (2 * X - 1), (0, 1), digits) == [
+        exactpoly.RootBracket(Fraction(1, 2), Fraction(1, 2))]
 
 
 @pytest.mark.parametrize("digits", [6, 12, 60])
